@@ -84,8 +84,7 @@ def mollify(f: ScalarField, eta: float) -> ScalarField:
         return f.copy()
     g = f.grid
     mult = np.exp(-0.5 * eta * eta * g.k2)
-    hint = float(np.abs(f.values).max())
-    return ScalarField(g, to_physical(mult * to_spectral(f.values), hint))
+    return ScalarField(g, to_physical(mult * to_spectral(f.values)))
 
 
 def acoustic_init(data: InitialData, params: LimitParams) -> AcousticState:
@@ -125,16 +124,9 @@ def acoustic_evolve(s: AcousticState, t: float) -> AcousticState:
     active = g.kg2 > 0.0
     psi_new = np.where(active, b_new / np.where(active, scale, 1.0), psi_h)
     sig_new = np.where(active, sig_new, sig_h)
-
-    # rotation mixes sigma with |k| Psi / sqrt(p'(1)) and back
-    sig_scale = float(np.abs(s.sigma.values).max())
-    psi_scale = float(np.abs(s.psi.values).max())
-    kmax = g.n_points / 2.0
-    hint_sig = sig_scale + kmax * psi_scale / (c * eps)
-    hint_psi = psi_scale + c * eps * sig_scale
     return AcousticState(
-        sigma=ScalarField(g, to_physical(sig_new, hint_sig)),
-        psi=ScalarField(g, to_physical(psi_new, hint_psi)),
+        sigma=ScalarField(g, to_physical(sig_new)),
+        psi=ScalarField(g, to_physical(psi_new)),
         time=s.time + t,
         params=s.params,
     )

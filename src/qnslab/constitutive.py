@@ -7,11 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    Grid2D,
     ScalarField,
     VectorField,
     dealias,
     differentiate,
     gradient,
+    to_physical,
+    to_spectral,
     vector_field,
 )
 
@@ -117,8 +120,11 @@ def bohm_force(n: ScalarField, form: str = DIVERGENCE) -> VectorField:
             location=(int(iy), int(ix)),
         )
     g = n.grid
-    s = dealias(ScalarField(g, np.sqrt(vals)))
+    if form == DIVERGENCE:
+        fx_hat, fy_hat = _bohm_divergence_hats(g, vals)
+        return vector_field(g, to_physical(fx_hat), to_physical(fy_hat))
     if form == POTENTIAL:
+        s = dealias(ScalarField(g, np.sqrt(vals)))
         lap_s = ScalarField(g, differentiate(s, (2, 0)).values + differentiate(s, (0, 2)).values)
         ratio = dealias(ScalarField(g, lap_s.values / s.values))
         grad_ratio = gradient(ratio)
@@ -127,15 +133,18 @@ def bohm_force(n: ScalarField, form: str = DIVERGENCE) -> VectorField:
             dealias(ScalarField(g, 2.0 * vals * grad_ratio.x.values)).values,
             dealias(ScalarField(g, 2.0 * vals * grad_ratio.y.values)).values,
         )
-    if form == DIVERGENCE:
-        nd = dealias(n)
-        grad_lap_x = differentiate(nd, (3, 0)).values + differentiate(nd, (1, 2)).values
-        grad_lap_y = differentiate(nd, (2, 1)).values + differentiate(nd, (0, 3)).values
-        gs = gradient(s)
-        txx = dealias(ScalarField(g, gs.x.values * gs.x.values))
-        txy = dealias(ScalarField(g, gs.x.values * gs.y.values))
-        tyy = dealias(ScalarField(g, gs.y.values * gs.y.values))
-        div_x = differentiate(txx, (1, 0)).values + differentiate(txy, (0, 1)).values
-        div_y = differentiate(txy, (1, 0)).values + differentiate(tyy, (0, 1)).values
-        return vector_field(g, grad_lap_x - 4.0 * div_x, grad_lap_y - 4.0 * div_y)
     raise ValueError(f"unknown bohm force form {form!r} (use POTENTIAL or DIVERGENCE)")
+
+
+def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dealiased spectra of the divergence-form quantum force
+    grad(lap n) - 4 div(grad s x grad s), s = sqrt(n) dealiased, for a
+    density already checked against the vacuum floor."""
+    sh = to_spectral(np.sqrt(vals))
+    sx = to_physical(g.ddx * sh)
+    sy = to_physical(g.ddy * sh)
+    lap_nh = -g.k2 * to_spectral(vals)
+    txy = to_spectral(sx * sy)
+    fx_hat = g.ddx * (lap_nh - 4.0 * to_spectral(sx * sx)) - 4.0 * g.ddy * txy
+    fy_hat = g.ddy * (lap_nh - 4.0 * to_spectral(sy * sy)) - 4.0 * g.ddx * txy
+    return fx_hat, fy_hat

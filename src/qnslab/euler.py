@@ -79,8 +79,7 @@ def pressure_recover(v: VectorField) -> ScalarField:
     k2 = np.where(g.k2 == 0.0, 1.0, g.k2)
     pi_hat = div_hat / k2
     pi_hat[0, 0] = 0.0
-    hint = max(float(np.abs(adv_x).max()), float(np.abs(adv_y).max()))
-    return ScalarField(g, to_physical(pi_hat, hint))
+    return ScalarField(g, to_physical(pi_hat))
 
 
 def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qnslab import (
+    DIVERGENCE,
     AcousticState,
     CflViolation,
     EnergyLedger,
@@ -13,7 +14,10 @@ from qnslab import (
     TermSwitches,
     VacuumError,
     acoustic_evolve,
+    bohm_force,
     cfl_dt,
+    dealias,
+    differentiate,
     gradient,
     integrate,
     qns_init,
@@ -23,6 +27,7 @@ from qnslab import (
     total_energy,
     vector_field,
 )
+from qnslab import qns
 
 PARAMS = LimitParams(0.1, 2.0)
 
@@ -253,3 +258,101 @@ def test_splitting_second_order(grid64):
     e1 = np.sqrt(((advance(0.004) - ref) ** 2).sum() * h2)
     e2 = np.sqrt(((advance(0.002) - ref) ** 2).sum() * h2)
     assert e1 / e2 >= 3.5
+
+
+def _unfused_explicit_forces(g, n, mx, my, params, switches):
+    """The explicit-stage forces composed term by term: every dealias and
+    every derivative its own round trip, frozen forces and flux
+    divergences added in physical space."""
+
+    def d(vals, order):
+        return differentiate(ScalarField(g, vals), order).values
+
+    def da(vals):
+        return dealias(ScalarField(g, vals)).values
+
+    eps, gamma = params.epsilon, params.gamma
+    fx = np.zeros_like(n)
+    fy = np.zeros_like(n)
+    if switches.pressure_remainder:
+        p_rem = da(n ** gamma - gamma * (n - 1.0) - 1.0)
+        fx -= d(p_rem, (1, 0)) / (eps * eps)
+        fy -= d(p_rem, (0, 1)) / (eps * eps)
+    if switches.bohm:
+        qf = bohm_force(ScalarField(g, n), DIVERGENCE)
+        fx += eps * eps * qf.x.values
+        fy += eps * eps * qf.y.values
+    ux = da(mx / n)
+    uy = da(my / n)
+    if switches.advection:
+        fx -= d(da(mx * ux), (1, 0)) + d(da(mx * uy), (0, 1))
+        fy -= d(da(my * ux), (1, 0)) + d(da(my * uy), (0, 1))
+    if switches.viscous:
+        sxx = da(n * d(ux, (1, 0)))
+        sxy = da(n * 0.5 * (d(ux, (0, 1)) + d(uy, (1, 0))))
+        syy = da(n * d(uy, (0, 1)))
+        fx += 2.0 * eps * (d(sxx, (1, 0)) + d(sxy, (0, 1)))
+        fy += 2.0 * eps * (d(sxy, (1, 0)) + d(syy, (0, 1)))
+    return fx, fy
+
+
+@pytest.mark.parametrize(
+    "switches",
+    [
+        TermSwitches(),
+        TermSwitches(advection=True, pressure_remainder=False, bohm=False, viscous=False),
+        TermSwitches(advection=False, pressure_remainder=True, bohm=False, viscous=False),
+        TermSwitches(advection=False, pressure_remainder=False, bohm=True, viscous=False),
+        TermSwitches(advection=False, pressure_remainder=False, bohm=False, viscous=True),
+    ],
+    ids=["all", "advection", "pressure_remainder", "bohm", "viscous"],
+)
+def test_fused_explicit_stage_matches_unfused(grid32, switches):
+    params = LimitParams(0.1, 3.0)
+    rng = np.random.default_rng(2024)
+    n = 1.0 + random_band_limited(grid32, 6, rng, 0.5).values
+    assert 0.5 - 1e-12 <= n.min() and n.max() <= 1.5 + 1e-12
+    mx = random_band_limited(grid32, 6, rng).values
+    my = random_band_limited(grid32, 6, rng).values
+
+    frozen = qns._frozen_force_hats(grid32, n, params, switches)
+    fx, fy = qns._explicit_rhs(grid32, n, mx, my, *frozen, params.epsilon, switches)
+    rx, ry = _unfused_explicit_forces(grid32, n, mx, my, params, switches)
+    scale = max(np.abs(rx).max(), np.abs(ry).max())
+    assert scale > 0.0
+    assert max(np.abs(fx - rx).max(), np.abs(fy - ry).max()) <= 1e-11 * scale
+
+
+def test_fft_budget_per_step_and_record(grid32, monkeypatch):
+    counts = {"fwd": 0, "inv": 0}
+
+    def counting(fn, kind):
+        def wrapped(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("fft2", "rfft2"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "fwd"))
+    for name in ("ifft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "inv"))
+
+    tg = taylor_green(grid32)
+    data = InitialData(
+        n1_0=ScalarField(grid32, 0.5 * np.sin(grid32.x)),
+        u_0=vector_field(
+            grid32,
+            tg.v.x.values + 0.5 * np.cos(grid32.x),
+            tg.v.y.values + 0.5 * np.cos(grid32.y),
+        ),
+    )
+    s = qns_init(PARAMS, data)
+
+    counts.update(fwd=0, inv=0)
+    qns_step(s, cfl_dt(s))
+    assert counts["fwd"] <= 36 and counts["inv"] <= 38, counts
+
+    counts.update(fwd=0, inv=0)
+    EnergyLedger().record(s)
+    assert counts["fwd"] <= 3 and counts["inv"] <= 5, counts

@@ -233,7 +233,10 @@ def test_parseval(kmax, amp, seed):
     g = Grid2D(64)
     f = random_band_limited(g, kmax, np.random.default_rng(seed), amp)
     fhat = to_spectral(f.values)
-    spectral_side = 4 * np.pi ** 2 * float((np.abs(fhat) ** 2).sum())
+    # half-plane spectrum: columns 0 < kx < N/2 stand for their mirror too
+    weight = np.full(fhat.shape[1], 2.0)
+    weight[[0, -1]] = 1.0
+    spectral_side = 4 * np.pi ** 2 * float((weight * np.abs(fhat) ** 2).sum())
     assert norm(f, 2, 0) ** 2 == pytest.approx(spectral_side, rel=1e-12)
 
 
