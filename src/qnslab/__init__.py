@@ -8,7 +8,6 @@ from .acoustic import (
     acoustic_energy,
     acoustic_evolve,
     acoustic_init,
-    dispersive_report,
     mollify,
 )
 from .constitutive import (

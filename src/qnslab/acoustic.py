@@ -139,27 +139,3 @@ def acoustic_energy(s: AcousticState) -> float:
     dens = pp1 * s.sigma.values ** 2 + gp.x.values ** 2 + gp.y.values ** 2
     return 0.5 * integrate(ScalarField(s.grid, dens))
 
-
-def dispersive_report(
-    s0: AcousticState, times: list[float], k: int = 0, p: float = 2.0
-) -> list[tuple[float, float, float]]:
-    """Measured dispersive-estimate left-hand norms against the flat-space
-    bound shape (1 + t/eps)^(1/p - 1/q).
-
-    Rows are (t, ||grad Psi||_{W^{k,p}} + ||sigma||_{W^{k,p}}, shape).
-    Diagnostic only: periodic waves need not decay, so no bound is
-    asserted anywhere.
-    """
-    if p < 2:
-        raise ValueError(f"dispersive report needs p >= 2, got {p}")
-    if k not in (0, 1):
-        raise ValueError(f"dispersive report supports k = 0 or 1, got {k}")
-    exponent = (2.0 / p - 1.0) if not np.isinf(p) else -1.0
-    eps = s0.params.epsilon
-    rows = []
-    for t in times:
-        st = acoustic_evolve(s0, t)
-        lhs = norm(gradient(st.psi), p, k) + norm(st.sigma, p, k)
-        shape = (1.0 + t / eps) ** exponent
-        rows.append((float(t), float(lhs), float(shape)))
-    return rows

@@ -8,7 +8,6 @@ error, 3 numerical abort, 4 IO error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -36,18 +35,6 @@ def _load_config(args):
     return cfg
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("QNS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"QNS_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if cfg.epsilon is None:
@@ -70,7 +57,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    result = run_sweep(cfg, threads=_threads(args), synthetic=args.synthetic)
+    result = run_sweep(cfg, synthetic=args.synthetic)
     print(f"sweep over epsilon ladder {result.epsilons}"
           + (" (synthetic)" if result.synthetic else ""))
     for name, fit in result.fits.items():
@@ -132,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--output", help="override the configured output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="sweep parallelism (QNS_THREADS as fallback)")
 
     p_run = sub.add_parser("run", help="single run with diagnostics CSV")
     add_common(p_run)

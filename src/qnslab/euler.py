@@ -68,13 +68,20 @@ def _vorticity_rhs(grid: Grid2D, w_hat: np.ndarray) -> np.ndarray:
     return -to_spectral(vx * wx + vy * wy) * grid.dealias_mask
 
 
-def pressure_recover(v: VectorField) -> ScalarField:
-    """Mean-free Pi with -lap Pi = div((v.grad)v), for solenoidal v."""
+def _advection(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
+    """Dealiased components of (v.grad)v on the grid."""
     g = v.grid
     adv_x = dealias_values(g, v.x.values * differentiate(v.x, (1, 0)).values
                            + v.y.values * differentiate(v.x, (0, 1)).values)
     adv_y = dealias_values(g, v.x.values * differentiate(v.y, (1, 0)).values
                            + v.y.values * differentiate(v.y, (0, 1)).values)
+    return adv_x, adv_y
+
+
+def pressure_recover(v: VectorField) -> ScalarField:
+    """Mean-free Pi with -lap Pi = div((v.grad)v), for solenoidal v."""
+    g = v.grid
+    adv_x, adv_y = _advection(v)
     div_hat = to_spectral(adv_x) * (1j * g.kgx) + to_spectral(adv_y) * (1j * g.kgy)
     k2 = np.where(g.k2 == 0.0, 1.0, g.k2)
     pi_hat = div_hat / k2
@@ -149,10 +156,7 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
     d_t v by a central difference of two solver micro-steps.
     """
     g = ref.v.grid
-    adv_x = dealias_values(g, ref.v.x.values * differentiate(ref.v.x, (1, 0)).values
-                           + ref.v.y.values * differentiate(ref.v.x, (0, 1)).values)
-    adv_y = dealias_values(g, ref.v.x.values * differentiate(ref.v.y, (1, 0)).values
-                           + ref.v.y.values * differentiate(ref.v.y, (0, 1)).values)
+    adv_x, adv_y = _advection(ref.v)
     gp = gradient(ref.pi)
     res_x = adv_x + gp.x.values
     res_y = adv_y + gp.y.values

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,19 +43,10 @@ DENSITY_BAND_FACTOR = 10.0
 # dt-convergence of every tracked quantity to <1%.
 ACOUSTIC_RESOLVE = 0.25
 
-DEFAULTS = {
-    "grid_n": 64,
-    "gamma": 2.0,
-    "t_end": 0.5,
-    "dt_policy": "auto",
-    "eta": 0.0,
-    "record_every": 10,
-    "seed": 0,
-    "output_dir": "qns_out",
-    "initial_profile": "rest",
+_KNOWN_KEYS = {
+    "grid_n", "gamma", "epsilon", "epsilon_ladder", "t_end", "dt_policy",
+    "initial_profile", "eta", "output_dir", "seed", "record_every",
 }
-
-_KNOWN_KEYS = set(DEFAULTS) | {"epsilon", "epsilon_ladder"}
 
 
 class ConfigError(ValueError):
@@ -95,6 +85,14 @@ class RunConfig:
             raise ConfigError("dt_policy fixed needs a positive dt")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        if self.eta < 0:
+            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        try:
+            for eps in [self.epsilon, *(self.epsilon_ladder or ())]:
+                if eps is not None:
+                    self.params(eps)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def params(self, epsilon: float | None = None) -> LimitParams:
         eps = epsilon if epsilon is not None else self.epsilon
@@ -121,8 +119,8 @@ def _parse_profile(raw: str, line_no: int) -> tuple[str, float, str | None]:
 def parse_config(text: str) -> RunConfig:
     """Parse key = value lines (# comments) into a RunConfig.
 
-    Unknown and duplicate keys are rejected with their line number; all
-    defaults live in DEFAULTS.
+    Unknown and duplicate keys are rejected with their line number;
+    absent keys take RunConfig's field defaults.
     """
     seen: dict[str, int] = {}
     values: dict[str, tuple[str, int]] = {}
@@ -205,18 +203,7 @@ def parse_config(text: str) -> RunConfig:
         raw, _ = values.pop("output_dir")
         kwargs["output_dir"] = raw
 
-    merged = {
-        k: v
-        for k, v in DEFAULTS.items()
-        if k in RunConfig.__dataclass_fields__ and k not in kwargs
-    }
-    merged.update(kwargs)
-    try:
-        return RunConfig(**merged)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**kwargs)
 
 
 def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, EulerReference]:
@@ -314,17 +301,18 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
     params = cfg.params(eps)
     grid = Grid2D(cfg.grid_n)
     data, ref = build_initial_data(cfg, grid)
-    state = qns_init(params, data)
-    ac0 = acoustic_init(data, params)
 
     ledger = EnergyLedger()
-    ledger.record(state)
     dt_max = 0.0
-    reports = [relative_entropy(state, ref, ac0)]
+    reports = []
     aborted = None
     terminal_norms = None
     step = 0
     try:
+        state = qns_init(params, data)
+        ac0 = acoustic_init(data, params)
+        ledger.record(state)
+        reports.append(relative_entropy(state, ref, ac0))
         while state.time < cfg.t_end - 1e-12:
             if cfg.dt_policy == "fixed":
                 dt = cfg.dt_fixed
@@ -373,6 +361,8 @@ TRACKED_QUANTITIES = ("rel_entropy", "thm_vel", "thm_dens", "thm_grad")
 
 
 def _terminal_values(res: RunResult) -> dict[str, float]:
+    if not res.reports:  # aborted during initialisation
+        return {q: float("nan") for q in TRACKED_QUANTITIES}
     last = res.reports[-1]
     return {
         "rel_entropy": last.rel_entropy,
@@ -409,12 +399,10 @@ class SweepResult:
         return [r.energy_ok for r in self.runs]
 
 
-def run_sweep(
-    cfg: RunConfig, threads: int = 1, synthetic: bool = False, output_dir=None
-) -> SweepResult:
-    """run_single per ladder entry (optionally in parallel), then
-    log-log rate fits on the terminal tracked quantities plus the energy
-    and density-band verdicts.
+def run_sweep(cfg: RunConfig, synthetic: bool = False, output_dir=None) -> SweepResult:
+    """run_single per ladder entry, in order, then log-log rate fits on
+    the terminal tracked quantities plus the energy and density-band
+    verdicts.
 
     synthetic=True bypasses the solver and injects the exact power law
     eps**rate, exercising the fit/report plumbing alone.  An aborted run
@@ -441,14 +429,8 @@ def run_sweep(
                              result.density_ratios)
         return result
 
-    def one(eps: float) -> RunResult:
-        return run_single(cfg, epsilon=eps, csv_path=out / f"run_eps_{eps:g}.csv")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one, ladder))
-    else:
-        runs = [one(eps) for eps in ladder]
+    runs = [run_single(cfg, epsilon=eps, csv_path=out / f"run_eps_{eps:g}.csv")
+            for eps in ladder]
 
     failed = any(r.aborted is not None for r in runs)
     per_quantity: dict[str, list[float]] = {q: [] for q in TRACKED_QUANTITIES}

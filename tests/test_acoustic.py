@@ -12,7 +12,6 @@ from qnslab import (
     acoustic_energy,
     acoustic_evolve,
     acoustic_init,
-    dispersive_report,
     gradient,
     mollify,
     norm,
@@ -213,37 +212,3 @@ def test_init_then_project_leaves_no_gradient_part(grid64, rng):
     )
     _, q_left = helmholtz_project(residual)
     assert norm(q_left, 2, 0) < 1e-10 * max(norm(u0, 2, 0), 1e-30)
-
-
-def test_dispersive_report_p2_traveling_wave(grid64):
-    # traveling-wave data: Psi_hat = +/- i sqrt(gamma) sigma_hat / |k|
-    # keeps each modulus constant, so the measured p=2 norm is constant
-    gamma = 2.0
-    sigma = np.cos(grid64.x)
-    psi = -np.sqrt(gamma) * np.sin(grid64.x)
-    s = _state(grid64, sigma, psi)
-    rows = dispersive_report(s, [0.0, 0.05, 0.11, 0.4], k=0, p=2.0)
-    lhs0 = rows[0][1]
-    for _, lhs, shape in rows:
-        assert shape == 1.0
-        assert lhs == pytest.approx(lhs0, rel=1e-12)
-
-
-def test_dispersive_report_shapes(grid64):
-    s = _state(grid64, np.cos(grid64.x), np.zeros_like(grid64.x))
-    rows = dispersive_report(s, [0.1], k=0, p=np.inf)
-    assert rows[0][2] == pytest.approx((1 + 0.1 / 0.1) ** -1)
-    assert rows[0][2] == pytest.approx(0.5)
-
-    rows4 = dispersive_report(s, [0.0, 0.1, 0.2, 0.5], k=1, p=4.0)
-    shapes = [r[2] for r in rows4]
-    assert all(a > b for a, b in zip(shapes, shapes[1:]))
-    assert all(np.isfinite(r[1]) for r in rows4)
-
-
-def test_dispersive_report_rejects_small_p(grid64):
-    s = _state(grid64, np.cos(grid64.x), np.zeros_like(grid64.x))
-    with pytest.raises(ValueError):
-        dispersive_report(s, [0.1], k=0, p=1.5)
-    with pytest.raises(ValueError):
-        dispersive_report(s, [0.1], k=2, p=2.0)

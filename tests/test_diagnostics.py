@@ -100,6 +100,22 @@ def test_entropy_parts_sum_and_nonnegative(grid64, rng):
         assert rep.rel_entropy == pytest.approx(total, rel=1e-12)
 
 
+def test_report_parts_are_scaled_theorem_norms(grid64, rng):
+    s, ref, ac = _exact_reference_state(grid64, rng)
+    off = QnsState(
+        n=ScalarField(grid64, s.n.values + 0.05 * random_band_limited(grid64, 4, rng).values),
+        m=vector_field(grid64, s.m.x.values + 0.01, s.m.y.values - 0.02),
+        time=0.0,
+        params=PARAMS,
+    )
+    rep = relative_entropy(off, ref, ac)
+    vel, dens, grad = theorem_lhs(off, ref, ac)
+    assert rep.theorem_lhs == (vel, dens, grad)
+    assert rep.kinetic_part == 0.5 * vel
+    assert rep.quantum_part == 2 * grad
+    assert rep.kinetic_part > 0 and rep.quantum_part > 0
+
+
 def test_entropy_positive_off_reference(grid64, rng):
     s, ref, ac = _exact_reference_state(grid64, rng)
     bumped = QnsState(

@@ -328,16 +328,18 @@ def test_sweep_rejects_short_ladder(tmp_path):
         run_sweep(cfg)
 
 
-def test_sweep_serial_matches_parallel(tmp_path):
-    def go(threads, sub):
-        out = tmp_path / sub
-        cfg = RunConfig(grid_n=32, epsilon_ladder=[0.2, 0.1, 0.05], t_end=0.03,
-                        initial_profile="sine_density", profile_amplitude=0.5,
-                        record_every=2, output_dir=str(out))
-        run_sweep(cfg, threads=threads)
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    assert go(1, "serial") == go(3, "parallel")
+def test_sweep_with_init_abort_is_failed_but_reports(tmp_path):
+    # eps * 3 >= 0.5 at eps = 0.2 only: that run aborts in qns_init
+    cfg = RunConfig(grid_n=32, epsilon_ladder=[0.2, 0.1, 0.05], t_end=0.02,
+                    initial_profile="sine_density", profile_amplitude=3.0,
+                    output_dir=str(tmp_path))
+    result = run_sweep(cfg)
+    assert result.failed
+    assert result.runs[0].reports == []
+    assert "VacuumError" in result.runs[0].aborted
+    assert all(r.aborted is None for r in result.runs[1:])
+    summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()
+    assert len(summary) == 1 + len(cfg.epsilon_ladder)
 
 
 # ---------------------------------------------------------------- CLI
@@ -348,6 +350,39 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("epsilon = 0.1\nwhat = 1\n")
     assert cli_main(["run", "--config", str(bad)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("run", "epsilon = 1.5\n"),
+        ("run", "epsilon = 0.1\ngamma = 0.5\n"),
+        ("run", "epsilon = 0.1\neta = -1\n"),
+        ("sweep", "epsilon_ladder = 1.5,0.1,0.05\n"),
+    ],
+    ids=["epsilon", "gamma", "eta", "ladder"],
+)
+def test_cli_config_range_error_exit_code(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
+    assert cli_main([command, "--config", str(bad)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_init_abort_exit_code_and_sentinel(tmp_path):
+    # eps * ||n1_0||_inf = 0.9: qns_init refuses the data
+    cfgfile = tmp_path / "init.cfg"
+    cfgfile.write_text(
+        "epsilon = 0.3\nt_end = 0.02\ngrid_n = 32\n"
+        "initial_profile = sine_density(3)\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["run", "--config", str(cfgfile)]) == 3
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert lines[1].startswith("ABORTED,VacuumError")
+    assert len(lines) == 2
 
 
 def test_cli_missing_config_is_io_error(tmp_path):
@@ -385,14 +420,3 @@ def test_cli_bohm_check_small(capsys):
     # sqrt tail beyond the 2/3 cutoff shrinks with resolution)
     assert cli_main(["bohm-check", "--fields", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
-
-
-def test_cli_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("QNS_THREADS", "2")
-    sweep_cfg = tmp_path / "sweep.cfg"
-    sweep_cfg.write_text(
-        "epsilon_ladder = 0.2,0.1,0.05\ngrid_n = 32\nt_end = 0.02\n"
-        "initial_profile = sine_density(0.3)\n"
-        f"output_dir = {tmp_path / 'sw'}\n"
-    )
-    assert cli_main(["sweep", "--config", str(sweep_cfg)]) == 0

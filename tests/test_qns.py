@@ -14,6 +14,7 @@ from qnslab import (
     TermSwitches,
     VacuumError,
     acoustic_evolve,
+    acoustic_init,
     bohm_force,
     cfl_dt,
     dealias,
@@ -23,6 +24,7 @@ from qnslab import (
     qns_init,
     qns_step,
     random_band_limited,
+    relative_entropy,
     taylor_green,
     total_energy,
     vector_field,
@@ -356,3 +358,8 @@ def test_fft_budget_per_step_and_record(grid32, monkeypatch):
     counts.update(fwd=0, inv=0)
     EnergyLedger().record(s)
     assert counts["fwd"] <= 3 and counts["inv"] <= 5, counts
+
+    ac = acoustic_init(data, PARAMS)
+    counts.update(fwd=0, inv=0)
+    relative_entropy(s, tg, ac)
+    assert counts["fwd"] <= 3 and counts["inv"] <= 6, counts
