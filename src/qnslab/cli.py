@@ -8,6 +8,7 @@ error, 3 numerical abort, 4 IO error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -97,8 +98,9 @@ def _cmd_rate_fit(args) -> int:
     printed = False
     for name in header[1:]:
         vals = cols[name]
-        if len(vals) != len(eps) or len(eps) < 3 or min(vals, default=0.0) <= 0:
-            print(f"  {name:12s}: skipped (needs >= 3 positive values)")
+        if len(vals) != len(eps) or len(eps) < 3 or not all(
+                math.isfinite(v) and v > 0 for v in vals):
+            print(f"  {name:12s}: skipped (needs >= 3 finite positive values)")
             continue
         fit = rate_fit(eps, vals)
         print(f"  {name:12s}: slope = {fit.slope:+.4f}, intercept = {fit.intercept:+.4f}, "

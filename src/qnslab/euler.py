@@ -4,6 +4,7 @@ vorticity-streamfunction spectral solver for general solenoidal data."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,19 +54,36 @@ def taylor_green(grid: Grid2D) -> EulerReference:
     return EulerReference(v=v, pi=pi, time=0.0, steady=True)
 
 
+# Cached per grid size rather than stored on Grid2D, so grids that never
+# step Euler (every QNS run) do not build them.
+@lru_cache(maxsize=8)
+def _multipliers(grid: Grid2D) -> tuple[np.ndarray, ...]:
+    """Wavenumber-only arrays of the vorticity step, read-only: the
+    Biot-Savart multipliers (i kgy, -i kgx) / |k|^2 (0 where kg2 == 0)
+    taking w_hat to v_hat, the gradient multipliers i kgx, i kgy, and
+    the negated 2/3-rule mask."""
+    inv_k2 = np.divide(1.0, grid.kg2, out=np.zeros(grid.kg2.shape), where=grid.kg2 != 0.0)
+    arrays = (1j * grid.kgy * inv_k2, -1j * grid.kgx * inv_k2,
+              1j * grid.kgx, 1j * grid.kgy, -grid.dealias_mask.astype(float))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _velocity_hats_from_vorticity(grid: Grid2D, w_hat: np.ndarray):
-    k2 = np.where(grid.kg2 == 0.0, 1.0, grid.kg2)
-    psi_hat = np.where(grid.kg2 == 0.0, 0.0 + 0.0j, w_hat / k2)
-    return 1j * grid.kgy * psi_hat, -1j * grid.kgx * psi_hat
+    bs_x, bs_y = _multipliers(grid)[:2]
+    return bs_x * w_hat, bs_y * w_hat
 
 
-def _vorticity_rhs(grid: Grid2D, w_hat: np.ndarray) -> np.ndarray:
-    vx_h, vy_h = _velocity_hats_from_vorticity(grid, w_hat)
-    vx = to_physical(vx_h)
-    vy = to_physical(vy_h)
-    wx = to_physical(1j * grid.kgx * w_hat)
-    wy = to_physical(1j * grid.kgy * w_hat)
-    return -to_spectral(vx * wx + vy * wy) * grid.dealias_mask
+def _vorticity_rhs(grid: Grid2D, w_hat: np.ndarray):
+    """Spectrum of -(v.grad)w, dealiased, and the physical velocity
+    (vx, vy) it was computed from: 1 forward and 4 inverse transforms."""
+    bs_x, bs_y, d_x, d_y, neg_mask = _multipliers(grid)
+    vx = to_physical(bs_x * w_hat)
+    vy = to_physical(bs_y * w_hat)
+    adv = vx * to_physical(d_x * w_hat)
+    adv += vy * to_physical(d_y * w_hat)
+    return to_spectral(adv) * neg_mask, vx, vy
 
 
 def _advection(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -89,12 +107,18 @@ def pressure_recover(v: VectorField) -> ScalarField:
     return ScalarField(g, to_physical(pi_hat))
 
 
-def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _vorticity_rhs(grid, w_hat)
-    k2 = _vorticity_rhs(grid, w_hat + 0.5 * dt * k1)
-    k3 = _vorticity_rhs(grid, w_hat + 0.5 * dt * k2)
-    k4 = _vorticity_rhs(grid, w_hat + dt * k3)
-    return w_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float):
+    """One classical RK4 step of the vorticity transport equation.
+
+    Returns the advanced spectrum and max|v| of the velocity at the
+    start of the step (the stage-1 velocity), for the CFL check.
+    """
+    k1, vx, vy = _vorticity_rhs(grid, w_hat)
+    k2 = _vorticity_rhs(grid, w_hat + 0.5 * dt * k1)[0]
+    k3 = _vorticity_rhs(grid, w_hat + 0.5 * dt * k2)[0]
+    k4 = _vorticity_rhs(grid, w_hat + dt * k3)[0]
+    vmax = max(np.abs(vx).max(), np.abs(vy).max())
+    return w_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), vmax
 
 
 def euler_solve(
@@ -130,13 +154,12 @@ def euler_solve(
     n_steps = int(round(t_end / dt))
     t = 0.0
     for step in range(1, n_steps + 1):
-        vx_h, vy_h = _velocity_hats_from_vorticity(g, w_hat)
-        vmax = max(np.abs(to_physical(vx_h)).max(), np.abs(to_physical(vy_h)).max())
+        w_next, vmax = _rk4_vorticity_step(g, w_hat, dt)
         if vmax > 0 and dt > 0.5 * g.spacing / vmax:
             raise EulerSolverError(
                 f"CFL violation at t={t:.6g}: dt={dt:g} exceeds 0.5*h/max|v|={0.5*g.spacing/vmax:.6g}"
             )
-        w_hat = _rk4_vorticity_step(g, w_hat, dt)
+        w_hat = w_next
         t = step * dt
         w_inf = np.abs(to_physical(w_hat)).max()
         if w_inf > 10.0 * w_inf0:
@@ -162,8 +185,8 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
     res_y = adv_y + gp.y.values
     if dt_probe > 0.0:
         w_hat = to_spectral(curl(ref.v).values)
-        w_fwd = _rk4_vorticity_step(g, w_hat, dt_probe)
-        w_bwd = _rk4_vorticity_step(g, w_hat, -dt_probe)
+        w_fwd = _rk4_vorticity_step(g, w_hat, dt_probe)[0]
+        w_bwd = _rk4_vorticity_step(g, w_hat, -dt_probe)[0]
         fx_h, fy_h = _velocity_hats_from_vorticity(g, w_fwd)
         bx_h, by_h = _velocity_hats_from_vorticity(g, w_bwd)
         res_x = res_x + (to_physical(fx_h) - to_physical(bx_h)) / (2.0 * dt_probe)

@@ -28,7 +28,7 @@ from .qns import (
     qns_step,
 )
 from .qnsio import format_sig17, read_snapshot, write_csv, write_snapshot
-from .spectral import Grid2D, ScalarField, helmholtz_project, vector_field
+from .spectral import Grid2D, ScalarField, SpectralError, helmholtz_project, vector_field
 
 RATE_SLOPE_MARGIN = 0.1
 DENSITY_BAND_FACTOR = 10.0
@@ -328,7 +328,7 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
                 ac_t = acoustic_evolve(ac0, state.time)
                 reports.append(relative_entropy(state, ref, ac_t, time_tol=1e-6))
         terminal_norms = density_deviation_norms(state)
-    except (VacuumError, NumericalAbort, CflViolation) as exc:
+    except (VacuumError, NumericalAbort, CflViolation, SpectralError) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
 
     if csv_path is not None:
@@ -388,8 +388,11 @@ class SweepResult:
 
     @property
     def density_band_ok(self) -> bool:
-        """||n-1||_{L^lambda}/eps stays within a factor-10 band."""
-        ratios = [r for r in self.density_ratios if np.isfinite(r) and r > 0]
+        """||n-1||_{L^lambda}/eps stays within a factor-10 band.  A
+        non-finite ratio (an aborted run) fails the band."""
+        if not np.isfinite(self.density_ratios).all():
+            return False
+        ratios = [r for r in self.density_ratios if r > 0]
         if len(ratios) < 2:
             return True
         return max(ratios) / min(ratios) < DENSITY_BAND_FACTOR

@@ -212,3 +212,29 @@ def test_init_then_project_leaves_no_gradient_part(grid64, rng):
     )
     _, q_left = helmholtz_project(residual)
     assert norm(q_left, 2, 0) < 1e-10 * max(norm(u0, 2, 0), 1e-30)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_single_mode_oracle_against_dop853_and_closed_form(eps):
+    from qnslab.checks import _single_mode_oracle
+
+    gamma, kabs, t = 2.0, 1.0, 0.37
+    sig0, psi0 = 0.5 + 0.1j, -0.2 + 0.3j
+    sig, psi = _single_mode_oracle(eps, gamma, kabs, sig0, psi0, t)
+
+    omega = np.sqrt(gamma) * kabs / eps
+    c, s = np.cos(omega * t), np.sin(omega * t)
+    sig_closed = sig0 * c + psi0 * kabs * kabs / (eps * omega) * s
+    psi_closed = psi0 * c - sig0 * gamma / (eps * omega) * s
+    assert abs(sig - sig_closed) <= 1e-11 and abs(psi - psi_closed) <= 1e-11
+
+    def rhs(_, z):
+        sr, si, pr, pi_ = z
+        return [kabs * kabs * pr / eps, kabs * kabs * pi_ / eps,
+                -gamma * sr / eps, -gamma * si / eps]
+
+    sol = solve_ivp(rhs, (0, t), [sig0.real, sig0.imag, psi0.real, psi0.imag],
+                    rtol=1e-12, atol=1e-14, method="DOP853")
+    z = sol.y[:, -1]
+    assert abs(sig - complex(z[0], z[1])) <= 1e-11
+    assert abs(psi - complex(z[2], z[3])) <= 1e-11

@@ -121,3 +121,88 @@ def test_euler_residual_of_solver_output(grid64, rng):
     v0, _ = helmholtz_project(w)
     traj = euler_solve(v0, t_end=0.1, dt=1e-3, record_every=100)
     assert euler_residual(traj[-1], dt_probe=1e-4) < 1e-6
+
+
+def _random_solenoidal(grid, rng, kmax):
+    from qnslab import helmholtz_project, random_band_limited
+
+    w = vector_field(
+        grid,
+        random_band_limited(grid, kmax, rng, 1.0).values,
+        random_band_limited(grid, kmax, rng, 1.0).values,
+    )
+    return helmholtz_project(w)[0]
+
+
+def test_rk4_step_matches_term_by_term(grid32, rng):
+    # reference: RK4 on the vorticity field, every stage composed from the
+    # public transforms and derivatives (streamfunction from -lap psi = w)
+    from qnslab import curl, dealias, differentiate
+    from qnslab.euler import _rk4_vorticity_step
+    from qnslab.spectral import to_physical, to_spectral
+
+    g = grid32
+    v0 = _random_solenoidal(g, rng, kmax=4)
+    w0 = curl(v0)
+
+    def velocity(w):
+        psi_hat = np.divide(to_spectral(w.values), g.kg2,
+                            out=np.zeros(g.kg2.shape, complex), where=g.kg2 != 0.0)
+        psi = ScalarField(g, to_physical(psi_hat))
+        return differentiate(psi, (0, 1)).values, -differentiate(psi, (1, 0)).values
+
+    def rhs(w):
+        vx, vy = velocity(w)
+        adv = vx * differentiate(w, (1, 0)).values + vy * differentiate(w, (0, 1)).values
+        return -dealias(ScalarField(g, adv)).values
+
+    dt = 2e-2
+    k1 = rhs(w0)
+    k2 = rhs(ScalarField(g, w0.values + 0.5 * dt * k1))
+    k3 = rhs(ScalarField(g, w0.values + 0.5 * dt * k2))
+    k4 = rhs(ScalarField(g, w0.values + dt * k3))
+    expected = w0.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    w_hat, vmax = _rk4_vorticity_step(g, to_spectral(w0.values), dt)
+    got = to_physical(w_hat)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    vx, vy = velocity(w0)
+    assert vmax == pytest.approx(max(np.abs(vx).max(), np.abs(vy).max()), rel=1e-12)
+
+
+def test_euler_fft_budget_per_step(grid32, rng, monkeypatch):
+    from qnslab import curl, euler
+    from qnslab.spectral import to_spectral
+
+    counts = {"fwd": 0, "inv": 0, "rk4": 0}
+
+    def counting(fn, kind):
+        def wrapped(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("fft2", "rfft2"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "fwd"))
+    for name in ("ifft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "inv"))
+
+    v0 = _random_solenoidal(grid32, rng, kmax=4)
+    w_hat = to_spectral(curl(v0).values)
+    counts.update(fwd=0, inv=0)
+    euler._rk4_vorticity_step(grid32, w_hat, 1e-3)
+    assert counts["fwd"] <= 4 and counts["inv"] <= 16, counts
+
+    # per solver step: the difference of two runs with the same snapshots
+    monkeypatch.setattr(euler, "_rk4_vorticity_step",
+                        counting(euler._rk4_vorticity_step, "rk4"))
+    totals = []
+    for n_steps in (3, 5):
+        counts.update(fwd=0, inv=0, rk4=0)
+        euler_solve(v0, t_end=n_steps * 1e-3, dt=1e-3, record_every=10 ** 6)
+        assert counts["rk4"] == n_steps
+        totals.append((counts["fwd"], counts["inv"]))
+    fwd = (totals[1][0] - totals[0][0]) / 2
+    inv = (totals[1][1] - totals[0][1]) / 2
+    assert fwd <= 4 and inv <= 17, (fwd, inv)

@@ -284,6 +284,25 @@ def test_cli_numerical_abort_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(cfgfile)]) == 3
 
 
+def test_cli_mid_run_spectral_error_aborts(tmp_path, monkeypatch):
+    from qnslab import SpectralError, harness
+
+    def failing_step(state, dt):
+        raise SpectralError("field contains non-finite values")
+
+    monkeypatch.setattr(harness, "qns_step", failing_step)
+    cfgfile = tmp_path / "abort.cfg"
+    cfgfile.write_text(
+        "epsilon = 0.1\nt_end = 0.1\ngrid_n = 32\n"
+        "initial_profile = sine_density(0.5)\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["run", "--config", str(cfgfile)]) == 3
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert lines[-1].startswith("ABORTED,SpectralError")
+    assert len(lines) == 3  # header, t=0 row, sentinel
+
+
 def test_cli_output_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
@@ -319,6 +338,15 @@ def test_sweep_with_aborted_runs_is_failed_but_reports(tmp_path):
     for eps in cfg.epsilon_ladder:
         lines = (tmp_path / f"run_eps_{eps:g}.csv").read_text().splitlines()
         assert lines[-1].startswith("ABORTED,")
+
+
+def test_density_band_fails_on_non_finite_ratio():
+    from qnslab.harness import SweepResult
+
+    ladder = [0.2, 0.1, 0.05]
+    assert SweepResult(ladder, [], density_ratios=[16.0, 15.67, 17.07]).density_band_ok
+    assert not SweepResult(ladder, [], density_ratios=[float("nan"), 15.67, 17.07]).density_band_ok
+    assert not SweepResult(ladder, [], density_ratios=[16.0, float("inf"), 17.07]).density_band_ok
 
 
 def test_sweep_rejects_short_ladder(tmp_path):
@@ -409,6 +437,47 @@ def test_cli_run_and_rate_fit(tmp_path, capsys):
     assert cli_main(["rate-fit", str(tmp_path / "sw" / "sweep_summary.csv")]) == 0
     out = capsys.readouterr().out
     assert "slope = +0.5000" in out
+
+
+def test_cli_rate_fit_skips_non_finite_columns(tmp_path, capsys):
+    # the summary of a sweep whose first run aborted: a NaN row
+    header = "epsilon,rel_entropy,thm_vel,thm_dens,thm_grad,density_ratio"
+    rows = ["0.20000000000000001,nan,nan,nan,nan,nan",
+            "0.10000000000000001,0.01,0.02,0.03,0.04,15.67",
+            "0.050000000000000003,0.005,0.01,0.015,0.02,17.07"]
+    summary = tmp_path / "sweep_summary.csv"
+    summary.write_text("\n".join([header, *rows]) + "\n")
+    assert cli_main(["rate-fit", str(summary)]) == 2
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert "skipped" in captured.out
+    assert "no fittable columns" in captured.err
+
+    # one finite column is still fitted; the others are skipped
+    rows[0] = "0.20000000000000001,0.02,nan,-1,0,inf"
+    summary.write_text("\n".join([header, *rows]) + "\n")
+    assert cli_main(["rate-fit", str(summary)]) == 0
+    out = capsys.readouterr().out
+    assert "rel_entropy : slope = +1.0000" in out
+    assert out.count("skipped") == 4
+    assert "nan" not in out
+
+
+def test_import_path_has_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qnslab
+
+    src = str(Path(qnslab.__file__).resolve().parents[1])
+    code = ("import sys; import qnslab, qnslab.cli, qnslab.checks; "
+            "sys.exit('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_rate_fit_missing_file():
