@@ -54,6 +54,7 @@ from .qns import (
     NumericalAbort,
     QnsState,
     TermSwitches,
+    cfl_bounds,
     cfl_dt,
     dissipation_rate,
     qns_init,

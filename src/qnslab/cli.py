@@ -36,6 +36,10 @@ def _load_config(args):
     return cfg
 
 
+def _limits(counts: dict[str, int]) -> str:
+    return ", ".join(f"{name} {n}" for name, n in counts.items())
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if cfg.epsilon is None:
@@ -49,6 +53,7 @@ def _cmd_run(args) -> int:
     last = res.reports[-1]
     print(f"run complete: t = {last.t:g}, {len(res.reports)} reports, "
           f"{res.wall_seconds:.2f} s")
+    print(f"  steps by the limit that set dt: {_limits(res.dt_limits)}")
     print(f"  terminal relative entropy = {last.rel_entropy:.6e}")
     print(f"  energy inequality: {'PASS' if res.energy_ok else 'FAIL'} "
           f"(max E+D-E0 = {res.ledger.max_violation():.3e})")
@@ -69,7 +74,7 @@ def _cmd_sweep(args) -> int:
         for eps, run, ok in zip(result.epsilons, result.runs, result.energy_verdicts):
             state = "ABORTED" if run.aborted else ("PASS" if ok else "FAIL")
             print(f"  energy inequality at eps = {eps:g}: {state} "
-                  f"({run.wall_seconds:.2f} s)")
+                  f"({run.wall_seconds:.2f} s; steps by dt limit: {_limits(run.dt_limits)})")
         print(f"  density band ||n-1||_Llambda/eps within x{10:g}: "
               f"{'PASS' if result.density_band_ok else 'FAIL'} "
               f"(ratios {['%.4g' % r for r in result.density_ratios]})")

@@ -140,11 +140,18 @@ def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.n
     """Dealiased spectra of the divergence-form quantum force
     grad(lap n) - 4 div(grad s x grad s), s = sqrt(n) dealiased, for a
     density already checked against the vacuum floor."""
+    lap_nh = -g.k2 * to_spectral(vals)
+    qx, qy = _bohm_nonlinear_hats(g, vals)
+    return g.ddx * lap_nh + qx, g.ddy * lap_nh + qy
+
+
+def _bohm_nonlinear_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dealiased spectra of -4 div(grad s x grad s), s = sqrt(n)
+    dealiased: the quantum force less its linear part grad(lap n)."""
     sh = to_spectral(np.sqrt(vals))
     sx = to_physical(g.ddx * sh)
     sy = to_physical(g.ddy * sh)
-    lap_nh = -g.k2 * to_spectral(vals)
     txy = to_spectral(sx * sy)
-    fx_hat = g.ddx * (lap_nh - 4.0 * to_spectral(sx * sx)) - 4.0 * g.ddy * txy
-    fy_hat = g.ddy * (lap_nh - 4.0 * to_spectral(sy * sy)) - 4.0 * g.ddx * txy
+    fx_hat = -4.0 * (g.ddx * to_spectral(sx * sx) + g.ddy * txy)
+    fy_hat = -4.0 * (g.ddy * to_spectral(sy * sy) + g.ddx * txy)
     return fx_hat, fy_hat

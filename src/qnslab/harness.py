@@ -20,10 +20,11 @@ from .diagnostics import (
 )
 from .euler import EulerReference, pressure_recover, taylor_green
 from .qns import (
+    CFL_SAFETY,
     CflViolation,
     EnergyLedger,
     NumericalAbort,
-    cfl_dt,
+    cfl_bounds,
     qns_init,
     qns_step,
 )
@@ -34,7 +35,7 @@ RATE_SLOPE_MARGIN = 0.1
 DENSITY_BAND_FACTOR = 10.0
 
 # The AUTO step policy takes min(stability bound, ACOUSTIC_RESOLVE * eps).
-# The exact acoustic stage needs no step restriction for stability, but
+# The exact linear stage needs no step restriction for stability, but
 # the splitting error of the nonlinear/acoustic coupling grows like
 # (dt/eps)^2 and corrupts the 1/eps^2-weighted diagnostics once dt stays
 # O(1) while eps shrinks (measured: 2x error in terminal entropy at
@@ -42,6 +43,10 @@ DENSITY_BAND_FACTOR = 10.0
 # resolved oscillation of the k = 1 acoustic mode and restores
 # dt-convergence of every tracked quantity to <1%.
 ACOUSTIC_RESOLVE = 0.25
+
+# What can set a step: one of the cfl_bounds, the acoustic cap, the clamp
+# to t_end, or the fixed policy.
+DT_LIMITS = ("advective", "bohm", "viscous", "acoustic", "t_end", "fixed")
 
 _KNOWN_KEYS = {
     "grid_n", "gamma", "epsilon", "epsilon_ladder", "t_end", "dt_policy",
@@ -258,6 +263,8 @@ class RunResult:
     terminal_density_norms: dict[str, float] | None = None
     aborted: str | None = None
     wall_seconds: float = 0.0
+    # steps taken per limit that set their dt (keys: DT_LIMITS)
+    dt_limits: dict[str, int] = field(default_factory=lambda: dict.fromkeys(DT_LIMITS, 0))
 
     @property
     def energy_ok(self) -> bool:
@@ -286,6 +293,21 @@ def _csv_rows(reports: list[EntropyReport], ledger: EnergyLedger):
     return rows
 
 
+def _next_dt(cfg: RunConfig, state, eps: float) -> tuple[float, str]:
+    """The next step and the limit in DT_LIMITS that set it."""
+    if cfg.dt_policy == "fixed":
+        dt, limit = cfg.dt_fixed, "fixed"
+    else:
+        bounds = cfl_bounds(state)
+        limit = min(bounds, key=bounds.get)
+        dt = CFL_SAFETY * bounds[limit]
+        if ACOUSTIC_RESOLVE * eps < dt:
+            dt, limit = ACOUSTIC_RESOLVE * eps, "acoustic"
+    if cfg.t_end - state.time < dt:
+        dt, limit = cfg.t_end - state.time, "t_end"
+    return dt, limit
+
+
 def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> RunResult:
     """One run of the solver against its exact acoustic companion and
     steady Euler reference.
@@ -304,6 +326,7 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
 
     ledger = EnergyLedger()
     dt_max = 0.0
+    dt_limits = dict.fromkeys(DT_LIMITS, 0)
     reports = []
     aborted = None
     terminal_norms = None
@@ -314,12 +337,9 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
         ledger.record(state)
         reports.append(relative_entropy(state, ref, ac0))
         while state.time < cfg.t_end - 1e-12:
-            if cfg.dt_policy == "fixed":
-                dt = cfg.dt_fixed
-            else:
-                dt = min(cfl_dt(state), ACOUSTIC_RESOLVE * eps)
-            dt = min(dt, cfg.t_end - state.time)
+            dt, limit = _next_dt(cfg, state, eps)
             state = qns_step(state, dt)
+            dt_limits[limit] += 1
             dt_max = max(dt_max, dt)
             ledger.record(state)
             step += 1
@@ -354,6 +374,7 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
         terminal_density_norms=terminal_norms,
         aborted=aborted,
         wall_seconds=_time.perf_counter() - t0,
+        dt_limits=dt_limits,
     )
 
 

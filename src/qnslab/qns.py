@@ -1,12 +1,17 @@
 """Time integration of the Mach-scaled barotropic quantum Navier-Stokes
 system on the torus.
 
-The stiff linearized pressure wave (frequency sqrt(gamma)|k|/eps) is
-integrated exactly per Fourier mode; everything else - advection, the
-nonlinear pressure remainder, the quantum force, and the O(eps)
-viscosity - is stepped with classical RK4 inside a Strang splitting.
-The density only changes in the exact stage (the continuity equation is
-linear in the momentum), so the explicit stage sees a frozen density.
+The stiff linear part at (n, m) = (1, 0) - the pressure wave, the
+Bogoliubov term eps^2 grad(lap n) of the quantum force and the viscous
+eps (lap m + grad div m) - is integrated exactly per Fourier mode as a
+damped rotation at the acoustic frequency sqrt(gamma)|k|/eps.  The
+nonlinear remainder - advection, the nonlinear pressure remainder, the
+quantum force less grad(lap n) and the viscous stress less its n = 1
+part - is stepped with classical RK4 inside a Strang splitting, so its
+step bounds scale with the density perturbation max|n - 1| rather
+than with eps alone.  The density only changes in the exact stage (the
+continuity equation is linear in the momentum), so the RK4 stage sees a
+frozen density.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .constitutive import (
     LimitParams,
     N_FLOOR,
     VacuumError,
-    _bohm_divergence_hats,
+    _bohm_nonlinear_hats,
     _free_energy_values,
     p_prime_at_one,
 )
@@ -41,7 +46,7 @@ CFL_SAFETY = 0.4
 # Energy-inequality verdict: E(t) + dissipation <= E(0)*(1 + REL_SLACK)
 # + SCHEME_COEFF * dt^2 * E(0).  The dt^2 term covers the Strang
 # splitting's bounded energy wobble; max(E + D - E0) / (dt_max^2 E0)
-# measures 0.48-0.54 at gamma = 2 and 0.68-1.13 at gamma = 3 on the
+# measures 0.25-0.39 at gamma = 2 and 0.43-0.92 at gamma = 3 on the
 # headline ladder, so 50 is generous.
 ENERGY_REL_SLACK = 1e-6
 ENERGY_SCHEME_COEFF = 50.0
@@ -90,8 +95,10 @@ class QnsState:
 
 @dataclass
 class TermSwitches:
-    """Test switches for the explicit-stage terms; production runs keep
-    everything on."""
+    """Test switches for the terms; production runs keep everything on.
+    bohm and viscous switch off both the linear part in the exact stage
+    and the remainder in the RK4 stage; with all four off the step is
+    the plain acoustic rotation."""
 
     advection: bool = True
     pressure_remainder: bool = True
@@ -121,11 +128,14 @@ def qns_init(params: LimitParams, data: InitialData) -> QnsState:
     )
 
 
-def cfl_dt(s: QnsState) -> float:
-    """Stable step for the explicit sub-flows.
+def cfl_bounds(s: QnsState) -> dict[str, float]:
+    """Step bounds of the explicit remainder, before CFL_SAFETY.
 
-    safety * min(h/max|u|, h^2/(2 eps^2 pi^2), h^2/(2 eps max n)); the
-    acoustic scale never appears because that sub-flow is exact.
+    advective h/max|u|, bohm h^2/(2 eps^2 pi^2 delta) and viscous
+    h^2/(2 eps delta) with delta = max|n - 1|: the exact linear stage
+    carries the n = 1 parts of the quantum and viscous terms, so their
+    remainders scale with the density perturbation.  A bound whose
+    scale vanishes is infinite.
     """
     g = s.grid
     eps = s.params.epsilon
@@ -134,46 +144,71 @@ def cfl_dt(s: QnsState) -> float:
         np.abs(s.m.x.values / s.n.values).max(),
         np.abs(s.m.y.values / s.n.values).max(),
     )
-    advective = h / umax if umax > 0 else np.inf
-    bohm = h * h / (2.0 * eps * eps * np.pi * np.pi)
-    viscous = h * h / (2.0 * eps * s.n.values.max())
-    return CFL_SAFETY * min(advective, bohm, viscous)
+    delta = np.abs(s.n.values - 1.0).max()
+    return {
+        "advective": _bound(h, umax),
+        "bohm": _bound(h * h, 2.0 * eps * eps * np.pi * np.pi * delta),
+        "viscous": _bound(h * h, 2.0 * eps * delta),
+    }
 
 
-def _acoustic_half(
-    g: Grid2D, n_vals, mx, my, eps: float, gamma: float, t: float
-):
-    """Exact rotation of the linear pair d_t(n-1) = -div m,
-    d_t m = -(p'(1)/eps^2) grad(n-1), per Fourier mode."""
-    c = np.sqrt(p_prime_at_one(gamma)) / eps
-    a = to_spectral(n_vals)
-    a[0, 0] -= 1.0
-    mxh = to_spectral(mx)
-    myh = to_spectral(my)
+def _bound(num: float, den: float) -> float:
+    return float(num / den) if den > 0 else np.inf
 
-    kabs = np.sqrt(g.kg2)
-    active = g.kg2 > 0.0
-    kabs_safe = np.where(active, kabs, 1.0)
-    ex = g.kgx / kabs_safe
-    ey = g.kgy / kabs_safe
 
-    b_l = ex * mxh + ey * myh
-    btx = mxh - b_l * ex
-    bty = myh - b_l * ey
+def cfl_dt(s: QnsState) -> float:
+    """Stable step for the explicit remainder: CFL_SAFETY times the
+    smallest of cfl_bounds(s).  Neither the acoustic scale nor the n = 1
+    quantum and viscous scales appear, because the linear stage is
+    exact; the rest state has no bound at all (inf)."""
+    return CFL_SAFETY * min(cfl_bounds(s).values())
 
-    b = 1j * b_l / c
-    omega = c * kabs
-    cw = np.cos(omega * t)
-    sw = np.sin(omega * t)
-    a_new = a * cw - b * sw
-    b_new = b * cw + a * sw
-    b_l_new = -1j * c * b_new
 
-    a_out = np.where(active, a_new, a)
-    mx_out = np.where(active, btx + b_l_new * ex, mxh)
-    my_out = np.where(active, bty + b_l_new * ey, myh)
-    a_out[0, 0] += 1.0
-    return to_physical(a_out), to_physical(mx_out), to_physical(my_out)
+def _linear_flow(g: Grid2D, params: LimitParams, switches: TermSwitches, t: float):
+    """Per-mode coefficients of the exact flow over time t of the
+    system linearized at (n, m) = (1, 0).
+
+    With a = n_hat - delta_0 and b = k . m_hat, the pair obeys
+    d_t a = -i b and d_t b = -i |k|^2 c_k^2 a - 2 nu b, and the part of
+    m_hat normal to k decays like e^{-nu t}; c_k^2 = p'(1)/eps^2 +
+    eps^2 |k|^2 carries the Bogoliubov term of grad(lap n) and
+    nu = eps |k|^2 the viscous eps (lap m + grad div m), both only inside
+    the 2/3 mask and only when their switch is on.  The 2x2 generator G
+    has trace -2 nu and determinant |k|^2 c_k^2, so
+    exp(G t) = e^{-nu t} [cos(w t) I + sin(w t)/w (G + nu I)] with
+    w^2 = |k|^2 c_k^2 - nu^2.  With both terms on, w = sqrt(p'(1))|k|/eps
+    exactly: the damped rotation runs at the acoustic frequency.  w is
+    imaginary (overdamped) only for high modes with the Bohm term off.
+
+    Returns the real arrays (decay, p11, sw, c2 sw, r) with exp(G t) =
+    [[p11, -i sw], [-i |k|^2 c2 sw, p22]] and r = (p22 - decay)/|k|^2.
+    """
+    eps = params.epsilon
+    c2 = p_prime_at_one(params.gamma) / (eps * eps)
+    if switches.bohm:
+        c2 = c2 + eps * eps * g.kg2 * g.dealias_mask
+    nu = eps * g.kg2 * g.dealias_mask if switches.viscous else np.zeros_like(g.kg2)
+    w = np.emath.sqrt(g.kg2 * c2 - nu * nu)  # real unless a mode is overdamped
+    decay = np.exp(-nu * t)
+    cw = (decay * np.cos(w * t)).real
+    sw = (decay * t * np.sinc(w * t / np.pi)).real  # e^{-nu t} sin(w t)/w
+    r = np.divide(cw - nu * sw - decay, g.kg2, out=np.zeros_like(cw), where=g.kg2 > 0.0)
+    return decay, cw + nu * sw, sw, c2 * sw, r
+
+
+def _linear_stage(g: Grid2D, flow, nh: np.ndarray, mxh: np.ndarray, myh: np.ndarray):
+    """Apply a _linear_flow to the spectra of n and m.  Modes with
+    kg = 0 (the mean included) map to themselves, so n_hat stands in for
+    a = n_hat - delta_0."""
+    decay, p11, sw, c2sw, r = flow
+    b = g.kgx * mxh + g.kgy * myh
+    # (b_new - decay b)/|k|^2: the change of the longitudinal momentum
+    shift = r * b - 1j * (c2sw * nh)
+    return (
+        p11 * nh - 1j * (sw * b),
+        decay * mxh + shift * g.kgx,
+        decay * myh + shift * g.kgy,
+    )
 
 
 def _strain(g: Grid2D, uxh: np.ndarray, uyh: np.ndarray):
@@ -189,7 +224,7 @@ def _strain(g: Grid2D, uxh: np.ndarray, uyh: np.ndarray):
 def _frozen_force_hats(g, n_vals, params, switches):
     """Dealiased spectra of the momentum forces that depend on the
     density only (constant during the RK4 stage): nonlinear pressure
-    remainder and quantum force."""
+    remainder and the nonlinear part of the quantum force."""
     eps = params.epsilon
     gamma = params.gamma
     fx = np.zeros(g.k2.shape, dtype=complex)
@@ -199,19 +234,23 @@ def _frozen_force_hats(g, n_vals, params, switches):
         fx -= g.ddx * p_rem
         fy -= g.ddy * p_rem
     if switches.bohm:
-        qx, qy = _bohm_divergence_hats(g, n_vals)
+        qx, qy = _bohm_nonlinear_hats(g, n_vals)
         fx += eps * eps * qx
         fy += eps * eps * qy
     return fx, fy
 
 
-def _explicit_rhs(g, n_vals, mx, my, frozen_fx, frozen_fy, eps, switches):
-    """Momentum forces: the frozen spectra plus the divergence of the
-    advective flux -m x u and the viscous stress 2 eps n D(u), each
-    flux component transformed once."""
+def _explicit_rhs(g, n_vals, mxh, myh, frozen_fx, frozen_fy, eps, switches):
+    """Spectra of the momentum forces of the RK4 stage for a momentum
+    given by its spectra: the frozen spectra plus the divergence of the
+    advective flux -m x u and of the viscous stress 2 eps n D(u), each
+    flux component transformed once, less the viscous part
+    eps (lap m + grad div m) that the linear stage carries."""
     fx, fy = frozen_fx, frozen_fy
     if switches.advection or switches.viscous:
         mask = g.dealias_mask
+        mx = to_physical(mxh)
+        my = to_physical(myh)
         uxh = to_spectral(mx / n_vals) * mask
         uyh = to_spectral(my / n_vals) * mask
         sxx = sxy = syx = syy = 0.0
@@ -228,36 +267,53 @@ def _explicit_rhs(g, n_vals, mx, my, frozen_fx, frozen_fy, eps, switches):
             syy = syy + two_eps_n * dyy
         fx = fx + g.ddx * to_spectral(sxx) + g.ddy * to_spectral(sxy)
         fy = fy + g.ddx * to_spectral(syx) + g.ddy * to_spectral(syy)
-    return to_physical(fx), to_physical(fy)
+        if switches.viscous:
+            div_h = g.ddx * mxh + g.ddy * myh
+            lap = g.ddx * g.ddx + g.ddy * g.ddy
+            fx = fx - eps * (lap * mxh + g.ddx * div_h)
+            fy = fy - eps * (lap * myh + g.ddy * div_h)
+    return fx, fy
 
 
 def qns_step(s: QnsState, dt: float, switches: TermSwitches = ALL_TERMS) -> QnsState:
-    """One Strang step: exact acoustic half, RK4 on the remainder, exact
-    acoustic half.  Aborts on vacuum or non-finite values."""
+    """One Strang step: exact linear half, RK4 on the nonlinear
+    remainder, exact linear half.  The momentum stays a spectrum from
+    the first linear half to the second; the density spectrum is
+    frozen in between.  Aborts on vacuum or non-finite values."""
     limit = cfl_dt(s)
     if dt > limit * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt:g} exceeds the stability bound {limit:g} at t = {s.time:g}")
     g = s.grid
     eps = s.params.epsilon
-    gamma = s.params.gamma
 
-    n_vals, mx, my = _acoustic_half(
-        g, s.n.values, s.m.x.values, s.m.y.values, eps, gamma, 0.5 * dt
+    flow = _linear_flow(g, s.params, switches, 0.5 * dt)
+    nh, mxh, myh = _linear_stage(
+        g, flow, to_spectral(s.n.values), to_spectral(s.m.x.values), to_spectral(s.m.y.values)
     )
-    _check_state(n_vals, mx, my, s.time + 0.5 * dt)
+    n_vals = to_physical(nh)
+    # a non-finite momentum spectrum is as good as a non-finite field
+    _check_state(n_vals, mxh, myh, s.time + 0.5 * dt)
 
     frozen_fx, frozen_fy = _frozen_force_hats(g, n_vals, s.params, switches)
-    k1x, k1y = _explicit_rhs(g, n_vals, mx, my, frozen_fx, frozen_fy, eps, switches)
-    k2x, k2y = _explicit_rhs(g, n_vals, mx + 0.5 * dt * k1x, my + 0.5 * dt * k1y,
-                             frozen_fx, frozen_fy, eps, switches)
-    k3x, k3y = _explicit_rhs(g, n_vals, mx + 0.5 * dt * k2x, my + 0.5 * dt * k2y,
-                             frozen_fx, frozen_fy, eps, switches)
-    k4x, k4y = _explicit_rhs(g, n_vals, mx + dt * k3x, my + dt * k3y,
-                             frozen_fx, frozen_fy, eps, switches)
-    mx = mx + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    my = my + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
 
-    n_vals, mx, my = _acoustic_half(g, n_vals, mx, my, eps, gamma, 0.5 * dt)
+    def rhs(hx, hy):
+        return _explicit_rhs(g, n_vals, hx, hy, frozen_fx, frozen_fy, eps, switches)
+
+    # classical RK4, summing k1 + 2 k2 + 2 k3 + k4 as the stages come and
+    # dropping each stage's k before the next right-hand side runs, so
+    # fewer spectra are live at the step's memory peak
+    kx, ky = rhs(mxh, myh)
+    sum_x, sum_y = kx, ky
+    for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        in_x, in_y = mxh + c * dt * kx, myh + c * dt * ky
+        del kx, ky
+        kx, ky = rhs(in_x, in_y)
+        sum_x, sum_y = sum_x + weight * kx, sum_y + weight * ky
+    mxh = mxh + (dt / 6.0) * sum_x
+    myh = myh + (dt / 6.0) * sum_y
+
+    nh, mxh, myh = _linear_stage(g, flow, nh, mxh, myh)
+    n_vals, mx, my = to_physical(nh), to_physical(mxh), to_physical(myh)
     t_new = s.time + dt
     _check_state(n_vals, mx, my, t_new)
     return QnsState(

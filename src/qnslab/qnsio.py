@@ -63,7 +63,8 @@ def read_snapshot(path) -> tuple[int, dict[str, np.ndarray]]:
     """Read a snapshot back; returns (grid_n, ordered field dict).
 
     Raises BadMagic, VersionMismatch or Truncated with distinct
-    messages for the three malformation classes.
+    messages for the three malformation classes, and a SnapshotError
+    naming the field when a field holds a NaN or an infinity.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != SNAPSHOT_MAGIC:
@@ -93,6 +94,8 @@ def read_snapshot(path) -> tuple[int, dict[str, np.ndarray]]:
         name = data[offset : offset + name_len].decode("utf-8")
         offset += name_len
         arr = np.frombuffer(data, dtype="<f8", count=grid_n * grid_n, offset=offset)
+        if not np.isfinite(arr).all():
+            raise SnapshotError(f"NON_FINITE: field {name!r} holds non-finite values")
         fields[name] = arr.reshape(grid_n, grid_n).copy()
         offset += payload
     return int(grid_n), fields

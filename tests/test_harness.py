@@ -284,6 +284,66 @@ def test_cli_numerical_abort_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(cfgfile)]) == 3
 
 
+def test_cli_non_finite_snapshot_is_io_error(tmp_path, grid32, capsys):
+    zero = np.zeros((32, 32))
+    n1 = zero.copy()
+    n1[0, 0] = np.nan
+    snap = tmp_path / "nan.qnsf"
+    write_snapshot({"n1_0": n1, "u0_x": zero, "u0_y": zero}, snap)
+    cfgfile = tmp_path / "nan.cfg"
+    cfgfile.write_text(
+        "epsilon = 0.1\nt_end = 0.02\ngrid_n = 32\n"
+        f"initial_profile = from_snapshot({snap})\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["run", "--config", str(cfgfile)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and "'n1_0'" in err
+    assert "Traceback" not in err
+
+
+def test_run_counts_the_limit_that_set_each_step(tmp_path):
+    def limits(**kw):
+        cfg = RunConfig(grid_n=32, initial_profile="sine_density", profile_amplitude=0.5,
+                        output_dir=str(tmp_path), **kw)
+        res = run_single(cfg)
+        assert res.aborted is None
+        assert sum(res.dt_limits.values()) == len(res.ledger.entries) - 1
+        return {name: n for name, n in res.dt_limits.items() if n}
+
+    # the 0.25 eps cap twice, then the clamp to t_end
+    assert limits(epsilon=0.1, t_end=0.06) == {"acoustic": 2, "t_end": 1}
+    # delta = 0.45 at eps = 0.9: the quantum remainder sets dt
+    assert limits(epsilon=0.9, t_end=0.01) == {"bohm": 4, "t_end": 1}
+    assert limits(epsilon=0.1, t_end=0.025, dt_policy="fixed", dt_fixed=0.01) == {
+        "fixed": 2, "t_end": 1}
+    fast = RunConfig(grid_n=32, epsilon=0.2, t_end=0.1, initial_profile="tg_plus_gradient",
+                     profile_amplitude=2.0, output_dir=str(tmp_path))
+    counts = run_single(fast).dt_limits
+    assert (counts["advective"], counts["t_end"]) == (2, 1)
+
+
+def test_cli_prints_dt_limit_counts(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(
+        "epsilon = 0.1\nt_end = 0.06\ngrid_n = 32\n"
+        "initial_profile = sine_density(0.5)\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["run", "--config", str(cfgfile)]) == 0
+    assert ("advective 0, bohm 0, viscous 0, acoustic 2, t_end 1, fixed 0"
+            in capsys.readouterr().out)
+    cfgfile.write_text(
+        "epsilon_ladder = 0.2,0.1,0.05\nt_end = 0.05\ngrid_n = 32\n"
+        "initial_profile = sine_density(0.5)\n"
+        f"output_dir = {tmp_path / 'sweep'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(cfgfile)]) == 0
+    out = capsys.readouterr().out
+    assert "eps = 0.1: PASS" in out
+    assert "advective 0, bohm 0, viscous 0, acoustic 3, t_end 1, fixed 0" in out
+
+
 def test_cli_mid_run_spectral_error_aborts(tmp_path, monkeypatch):
     from qnslab import SpectralError, harness
 

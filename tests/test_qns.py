@@ -16,6 +16,7 @@ from qnslab import (
     acoustic_evolve,
     acoustic_init,
     bohm_force,
+    cfl_bounds,
     cfl_dt,
     dealias,
     differentiate,
@@ -30,6 +31,7 @@ from qnslab import (
     vector_field,
 )
 from qnslab import qns
+from qnslab.spectral import to_physical, to_spectral
 
 PARAMS = LimitParams(0.1, 2.0)
 
@@ -100,24 +102,41 @@ def test_step_aborts_on_vacuum(grid64):
 
 
 def test_cfl_formula_hand_evaluation(grid64):
-    # N=64, eps=0.1, gamma=2, max|u| = 1
+    # N=64, eps=0.1, gamma=2, max|u| = 1, delta = max|n - 1| = 0.5
+    n = 1.0 + 0.5 * np.sin(grid64.y)
     s = QnsState(
-        n=ScalarField(grid64, np.ones_like(grid64.x)),
-        m=vector_field(grid64, np.sin(grid64.x), np.zeros_like(grid64.x)),
+        n=ScalarField(grid64, n),
+        m=vector_field(grid64, n * np.sin(grid64.x), np.zeros_like(grid64.x)),
         time=0.0,
         params=PARAMS,
     )
     h = 2 * np.pi / 64
-    expected = 0.4 * min(
-        h / 1.0, h * h / (2 * 0.1 ** 2 * np.pi ** 2), h * h / (2 * 0.1 * 1.0)
-    )
-    assert cfl_dt(s) == pytest.approx(expected, rel=1e-12)
+    bounds = {
+        "advective": h / 1.0,
+        "bohm": h * h / (2 * 0.1 ** 2 * np.pi ** 2 * 0.5),
+        "viscous": h * h / (2 * 0.1 * 0.5),
+    }
+    got = cfl_bounds(s)
+    assert got.keys() == bounds.keys()
+    for name, want in bounds.items():
+        assert got[name] == pytest.approx(want, rel=1e-12), name
+    assert cfl_dt(s) == pytest.approx(0.4 * min(bounds.values()), rel=1e-12)
+
+
+def test_cfl_rest_state_has_no_bound(grid64):
+    s = qns_init(PARAMS, _zero_data(grid64))
+    assert cfl_bounds(s) == {"advective": np.inf, "bohm": np.inf, "viscous": np.inf}
+    assert cfl_dt(s) == np.inf
 
 
 def test_cfl_monotonicity(grid64):
     def dt_at(eps, n_points):
         g = Grid2D(n_points)
-        s = qns_init(LimitParams(eps, 2.0), _zero_data(g))
+        zero = np.zeros((n_points, n_points))
+        data = InitialData(
+            n1_0=ScalarField(g, 0.5 * np.sin(g.x)), u_0=vector_field(g, zero, zero)
+        )
+        s = qns_init(LimitParams(eps, 2.0), data)
         return cfl_dt(s)
 
     # u = 0: viscous/Bohm scales govern and grow as eps shrinks
@@ -153,9 +172,8 @@ def test_mass_and_momentum_conservation_100_steps():
     s = qns_init(params, data)
     mass0 = integrate(s.n)
     mom0 = (integrate(s.m.x), integrate(s.m.y))
-    dt = cfl_dt(s)
     for _ in range(100):
-        s = qns_step(s, dt)
+        s = qns_step(s, cfl_dt(s))
     scale = 4 * np.pi ** 2
     assert abs(integrate(s.n) - mass0) / mass0 < 1e-11
     assert abs(integrate(s.m.x) - mom0[0]) < 1e-10 * scale
@@ -298,6 +316,31 @@ def _unfused_explicit_forces(g, n, mx, my, params, switches):
     return fx, fy
 
 
+def _linear_forces(g, n, mx, my, params, switches):
+    """The n = 1 linear parts that the exact linear stage carries,
+    composed term by term: eps^2 grad(lap n) and eps (lap m + grad div m)."""
+
+    def d(vals, order):
+        return differentiate(ScalarField(g, vals), order).values
+
+    def da(vals):
+        return dealias(ScalarField(g, vals)).values
+
+    eps = params.epsilon
+    fx = np.zeros_like(n)
+    fy = np.zeros_like(n)
+    if switches.bohm:
+        nd = da(n)
+        fx += eps * eps * (d(nd, (3, 0)) + d(nd, (1, 2)))
+        fy += eps * eps * (d(nd, (2, 1)) + d(nd, (0, 3)))
+    if switches.viscous:
+        mxd, myd = da(mx), da(my)
+        div = d(mxd, (1, 0)) + d(myd, (0, 1))
+        fx += eps * (d(mxd, (2, 0)) + d(mxd, (0, 2)) + d(div, (1, 0)))
+        fy += eps * (d(myd, (2, 0)) + d(myd, (0, 2)) + d(div, (0, 1)))
+    return fx, fy
+
+
 @pytest.mark.parametrize(
     "switches",
     [
@@ -317,12 +360,108 @@ def test_fused_explicit_stage_matches_unfused(grid32, switches):
     mx = random_band_limited(grid32, 6, rng).values
     my = random_band_limited(grid32, 6, rng).values
 
+    # the fused remainder plus the linear stage's part is the whole force
     frozen = qns._frozen_force_hats(grid32, n, params, switches)
-    fx, fy = qns._explicit_rhs(grid32, n, mx, my, *frozen, params.epsilon, switches)
+    fxh, fyh = qns._explicit_rhs(
+        grid32, n, to_spectral(mx), to_spectral(my), *frozen, params.epsilon, switches
+    )
+    lx, ly = _linear_forces(grid32, n, mx, my, params, switches)
+    fx, fy = to_physical(fxh) + lx, to_physical(fyh) + ly
     rx, ry = _unfused_explicit_forces(grid32, n, mx, my, params, switches)
     scale = max(np.abs(rx).max(), np.abs(ry).max())
     assert scale > 0.0
     assert max(np.abs(fx - rx).max(), np.abs(fy - ry).max()) <= 1e-11 * scale
+
+
+LINEAR_SWITCHES = [
+    TermSwitches(),
+    TermSwitches(bohm=False),
+    TermSwitches(viscous=False),
+    TermSwitches(bohm=False, viscous=False),
+]
+LINEAR_IDS = ["both", "viscous_only", "bohm_only", "acoustic_only"]
+
+
+def _random_spectra(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = grid.k2.shape
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+@pytest.mark.parametrize("switches", LINEAR_SWITCHES, ids=LINEAR_IDS)
+def test_linear_stage_is_per_mode_matrix_exponential(grid32, switches, eps):
+    # eps = 0.5 with the Bohm term off leaves the high modes overdamped
+    from scipy.linalg import expm
+
+    params = LimitParams(eps, 2.0)
+    g = grid32
+    t = 0.01
+    nh, mxh, myh = _random_spectra(g, 7)
+    got_n, got_mx, got_my = qns._linear_stage(
+        g, qns._linear_flow(g, params, switches, t), nh, mxh, myh
+    )
+
+    kabs = np.sqrt(g.kg2)
+    safe = np.where(kabs > 0, kabs, 1.0)
+    ex, ey = g.kgx / safe, g.kgy / safe
+    c2 = 2.0 / eps ** 2 + (eps ** 2 * g.kg2 * g.dealias_mask if switches.bohm else 0.0)
+    nu = eps * g.kg2 * g.dealias_mask if switches.viscous else np.zeros_like(g.kg2)
+    gen = np.zeros(g.k2.shape + (2, 2))
+    gen[..., 0, 1] = -kabs
+    gen[..., 1, 0] = kabs * c2
+    gen[..., 1, 1] = -2.0 * nu
+    prop = expm(gen * t)
+
+    beta = 1j * (ex * mxh + ey * myh)
+    a = nh.copy()
+    a[0, 0] -= 1.0
+    a_new = prop[..., 0, 0] * a + prop[..., 0, 1] * beta
+    beta_new = prop[..., 1, 0] * a + prop[..., 1, 1] * beta
+    a_new[0, 0] += 1.0
+    decay = np.exp(-nu * t)
+    b_new = -1j * beta_new
+    b_old = ex * mxh + ey * myh
+    want_mx = decay * (mxh - b_old * ex) + b_new * ex
+    want_my = decay * (myh - b_old * ey) + b_new * ey
+
+    for got, want in [(got_n, a_new), (got_mx, want_mx), (got_my, want_my)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("switches", LINEAR_SWITCHES, ids=LINEAR_IDS)
+def test_linear_stage_semigroup(grid32, switches):
+    params = LimitParams(0.1, 3.0)
+    spectra = _random_spectra(grid32, 11)
+    half = qns._linear_flow(grid32, params, switches, 0.0125)
+    full = qns._linear_flow(grid32, params, switches, 0.025)
+    twice = qns._linear_stage(grid32, half, *qns._linear_stage(grid32, half, *spectra))
+    once = qns._linear_stage(grid32, full, *spectra)
+    for a, b in zip(twice, once):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_linear_stage_rotates_at_acoustic_frequency(grid32):
+    # with both terms on, w_k^2 = |k|^2 c_k^2 - nu^2 = p'(1)|k|^2/eps^2
+    # exactly inside the mask, and half the trace of the per-mode flow
+    # matrix on (n_hat, e . m_hat) is e^{-nu t} cos(w_k t)
+    params = LimitParams(0.1, 3.0)
+    g = grid32
+    kabs = np.sqrt(g.kg2)
+    safe = np.where(kabs > 0, kabs, 1.0)
+    ex, ey = g.kgx / safe, g.kgy / safe
+    one = np.ones(g.k2.shape, dtype=complex)
+    zero = np.zeros(g.k2.shape, dtype=complex)
+    omega = np.sqrt(3.0) * kabs / params.epsilon
+    nu = params.epsilon * g.kg2 * g.dealias_mask
+    active = g.kg2 > 0
+    for t in (1e-3, 0.0125, 0.05):
+        flow = qns._linear_flow(g, params, TermSwitches(), t)
+        p11 = qns._linear_stage(g, flow, one, zero, zero)[0]
+        _, mx, my = qns._linear_stage(g, flow, zero, ex * one, ey * one)
+        p22 = ex * mx + ey * my
+        want = np.exp(-nu * t) * np.cos(omega * t)
+        assert np.abs(0.5 * (p11 + p22) - want)[active].max() <= 1e-12
 
 
 def test_fft_budget_per_step_and_record(grid32, monkeypatch):
@@ -353,7 +492,7 @@ def test_fft_budget_per_step_and_record(grid32, monkeypatch):
 
     counts.update(fwd=0, inv=0)
     qns_step(s, cfl_dt(s))
-    assert counts["fwd"] <= 36 and counts["inv"] <= 38, counts
+    assert counts["fwd"] <= 32 and counts["inv"] <= 34, counts
 
     counts.update(fwd=0, inv=0)
     EnergyLedger().record(s)
