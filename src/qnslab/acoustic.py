@@ -19,10 +19,7 @@ from .spectral import (
     ScalarField,
     VectorField,
     gradient,
-    gradient_potential,
-    helmholtz_project,
     integrate,
-    norm,
     to_physical,
     to_spectral,
 )
@@ -30,29 +27,18 @@ from .spectral import (
 
 @dataclass
 class InitialData:
-    """Initial density perturbation and velocity with a declared bound.
-
-    bound_m defaults to the measured H1 + L2 size; an explicit bound is
-    checked at construction.
-    """
+    """Initial density perturbation and velocity, with the width of the
+    mollifier applied to the acoustic data."""
 
     n1_0: ScalarField
     u_0: VectorField
     eta: float = 0.0
-    bound_m: float | None = None
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError(f"mollification width must be >= 0, got {self.eta}")
         if self.n1_0.grid != self.u_0.grid:
             raise ValueError("initial data fields must share one grid")
-        measured = norm(self.n1_0, 2, 1) + norm(self.u_0, 2, 0)
-        if self.bound_m is None:
-            self.bound_m = measured
-        elif measured > self.bound_m * (1 + 1e-12):
-            raise ValueError(
-                f"initial data size {measured:.6g} exceeds declared bound {self.bound_m:.6g}"
-            )
 
 
 @dataclass
@@ -89,13 +75,14 @@ def mollify(f: ScalarField, eta: float) -> ScalarField:
 
 def acoustic_init(data: InitialData, params: LimitParams) -> AcousticState:
     """Prepare (sigma, Psi) at t = 0: sigma is the mollified density
-    perturbation, grad Psi the gradient part of the mollified velocity."""
+    perturbation, Psi = lap^{-1} div u (mean-free) for the mollified
+    velocity u, so grad Psi is the gradient part of u."""
     g = data.n1_0.grid
-    sigma = mollify(data.n1_0, data.eta)
-    u_m = VectorField(mollify(data.u_0.x, data.eta), mollify(data.u_0.y, data.eta))
-    _, q_part = helmholtz_project(u_m)
-    psi = gradient_potential(q_part)
-    return AcousticState(sigma=sigma, psi=psi, time=0.0, params=params)
+    uxh = to_spectral(mollify(data.u_0.x, data.eta).values)
+    uyh = to_spectral(mollify(data.u_0.y, data.eta).values)
+    psi_hat = -1j * (g.kgx * uxh + g.kgy * uyh) * g.inv_kg2
+    return AcousticState(sigma=mollify(data.n1_0, data.eta),
+                         psi=ScalarField(g, to_physical(psi_hat)), time=0.0, params=params)
 
 
 def acoustic_evolve(s: AcousticState, t: float) -> AcousticState:
@@ -116,14 +103,10 @@ def acoustic_evolve(s: AcousticState, t: float) -> AcousticState:
     cw = np.cos(omega * t)
     sw = np.sin(omega * t)
 
-    # scaled pair (sigma_h, b) with b = |k| Psi_h / sqrt(p'(1)) rotates rigidly
-    scale = kabs / (c * eps)  # = |k| / sqrt(p'(1))
-    b = scale * psi_h
-    sig_new = sig_h * cw + b * sw
-    b_new = b * cw - sig_h * sw
-    active = g.kg2 > 0.0
-    psi_new = np.where(active, b_new / np.where(active, scale, 1.0), psi_h)
-    sig_new = np.where(active, sig_new, sig_h)
+    # the scaled pair (sigma_h, |k| Psi_h / sqrt(p'(1))) rotates rigidly;
+    # modes with kg2 = 0 have cw = 1 and sw = 0, so they stay put
+    sig_new = sig_h * cw + (kabs / (c * eps)) * psi_h * sw
+    psi_new = psi_h * cw - (c * eps) * np.sqrt(g.inv_kg2) * sig_h * sw
     return AcousticState(
         sigma=ScalarField(g, to_physical(sig_new)),
         psi=ScalarField(g, to_physical(psi_new)),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import acoustic_check, bohm_form_check, euler_check
 from .diagnostics import rate_fit
-from .harness import ConfigError, parse_config, run_single, run_sweep
+from .harness import DENSITY_BAND_FACTOR, ConfigError, parse_config, run_single, run_sweep
 from .qnsio import SnapshotError, read_csv_columns
 
 EXIT_OK = 0
@@ -30,6 +30,8 @@ def _load_config(args):
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise IOError(f"cannot read config {args.config}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
     cfg = parse_config(text)
     if args.output:
         cfg.output_dir = args.output
@@ -75,7 +77,7 @@ def _cmd_sweep(args) -> int:
             state = "ABORTED" if run.aborted else ("PASS" if ok else "FAIL")
             print(f"  energy inequality at eps = {eps:g}: {state} "
                   f"({run.wall_seconds:.2f} s; steps by dt limit: {_limits(run.dt_limits)})")
-        print(f"  density band ||n-1||_Llambda/eps within x{10:g}: "
+        print(f"  density band ||n-1||_Llambda/eps within x{DENSITY_BAND_FACTOR:g}: "
               f"{'PASS' if result.density_band_ok else 'FAIL'} "
               f"(ratios {['%.4g' % r for r in result.density_ratios]})")
     print(f"summary written to {Path(cfg.output_dir) / 'sweep_summary.csv'}")
@@ -95,7 +97,7 @@ def _print_battery(name, passed, lines) -> int:
 def _cmd_rate_fit(args) -> int:
     try:
         header, cols = read_csv_columns(args.csv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise IOError(f"cannot read {args.csv}: {exc}") from exc
     if not header or "epsilon" not in header[0]:
         raise ConfigError(f"{args.csv}: first column must be epsilon, got {header[:1]}")
@@ -107,7 +109,10 @@ def _cmd_rate_fit(args) -> int:
                 math.isfinite(v) and v > 0 for v in vals):
             print(f"  {name:12s}: skipped (needs >= 3 finite positive values)")
             continue
-        fit = rate_fit(eps, vals)
+        try:
+            fit = rate_fit(eps, vals)
+        except ValueError as exc:
+            raise ConfigError(f"{args.csv}: {exc}") from exc
         print(f"  {name:12s}: slope = {fit.slope:+.4f}, intercept = {fit.intercept:+.4f}, "
               f"log-residual = {fit.residual:.3e}")
         printed = True
@@ -157,6 +162,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "bohm-check":
+            if args.fields < 1 or args.grid_n < 8 or args.grid_n % 2 or args.seed < 0:
+                raise ConfigError(f"bohm-check needs --fields >= 1, an even --grid-n >= 8 and "
+                                  f"--seed >= 0, got {args.fields}, {args.grid_n}, {args.seed}")
             passed, lines = bohm_form_check(
                 n_fields=args.fields, grid_n=args.grid_n, seed=args.seed
             )

@@ -60,14 +60,18 @@ class LimitParams:
         return min(1.0 - 1.0 / self.gamma, 1.0 / self.gamma)
 
 
-def _require_positive(values: np.ndarray, what: str) -> None:
-    if values.min() <= 0.0:
+def _require_positive(values: np.ndarray, what: str, floor: float = 0.0,
+                      time: float | None = None) -> None:
+    """The one vacuum guard: VacuumError, carrying the minimum, its grid
+    point and the time when known, unless every value is > 0 and >= floor."""
+    low = float(values.min())
+    if low <= 0.0 or low < floor:
         iy, ix = np.unravel_index(int(values.argmin()), values.shape)
+        when = "" if time is None else f" at t = {time:.6g}"
         raise VacuumError(
-            f"{what} requires positive density; min n = {values.min():.6e} at grid point "
+            f"{what} needs n > 0 and n >= {floor:g}{when}; min n = {low:.6e} at grid point "
             f"(iy={iy}, ix={ix})",
-            min_n=float(values.min()),
-            location=(int(iy), int(ix)),
+            min_n=low, location=(int(iy), int(ix)), time=time,
         )
 
 
@@ -111,14 +115,7 @@ def bohm_force(n: ScalarField, form: str = DIVERGENCE) -> VectorField:
     dealiased.
     """
     vals = n.values
-    if vals.min() < N_FLOOR:
-        iy, ix = np.unravel_index(int(vals.argmin()), vals.shape)
-        raise VacuumError(
-            f"bohm_force refused: min n = {vals.min():.6e} below floor {N_FLOOR:g} "
-            f"at (iy={iy}, ix={ix})",
-            min_n=float(vals.min()),
-            location=(int(iy), int(ix)),
-        )
+    _require_positive(vals, "bohm_force", N_FLOOR)
     g = n.grid
     if form == DIVERGENCE:
         fx_hat, fy_hat = _bohm_divergence_hats(g, vals)

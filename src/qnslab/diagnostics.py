@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import AcousticState
-from .constitutive import VacuumError, _free_energy_values
+from .constitutive import _free_energy_values, _require_positive
 from .euler import EulerReference
 from .qns import QnsState
 from .spectral import (
@@ -54,10 +54,7 @@ def _check_alignment(s: QnsState, ref: EulerReference, ac: AcousticState, time_t
 
 def _reference_density(s: QnsState, ac: AcousticState) -> np.ndarray:
     b = 1.0 + s.params.epsilon * ac.sigma.values
-    if b.min() <= 0.0:
-        raise VacuumError(
-            f"reference density 1 + eps*sigma non-positive (min {b.min():.3e})"
-        )
+    _require_positive(b, "reference density 1 + eps*sigma", time=s.time)
     return b
 
 
@@ -132,8 +129,7 @@ def corollary_lhs(s: QnsState, ref: EulerReference) -> tuple[float, float, float
     g = s.grid
     eps = s.params.epsilon
     n = s.n.values
-    if n.min() <= 0.0:
-        raise VacuumError(f"corollary_lhs: non-positive density (min {n.min():.3e})")
+    _require_positive(n, "corollary_lhs", time=s.time)
     root_n = np.sqrt(n)
     w = vector_field(g, root_n * s.m.x.values / n, root_n * s.m.y.values / n)
     p_part, _ = helmholtz_project(w)
@@ -177,10 +173,10 @@ def rate_fit(eps: list[float], vals: list[float]) -> RateFit:
     vals = [float(v) for v in vals]
     if len(eps) != len(vals) or len(eps) < 3:
         raise ValueError(f"rate fit needs >= 3 matched points, got {len(eps)}/{len(vals)}")
+    if not all(0.0 < v < np.inf for v in eps + vals):
+        raise ValueError("rate fit requires finite positive epsilons and values")
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    if min(vals) <= 0.0 or min(eps) <= 0.0:
-        raise ValueError("rate fit requires positive epsilons and values")
     lx = np.log(np.array(eps))
     ly = np.log(np.array(vals))
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -15,6 +15,7 @@ from .spectral import (
     curl,
     dealias_values,
     differentiate,
+    divergence,
     gradient,
     norm,
     to_physical,
@@ -62,8 +63,7 @@ def _multipliers(grid: Grid2D) -> tuple[np.ndarray, ...]:
     Biot-Savart multipliers (i kgy, -i kgx) / |k|^2 (0 where kg2 == 0)
     taking w_hat to v_hat, the gradient multipliers i kgx, i kgy, and
     the negated 2/3-rule mask."""
-    inv_k2 = np.divide(1.0, grid.kg2, out=np.zeros(grid.kg2.shape), where=grid.kg2 != 0.0)
-    arrays = (1j * grid.kgy * inv_k2, -1j * grid.kgx * inv_k2,
+    arrays = (1j * grid.kgy * grid.inv_kg2, -1j * grid.kgx * grid.inv_kg2,
               1j * grid.kgx, 1j * grid.kgy, -grid.dealias_mask.astype(float))
     for arr in arrays:
         arr.setflags(write=False)
@@ -101,10 +101,7 @@ def pressure_recover(v: VectorField) -> ScalarField:
     g = v.grid
     adv_x, adv_y = _advection(v)
     div_hat = to_spectral(adv_x) * (1j * g.kgx) + to_spectral(adv_y) * (1j * g.kgy)
-    k2 = np.where(g.k2 == 0.0, 1.0, g.k2)
-    pi_hat = div_hat / k2
-    pi_hat[0, 0] = 0.0
-    return ScalarField(g, to_physical(pi_hat))
+    return ScalarField(g, to_physical(div_hat * g.inv_kg2))
 
 
 def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float):
@@ -132,8 +129,7 @@ def euler_solve(
     sup-norm grows tenfold (blow-up guard).
     """
     g = v0.grid
-    div_norm = norm(ScalarField(g, differentiate(v0.x, (1, 0)).values
-                                + differentiate(v0.y, (0, 1)).values), 2, 0)
+    div_norm = norm(divergence(v0), 2, 0)
     v_norm = norm(v0, 2, 0)
     if div_norm > 1e-10 * max(v_norm, 1e-30):
         raise EulerSolverError(f"initial velocity is not solenoidal: ||div v0|| = {div_norm:.3e}")

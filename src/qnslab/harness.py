@@ -40,8 +40,9 @@ DENSITY_BAND_FACTOR = 10.0
 # (dt/eps)^2 and corrupts the 1/eps^2-weighted diagnostics once dt stays
 # O(1) while eps shrinks (measured: 2x error in terminal entropy at
 # eps = 0.025 on the headline run).  0.25*eps keeps ~6 steps per fastest
-# resolved oscillation of the k = 1 acoustic mode and restores
-# dt-convergence of every tracked quantity to <1%.
+# resolved oscillation of the k = 1 acoustic mode.  Against a fixed step
+# 16x finer, the headline ladder's terminal tracked quantities are then
+# off by at most 2.5% (gamma = 3, eps = 0.1) and their slopes by <= 0.005.
 ACOUSTIC_RESOLVE = 0.25
 
 # What can set a step: one of the cfl_bounds, the acoustic cap, the clamp

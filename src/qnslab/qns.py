@@ -27,6 +27,7 @@ from .constitutive import (
     VacuumError,
     _bohm_nonlinear_hats,
     _free_energy_values,
+    _require_positive,
     p_prime_at_one,
 )
 from .spectral import (
@@ -82,10 +83,7 @@ class QnsState:
 
     def _velocity_hats(self) -> tuple[np.ndarray, np.ndarray]:
         vals = self.n.values
-        if vals.min() < N_FLOOR:
-            raise VacuumError(
-                f"velocity undefined: min n = {vals.min():.3e} below floor", time=self.time
-            )
+        _require_positive(vals, "velocity", N_FLOOR, self.time)
         mask = self.grid.dealias_mask
         return (
             to_spectral(self.m.x.values / vals) * mask,
@@ -192,7 +190,7 @@ def _linear_flow(g: Grid2D, params: LimitParams, switches: TermSwitches, t: floa
     decay = np.exp(-nu * t)
     cw = (decay * np.cos(w * t)).real
     sw = (decay * t * np.sinc(w * t / np.pi)).real  # e^{-nu t} sin(w t)/w
-    r = np.divide(cw - nu * sw - decay, g.kg2, out=np.zeros_like(cw), where=g.kg2 > 0.0)
+    r = (cw - nu * sw - decay) * g.inv_kg2
     return decay, cw + nu * sw, sw, c2 * sw, r
 
 
@@ -327,14 +325,7 @@ def qns_step(s: QnsState, dt: float, switches: TermSwitches = ALL_TERMS) -> QnsS
 def _check_state(n_vals, mx, my, t):
     if not (np.isfinite(n_vals).all() and np.isfinite(mx).all() and np.isfinite(my).all()):
         raise NumericalAbort(f"non-finite values detected at t = {t:.6g}", time=t)
-    if n_vals.min() < N_FLOOR:
-        iy, ix = np.unravel_index(int(n_vals.argmin()), n_vals.shape)
-        raise VacuumError(
-            f"vacuum event at t = {t:.6g}: min n = {n_vals.min():.3e} at (iy={iy}, ix={ix})",
-            min_n=float(n_vals.min()),
-            location=(int(iy), int(ix)),
-            time=t,
-        )
+    _require_positive(n_vals, "qns_step", N_FLOOR, t)
 
 
 @dataclass
@@ -358,8 +349,7 @@ def dissipation_rate(s: QnsState) -> float:
 def total_energy(s: QnsState, d_cumulative: float = 0.0) -> EnergyEntry:
     """Kinetic + internal + quantum energy of the state."""
     vals = s.n.values
-    if vals.min() < N_FLOOR:
-        raise VacuumError(f"total_energy: min n = {vals.min():.3e} below floor", time=s.time)
+    _require_positive(vals, "total_energy", N_FLOOR, s.time)
     g = s.grid
     eps = s.params.epsilon
     kin = 0.5 * integrate(

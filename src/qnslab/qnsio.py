@@ -123,10 +123,13 @@ def write_csv(rows, path, aborted: str | None = None) -> None:
 
 
 def read_csv_columns(path) -> tuple[list[str], dict[str, list[float]]]:
-    """Read a numeric CSV back into columns, skipping sentinel rows."""
+    """Read a numeric CSV back into columns, skipping sentinel rows;
+    ValueError for an empty file or a non-numeric cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty file, no header row")
         cols: dict[str, list[float]] = {name: [] for name in header}
         for row in reader:
             if not row or row[0] == "ABORTED":

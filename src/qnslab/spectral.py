@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-TORUS_AREA = TWO_PI * TWO_PI
 
 
 class SpectralError(ValueError):
@@ -31,11 +30,12 @@ class Grid2D:
     Attributes ending in ``g`` (``kgx``, ``kgy``, ``kg2``) are the
     first-derivative wavenumbers with the Nyquist column/row zeroed; the
     plain ``kx``, ``ky``, ``k2`` carry the +N/2 Nyquist label and are
-    only ever used with even powers.  ``ddx`` and ``ddy`` are the
-    first-derivative multipliers i*kgx, i*kgy with the 2/3-rule mask
-    folded in, so one multiply dealiases and differentiates.  All arrays
-    are read-only after construction, so one grid may be shared freely
-    across threads.
+    only ever used with even powers.  ``inv_kg2`` is 1/kg2, and 0 where
+    kg2 == 0 (the mean and the Nyquist corners): the one inverse
+    Laplacian, mean-free.  ``ddx`` and ``ddy`` are the first-derivative
+    multipliers i*kgx, i*kgy with the 2/3-rule mask folded in, so one
+    multiply dealiases and differentiates.  All arrays are read-only
+    after construction, so one grid may be shared freely across threads.
     """
 
     def __init__(self, n_points: int):
@@ -57,14 +57,16 @@ class Grid2D:
         self.kgx, self.kgy = np.meshgrid(kgx1, kgy1)
         self.k2 = (self.kx ** 2 + self.ky ** 2).astype(float)
         self.kg2 = (self.kgx ** 2 + self.kgy ** 2).astype(float)
+        self.inv_kg2 = np.divide(1.0, self.kg2, out=np.zeros(self.kg2.shape),
+                                 where=self.kg2 != 0.0)
 
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.kx) <= cutoff) & (np.abs(self.ky) <= cutoff)
         self.ddx = 1j * self.kgx * self.dealias_mask
         self.ddy = 1j * self.kgy * self.dealias_mask
 
-        for arr in (self.x, self.y, self.kx, self.ky, self.kgx, self.kgy,
-                    self.k2, self.kg2, self.dealias_mask, self.ddx, self.ddy):
+        for arr in (self.x, self.y, self.kx, self.ky, self.kgx, self.kgy, self.k2,
+                    self.kg2, self.inv_kg2, self.dealias_mask, self.ddx, self.ddy):
             arr.setflags(write=False)
 
     def __eq__(self, other):
@@ -123,9 +125,6 @@ class VectorField:
     def grid(self) -> Grid2D:
         return self.x.grid
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.x.copy(), self.y.copy())
-
 
 def vector_field(grid: Grid2D, vx: np.ndarray, vy: np.ndarray) -> VectorField:
     return VectorField(ScalarField(grid, vx), ScalarField(grid, vy))
@@ -134,8 +133,7 @@ def vector_field(grid: Grid2D, vx: np.ndarray, vy: np.ndarray) -> VectorField:
 def differentiate(f: ScalarField, order: tuple[int, int]) -> ScalarField:
     """Exact spectral derivative d^(a+b) f / dx^a dy^b of the interpolant.
 
-    Supports a + b <= 3 (third derivatives are the highest the quantum
-    pressure needs).  The zero mode of any derivative with a + b >= 1
+    Supports a + b <= 3.  The zero mode of any derivative with a + b >= 1
     vanishes identically.
     """
     a, b = int(order[0]), int(order[1])
@@ -181,24 +179,12 @@ def helmholtz_project(w: VectorField) -> tuple[VectorField, VectorField]:
     g = w.grid
     wxh = to_spectral(w.x.values)
     wyh = to_spectral(w.y.values)
-    k2 = np.where(g.kg2 == 0.0, 1.0, g.kg2)
-    proj = (g.kgx * wxh + g.kgy * wyh) / k2
-    proj = np.where(g.kg2 == 0.0, 0.0 + 0.0j, proj)
+    proj = (g.kgx * wxh + g.kgy * wyh) * g.inv_kg2
     qxh = g.kgx * proj
     qyh = g.kgy * proj
     q = vector_field(g, to_physical(qxh), to_physical(qyh))
     p = vector_field(g, to_physical(wxh - qxh), to_physical(wyh - qyh))
     return p, q
-
-
-def gradient_potential(q: VectorField) -> ScalarField:
-    """Mean-free potential psi with grad(psi) = q, for curl-free q."""
-    g = q.grid
-    div_hat = 1j * (g.kgx * to_spectral(q.x.values) + g.kgy * to_spectral(q.y.values))
-    k2 = np.where(g.kg2 == 0.0, 1.0, g.kg2)
-    psi_hat = -div_hat / k2
-    psi_hat[g.kg2 == 0.0] = 0.0
-    return ScalarField(g, to_physical(psi_hat))
 
 
 def dealias(f: ScalarField) -> ScalarField:

@@ -42,6 +42,33 @@ def _verdict(num, name, ok, detail=""):
           + (f"  [{detail}]" if detail else ""))
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
+# Terminal (rel_entropy, thm_vel, thm_dens, thm_grad, density_ratio) of the
+# headline sweeps, per epsilon in ladder order, with 17 significant digits.
+# Only the slope thresholds of criterion 7 guard these numbers otherwise;
+# a change that keeps the numerics keeps them to round-off.
+HEADLINE_TERMINAL = {
+    2.0: [
+        (0.31789839266824149, 0.39128202138573093, 0.12187127740071149,
+         0.00019305228733163226, 1.8510311226462339),
+        (0.14695415234987244, 0.25296771233676979, 0.020466994203222674,
+         1.6509891315609224e-06, 2.6478596953087328),
+        (0.071918050594233895, 0.11647441550243967, 0.013680679579736036,
+         8.1631639036227546e-08, 2.8607909442818982),
+        (0.063890001425846263, 0.027413449763872003, 0.050183236742926629,
+         1.9900393140423285e-08, 2.2056170477867352),
+    ],
+    3.0: [
+        (0.50340783803152567, 0.69768104692345911, 0.10365639805934493,
+         0.00014167541682760093, 1.0568751615424492),
+        (0.30806614350601624, 0.19486566947449296, 0.1400932127339298,
+         1.3106899174257041e-05, 2.298730438390316),
+        (0.18496701608596983, 0.26737619246071104, 0.034150462591642436,
+         2.3156802180619079e-07, 1.134295575136091),
+        (0.18064480417780221, 0.12440468043228958, 0.079044704793744189,
+         3.2618525609179352e-08, 1.7501766582419711),
+    ],
+}
+
 @pytest.fixture(scope="module")
 def headline_sweeps(tmp_path_factory):
     """gamma = 2 and gamma = 3 rate studies: N = 64, SINE_DENSITY(0.5)
@@ -159,6 +186,18 @@ def test_criterion_7_headline_rate_study(headline_sweeps):
     ok &= total_time < 900.0
     _verdict(7, "one-sided convergence-rate study", ok,
              "; ".join(details) + f"; total {total_time:.0f}s")
+
+
+def test_headline_terminal_values_pinned(headline_sweeps):
+    worst = 0.0
+    for gamma, (result, _) in headline_sweeps.items():
+        assert len(result.runs) == len(HEADLINE_TERMINAL[gamma])
+        for run, ratio, want in zip(result.runs, result.density_ratios,
+                                    HEADLINE_TERMINAL[gamma]):
+            last = run.reports[-1]
+            got = (last.rel_entropy, *last.theorem_lhs, ratio)
+            worst = max(worst, max(abs(a - b) / abs(b) for a, b in zip(got, want)))
+    assert worst <= 1e-10, f"headline terminal values moved by {worst:.2e} relative"
 
 def test_criterion_8_splitting_order():
     grid = Grid2D(64)

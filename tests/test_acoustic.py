@@ -31,11 +31,6 @@ def _state(grid, sigma, psi, params=PARAMS):
 def test_initial_data_bound_check(grid64, rng):
     n1 = random_band_limited(grid64, 4, rng, 0.5)
     u0 = vector_field(grid64, np.cos(grid64.x), np.zeros_like(grid64.x))
-    data = InitialData(n1_0=n1, u_0=u0)
-    measured = norm(n1, 2, 1) + norm(u0, 2, 0)
-    assert data.bound_m == pytest.approx(measured)
-    with pytest.raises(ValueError):
-        InitialData(n1_0=n1, u_0=u0, bound_m=measured / 2)
     with pytest.raises(ValueError):
         InitialData(n1_0=n1, u_0=u0, eta=-0.1)
 

@@ -549,3 +549,42 @@ def test_cli_bohm_check_small(capsys):
     # sqrt tail beyond the 2/3 cutoff shrinks with resolution)
     assert cli_main(["bohm-check", "--fields", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+_SUMMARY_HEADER = "epsilon,rel_entropy\n"
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, prefix",
+    [
+        (["rate-fit", "{f}"], _SUMMARY_HEADER + "0.025,1\n0.05,2\n0.1,4\n", 2, "config error:"),
+        (["rate-fit", "{f}"], _SUMMARY_HEADER + "0.1,1\n0.1,2\n0.05,4\n", 2, "config error:"),
+        (["rate-fit", "{f}"], _SUMMARY_HEADER + "0.2,1\n0.1,2\n0,4\n", 2, "config error:"),
+        (["rate-fit", "{f}"], _SUMMARY_HEADER + "0.2,1\nnan,2\n0.05,4\n", 2, "config error:"),
+        (["rate-fit", "{f}"], _SUMMARY_HEADER + "0.2,1\n0.1,abc\n0.05,4\n", 4, "io error:"),
+        (["rate-fit", "{f}"], "", 4, "io error:"),
+        (["bohm-check", "--grid-n", "6"], None, 2, "config error:"),
+        (["bohm-check", "--seed", "-1"], None, 2, "config error:"),
+        (["bohm-check", "--fields", "0"], None, 2, "config error:"),
+        (["run", "--config", "{f}"], b"epsilon = 0.1\n# \xff\xfe\n", 2, "config error:"),
+        (["sweep", "--config", "{f}"], b"epsilon_ladder = 0.2,0.1,0.05\n\xff\n", 2,
+         "config error:"),
+    ],
+    ids=["eps-ascending", "eps-repeated", "eps-zero", "eps-nan", "non-numeric-cell",
+         "empty-csv", "bohm-grid-n", "bohm-seed", "bohm-fields", "run-not-utf8",
+         "sweep-not-utf8"],
+)
+def test_cli_bad_input_reaches_documented_exit_code(tmp_path, capsys, argv, files, code,
+                                                     prefix):
+    path = tmp_path / "input"
+    if isinstance(files, bytes):
+        path.write_bytes(files)
+    elif files is not None:
+        path.write_text(files)
+    assert cli_main([a.format(f=path) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix), captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert "PASS" not in captured.out
+    if files is not None and argv[0] == "rate-fit":
+        assert str(path) in captured.err

@@ -18,10 +18,13 @@ from qnslab import (
     bohm_force,
     cfl_bounds,
     cfl_dt,
+    corollary_lhs,
     dealias,
     differentiate,
+    free_energy,
     gradient,
     integrate,
+    pressure,
     qns_init,
     qns_step,
     random_band_limited,
@@ -480,14 +483,20 @@ def test_fft_budget_per_step_and_record(grid32, monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "inv"))
 
     tg = taylor_green(grid32)
-    data = InitialData(
-        n1_0=ScalarField(grid32, 0.5 * np.sin(grid32.x)),
-        u_0=vector_field(
-            grid32,
-            tg.v.x.values + 0.5 * np.cos(grid32.x),
-            tg.v.y.values + 0.5 * np.cos(grid32.y),
-        ),
+    n1_0 = ScalarField(grid32, 0.5 * np.sin(grid32.x))
+    u_0 = vector_field(
+        grid32,
+        tg.v.x.values + 0.5 * np.cos(grid32.x),
+        tg.v.y.values + 0.5 * np.cos(grid32.y),
     )
+    counts.update(fwd=0, inv=0)
+    data = InitialData(n1_0=n1_0, u_0=u_0)
+    assert counts["fwd"] == 0 and counts["inv"] == 0, counts
+
+    counts.update(fwd=0, inv=0)
+    acoustic_init(data, PARAMS)
+    assert counts["fwd"] <= 2 and counts["inv"] <= 1, counts
+
     s = qns_init(PARAMS, data)
 
     counts.update(fwd=0, inv=0)
@@ -502,3 +511,47 @@ def test_fft_budget_per_step_and_record(grid32, monkeypatch):
     counts.update(fwd=0, inv=0)
     relative_entropy(s, tg, ac)
     assert counts["fwd"] <= 3 and counts["inv"] <= 6, counts
+
+
+def _vacuum_cases():
+    """Each guarded entry point with an input whose density (or reference
+    density) is non-positive or below the floor, and the time the error
+    should carry."""
+    grid = Grid2D(32)
+    zero = np.zeros((32, 32))
+    bad = np.ones((32, 32))
+    bad[5, 9] = -0.25
+    n_bad = ScalarField(grid, bad)
+    s_bad = QnsState(n=n_bad, m=vector_field(grid, zero, zero), time=0.3, params=PARAMS)
+    ones = ScalarField(grid, np.ones((32, 32)))
+    s_one = QnsState(n=ones, m=s_bad.m, time=0.0, params=PARAMS)
+    sigma = zero.copy()
+    sigma[5, 9] = -30.0  # 1 + eps sigma = -2 at (5, 9)
+    ac = AcousticState(sigma=ScalarField(grid, sigma), psi=ScalarField(grid, zero),
+                       time=0.0, params=PARAMS)
+    near = 1.0 + (1.0 - 5e-9) * np.sin(grid.x)  # min n = 5e-9, below the floor
+    s_near = QnsState(n=ScalarField(grid, near), m=s_bad.m, time=0.0, params=PARAMS)
+    return {
+        "pressure": (lambda: pressure(n_bad, 2.0), None),
+        "free_energy": (lambda: free_energy(n_bad, 2.0), None),
+        "bohm_force": (lambda: bohm_force(n_bad), None),
+        "velocity": (s_bad.velocity, 0.3),
+        "qns_step": (lambda: qns_step(s_near, 1e-5), 0.5e-5),
+        "total_energy": (lambda: total_energy(s_bad), 0.3),
+        "relative_entropy": (lambda: relative_entropy(s_one, taylor_green(grid), ac), 0.0),
+        "corollary_lhs": (lambda: corollary_lhs(s_bad, taylor_green(grid)), 0.3),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_vacuum_cases()))
+def test_vacuum_guard_reports_minimum_and_location(entry):
+    call, time = _vacuum_cases()[entry]
+    with pytest.raises(VacuumError) as err:
+        call()
+    e = err.value
+    assert e.min_n is not None and e.min_n < 1e-8
+    assert isinstance(e.location, tuple) and len(e.location) == 2
+    if entry != "qns_step":
+        assert e.location == (5, 9)
+        assert e.min_n == (-2.0 if entry == "relative_entropy" else -0.25)
+    assert e.time == time
