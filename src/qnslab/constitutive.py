@@ -46,8 +46,8 @@ class LimitParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
     @property
     def lam(self) -> float:
@@ -142,13 +142,23 @@ def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.n
     return g.ddx * lap_nh + qx, g.ddy * lap_nh + qy
 
 
-def _bohm_nonlinear_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dealiased spectra of -4 div(grad s x grad s), s = sqrt(n)
-    dealiased: the quantum force less its linear part grad(lap n)."""
+def _bohm_stress(g: Grid2D, vals: np.ndarray, coeff: float = -4.0):
+    """Physical components (xx, xy, yy) of the Bohm stress
+    coeff * grad s x grad s, s = sqrt(n) dealiased.  With coeff = -4 its
+    divergence is the quantum force less its linear part grad(lap n)."""
     sh = to_spectral(np.sqrt(vals))
     sx = to_physical(g.ddx * sh)
     sy = to_physical(g.ddy * sh)
-    txy = to_spectral(sx * sy)
-    fx_hat = -4.0 * (g.ddx * to_spectral(sx * sx) + g.ddy * txy)
-    fy_hat = -4.0 * (g.ddy * to_spectral(sy * sy) + g.ddx * txy)
-    return fx_hat, fy_hat
+    txy = coeff * sx * sy
+    for d in (sx, sy):
+        d *= d
+        d *= coeff
+    return sx, txy, sy
+
+
+def _bohm_nonlinear_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dealiased spectra of -4 div(grad s x grad s), s = sqrt(n)
+    dealiased: the quantum force less its linear part grad(lap n)."""
+    txx, txy, tyy = _bohm_stress(g, vals)
+    txy = to_spectral(txy)
+    return g.ddx * to_spectral(txx) + g.ddy * txy, g.ddx * txy + g.ddy * to_spectral(tyy)

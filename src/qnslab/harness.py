@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import time as _time
 from dataclasses import dataclass, field
@@ -35,15 +36,21 @@ RATE_SLOPE_MARGIN = 0.1
 DENSITY_BAND_FACTOR = 10.0
 
 # The AUTO step policy takes min(stability bound, ACOUSTIC_RESOLVE * eps).
-# The exact linear stage needs no step restriction for stability, but
-# the splitting error of the nonlinear/acoustic coupling grows like
-# (dt/eps)^2 and corrupts the 1/eps^2-weighted diagnostics once dt stays
-# O(1) while eps shrinks (measured: 2x error in terminal entropy at
-# eps = 0.025 on the headline run).  0.25*eps keeps ~6 steps per fastest
-# resolved oscillation of the k = 1 acoustic mode.  Against a fixed step
-# 16x finer, the headline ladder's terminal tracked quantities are then
-# off by at most 2.5% (gamma = 3, eps = 0.1) and their slopes by <= 0.005.
-ACOUSTIC_RESOLVE = 0.25
+# The exact linear flow needs no step restriction for stability, but the
+# error of the nonlinear/acoustic coupling grows with dt/eps and corrupts
+# the 1/eps^2-weighted diagnostics once dt stays O(1) while eps shrinks
+# (with no cap, eps = 0.025 takes 8 steps and its terminal values are off
+# by up to 33 %, those of eps = 0.0125 by 150 %).  Against a fixed step
+# eps/128 (which agrees with eps/64 to 1.1e-8), the largest relative
+# error of the terminal tracked quantities on the ladder eps = 0.2, 0.1,
+# 0.05, 0.025, 0.0125, 0.00625 (N = 64, t_end = 0.25, sine_density(0.5))
+# is, for the Lawson RK4 step at 0.5 eps, 3.1e-5, 1.6e-4, 6.9e-3, 6.6e-4,
+# 1.5e-4, 5.1e-5 at gamma = 2 and 5.4e-5, 2.3e-3, 2.1e-2, 4.1e-4, 7.1e-4,
+# 5.5e-4 at gamma = 3.  No rung is worse than the former Strang splitting
+# at 0.25 eps (4.8e-5 to 2.5e-2), but for gamma = 2, eps = 0.00625, where
+# both sit below 1e-4 (4.8e-5).  A 0.75 eps cap reaches 8.7e-2 (gamma = 3,
+# eps = 0.05).
+ACOUSTIC_RESOLVE = 0.5
 
 # What can set a step: one of the cfl_bounds, the acoustic cap, the clamp
 # to t_end, or the fixed policy.
@@ -77,6 +84,12 @@ class RunConfig:
     record_every: int = 10
 
     def __post_init__(self):
+        reals = {"epsilon": self.epsilon, "gamma": self.gamma, "t_end": self.t_end,
+                 "eta": self.eta, "fixed dt": self.dt_fixed,
+                 "profile amplitude": self.profile_amplitude}
+        for name, value in reals.items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.grid_n < 8 or self.grid_n % 2 != 0:
             raise ConfigError(f"grid_n must be an even integer >= 8, got {self.grid_n}")
         if self.t_end <= 0:
@@ -217,8 +230,7 @@ def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, Euler
     reference: the solenoidal part of u_0, steady for every profile
     (zero for rest; the stationary vortex otherwise; the projected
     snapshot velocity for from_snapshot)."""
-    x, y = grid.x, grid.y
-    zero = np.zeros_like(x)
+    zero = np.zeros_like(grid.x)
     a = cfg.profile_amplitude
     if cfg.initial_profile == "rest":
         n1 = ScalarField(grid, zero)
@@ -228,13 +240,16 @@ def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, Euler
         )
     elif cfg.initial_profile in ("sine_density", "tg_plus_gradient"):
         tg = taylor_green(grid)
+        c = grid.coords
         if cfg.initial_profile == "sine_density":
-            n1 = ScalarField(grid, a * np.sin(x))
+            n1 = ScalarField(grid, np.tile(a * np.sin(c), (grid.n_points, 1)))
         else:
             n1 = ScalarField(grid, zero)
-        # gradient-part velocity a*grad(sin x + sin y) on top of the vortex
+        # gradient-part velocity a*grad(sin x + sin y) on top of the vortex;
+        # the 1-D tables broadcast along x ([None, :]) and y ([:, None])
+        a_cos = a * np.cos(c)
         u0 = vector_field(
-            grid, tg.v.x.values + a * np.cos(x), tg.v.y.values + a * np.cos(y)
+            grid, tg.v.x.values + a_cos[None, :], tg.v.y.values + a_cos[:, None]
         )
         ref = tg
     elif cfg.initial_profile == "from_snapshot":

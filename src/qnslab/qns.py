@@ -7,11 +7,12 @@ eps (lap m + grad div m) - is integrated exactly per Fourier mode as a
 damped rotation at the acoustic frequency sqrt(gamma)|k|/eps.  The
 nonlinear remainder - advection, the nonlinear pressure remainder, the
 quantum force less grad(lap n) and the viscous stress less its n = 1
-part - is stepped with classical RK4 inside a Strang splitting, so its
-step bounds scale with the density perturbation max|n - 1| rather
-than with eps alone.  The density only changes in the exact stage (the
-continuity equation is linear in the momentum), so the RK4 stage sees a
-frozen density.
+part - moves the momentum only and is integrated by classical Lawson
+(integrating-factor) RK4 over that exact flow.  Its step bounds scale
+with the density perturbation max|n - 1| rather than with eps alone,
+and its error is fourth order in dt.  The density moves between the
+stages, so each stage recomputes every density force; all of them are
+the divergence of one stress tensor, transformed once per component.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .constitutive import (
     LimitParams,
     N_FLOOR,
     VacuumError,
-    _bohm_nonlinear_hats,
+    _bohm_stress,
     _free_energy_values,
     _require_positive,
     p_prime_at_one,
@@ -45,10 +46,10 @@ from .spectral import (
 CFL_SAFETY = 0.4
 
 # Energy-inequality verdict: E(t) + dissipation <= E(0)*(1 + REL_SLACK)
-# + SCHEME_COEFF * dt^2 * E(0).  The dt^2 term covers the Strang
-# splitting's bounded energy wobble; max(E + D - E0) / (dt_max^2 E0)
-# measures 0.25-0.39 at gamma = 2 and 0.43-0.92 at gamma = 3 on the
-# headline ladder, so 50 is generous.
+# + SCHEME_COEFF * dt^2 * E(0).  The dt^2 term covers the time scheme's
+# bounded energy wobble; with the Lawson RK4 step at the 0.5 eps acoustic
+# cap, max(E + D - E0) / (dt_max^2 E0) measures 0.26-0.45 at gamma = 2
+# and 0.41-0.56 at gamma = 3 on the headline ladder, so 50 is generous.
 ENERGY_REL_SLACK = 1e-6
 ENERGY_SCHEME_COEFF = 50.0
 
@@ -94,9 +95,9 @@ class QnsState:
 @dataclass
 class TermSwitches:
     """Test switches for the terms; production runs keep everything on.
-    bohm and viscous switch off both the linear part in the exact stage
-    and the remainder in the RK4 stage; with all four off the step is
-    the plain acoustic rotation."""
+    bohm and viscous switch off both the linear part in the exact flow
+    and the remainder in the Lawson stages; with all four off the step
+    is the plain acoustic rotation."""
 
     advection: bool = True
     pressure_remainder: bool = True
@@ -195,9 +196,9 @@ def _linear_flow(g: Grid2D, params: LimitParams, switches: TermSwitches, t: floa
 
 
 def _linear_stage(g: Grid2D, flow, nh: np.ndarray, mxh: np.ndarray, myh: np.ndarray):
-    """Apply a _linear_flow to the spectra of n and m.  Modes with
-    kg = 0 (the mean included) map to themselves, so n_hat stands in for
-    a = n_hat - delta_0."""
+    """Apply a _linear_flow to the spectra of n and m (nh may be the
+    scalar 0).  Modes with kg = 0 (the mean included) map to themselves,
+    so n_hat stands in for a = n_hat - delta_0."""
     decay, p11, sw, c2sw, r = flow
     b = g.kgx * mxh + g.kgy * myh
     # (b_new - decay b)/|k|^2: the change of the longitudinal momentum
@@ -210,116 +211,117 @@ def _linear_stage(g: Grid2D, flow, nh: np.ndarray, mxh: np.ndarray, myh: np.ndar
 
 
 def _strain(g: Grid2D, uxh: np.ndarray, uyh: np.ndarray):
-    """Components (dxx, dxy, dyy) of D(u) for a velocity given by its
-    dealiased spectra."""
-    return (
-        to_physical(g.ddx * uxh),
-        to_physical(0.5 * (g.ddy * uxh + g.ddx * uyh)),
-        to_physical(g.ddy * uyh),
-    )
+    """Components dxx, dxy, dyy of D(u) for a velocity given by its
+    dealiased spectra, one at a time."""
+    yield to_physical(g.ddx * uxh)
+    yield to_physical(0.5 * (g.ddy * uxh + g.ddx * uyh))
+    yield to_physical(g.ddy * uyh)
 
 
-def _frozen_force_hats(g, n_vals, params, switches):
-    """Dealiased spectra of the momentum forces that depend on the
-    density only (constant during the RK4 stage): nonlinear pressure
-    remainder and the nonlinear part of the quantum force."""
+def _stage_force_hats(g, params, switches, n, mx, my, mxh, myh):
+    """Spectra of the nonlinear momentum forces at one Lawson stage, for
+    a state given by its physical fields and its momentum spectra.
+
+    Every force is the divergence of one physical stress tensor S, each
+    of its four components transformed once: the advective flux -m x u,
+    the viscous stress 2 eps n D(u), the pressure remainder
+    -(n^gamma - gamma (n - 1) - 1)/eps^2 on the diagonal and the Bohm
+    stress -4 eps^2 grad s x grad s.  The viscous part at n = 1,
+    eps (lap m + grad div m), is subtracted as a spectrum, because the
+    linear flow carries it.  7 forward / 7 inverse transforms; every
+    temporary is dropped or folded in place as soon as it is read."""
     eps = params.epsilon
-    gamma = params.gamma
-    fx = np.zeros(g.k2.shape, dtype=complex)
-    fy = np.zeros(g.k2.shape, dtype=complex)
-    if switches.pressure_remainder:
-        p_rem = to_spectral(n_vals ** gamma - gamma * (n_vals - 1.0) - 1.0) / (eps * eps)
-        fx -= g.ddx * p_rem
-        fy -= g.ddy * p_rem
-    if switches.bohm:
-        qx, qy = _bohm_nonlinear_hats(g, n_vals)
-        fx += eps * eps * qx
-        fy += eps * eps * qy
-    return fx, fy
-
-
-def _explicit_rhs(g, n_vals, mxh, myh, frozen_fx, frozen_fy, eps, switches):
-    """Spectra of the momentum forces of the RK4 stage for a momentum
-    given by its spectra: the frozen spectra plus the divergence of the
-    advective flux -m x u and of the viscous stress 2 eps n D(u), each
-    flux component transformed once, less the viscous part
-    eps (lap m + grad div m) that the linear stage carries."""
-    fx, fy = frozen_fx, frozen_fy
     if switches.advection or switches.viscous:
-        mask = g.dealias_mask
-        mx = to_physical(mxh)
-        my = to_physical(myh)
-        uxh = to_spectral(mx / n_vals) * mask
-        uyh = to_spectral(my / n_vals) * mask
-        sxx = sxy = syx = syy = 0.0
-        if switches.advection:
-            ux = to_physical(uxh)
-            uy = to_physical(uyh)
-            sxx, sxy, syx, syy = -mx * ux, -mx * uy, -my * ux, -my * uy
-        if switches.viscous:
-            dxx, dxy, dyy = _strain(g, uxh, uyh)
-            two_eps_n = 2.0 * eps * n_vals
-            sxx = sxx + two_eps_n * dxx
-            sxy = sxy + two_eps_n * dxy
-            syx = syx + two_eps_n * dxy
-            syy = syy + two_eps_n * dyy
-        fx = fx + g.ddx * to_spectral(sxx) + g.ddy * to_spectral(sxy)
-        fy = fy + g.ddx * to_spectral(syx) + g.ddy * to_spectral(syy)
-        if switches.viscous:
-            div_h = g.ddx * mxh + g.ddy * myh
-            lap = g.ddx * g.ddx + g.ddy * g.ddy
-            fx = fx - eps * (lap * mxh + g.ddx * div_h)
-            fy = fy - eps * (lap * myh + g.ddy * div_h)
+        uxh, uyh = (to_spectral(f / n) * g.dealias_mask for f in (mx, my))
+    if switches.bohm:
+        sxx, sxy, syy = _bohm_stress(g, n, -4.0 * eps * eps)
+    else:
+        sxx, sxy, syy = np.zeros_like(n), np.zeros_like(n), np.zeros_like(n)
+    if switches.pressure_remainder:
+        gamma = params.gamma
+        p = (n ** gamma - gamma * n + (gamma - 1.0)) / (eps * eps)
+        sxx -= p
+        syy -= p
+        del p
+    if switches.viscous:
+        for s, d in zip((sxx, sxy, syy), _strain(g, uxh, uyh)):
+            d *= n
+            d *= 2.0 * eps
+            s += d
+        del d
+    syx = sxy  # S is symmetric but for the advective flux
+    if switches.advection:
+        ux, uy = to_physical(uxh), to_physical(uyh)
+        del uxh, uyh
+        syx = sxy - my * ux
+        sxy -= mx * uy
+        sxx -= mx * ux
+        syy -= my * uy
+        del ux, uy
+    sxy_h = to_spectral(sxy)
+    syx_h = sxy_h if syx is sxy else to_spectral(syx)
+    del sxy, syx
+    fx = g.ddx * to_spectral(sxx) + g.ddy * sxy_h
+    del sxx
+    fy = g.ddx * syx_h + g.ddy * to_spectral(syy)
+    if switches.viscous:
+        # per mode, eps (lap m + grad div m) = -eps (|k|^2 m + k (k . m))
+        b = g.kgx * mxh + g.kgy * myh
+        visc = eps * g.dealias_mask
+        fx += visc * (g.kg2 * mxh + g.kgx * b)
+        fy += visc * (g.kg2 * myh + g.kgy * b)
     return fx, fy
 
 
 def qns_step(s: QnsState, dt: float, switches: TermSwitches = ALL_TERMS) -> QnsState:
-    """One Strang step: exact linear half, RK4 on the nonlinear
-    remainder, exact linear half.  The momentum stays a spectrum from
-    the first linear half to the second; the density spectrum is
-    frozen in between.  Aborts on vacuum or non-finite values."""
+    """One classical Lawson RK4 step: RK4 on E(-t) u, with E the exact
+    linear flow.  With h = dt and E = E(h/2),
+
+        k1 = N(u),  k2 = N(E (u + h/2 k1)),  k3 = N(E u + h/2 k2),
+        k4 = N(E (E u + h k3)),
+        u' = E (E (u + h/6 k1) + h/3 (k2 + k3)) + h/6 k4,
+
+    where N, the nonlinear remainder, moves the momentum only.  The state
+    stays a spectrum between the stages, and every stage density - the
+    input state's included - is checked.  Aborts on vacuum or
+    non-finite values."""
     limit = cfl_dt(s)
     if dt > limit * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt:g} exceeds the stability bound {limit:g} at t = {s.time:g}")
     g = s.grid
-    eps = s.params.epsilon
+    half = _linear_flow(g, s.params, switches, 0.5 * dt)
 
-    flow = _linear_flow(g, s.params, switches, 0.5 * dt)
-    nh, mxh, myh = _linear_stage(
-        g, flow, to_spectral(s.n.values), to_spectral(s.m.x.values), to_spectral(s.m.y.values)
-    )
-    n_vals = to_physical(nh)
-    # a non-finite momentum spectrum is as good as a non-finite field
-    _check_state(n_vals, mxh, myh, s.time + 0.5 * dt)
+    def forces(n, mx, my, mxh, myh, t):
+        _check_state(n, mx, my, t)
+        return _stage_force_hats(g, s.params, switches, n, mx, my, mxh, myh)
 
-    frozen_fx, frozen_fy = _frozen_force_hats(g, n_vals, s.params, switches)
+    def forces_at(t, nh, mxh, myh):
+        return forces(to_physical(nh), to_physical(mxh), to_physical(myh), mxh, myh, t)
 
-    def rhs(hx, hy):
-        return _explicit_rhs(g, n_vals, hx, hy, frozen_fx, frozen_fy, eps, switches)
-
-    # classical RK4, summing k1 + 2 k2 + 2 k3 + k4 as the stages come and
-    # dropping each stage's k before the next right-hand side runs, so
-    # fewer spectra are live at the step's memory peak
-    kx, ky = rhs(mxh, myh)
-    sum_x, sum_y = kx, ky
-    for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        in_x, in_y = mxh + c * dt * kx, myh + c * dt * ky
-        del kx, ky
-        kx, ky = rhs(in_x, in_y)
-        sum_x, sum_y = sum_x + weight * kx, sum_y + weight * ky
-    mxh = mxh + (dt / 6.0) * sum_x
-    myh = myh + (dt / 6.0) * sum_y
-
-    nh, mxh, myh = _linear_stage(g, flow, nh, mxh, myh)
+    mxh, myh = to_spectral(s.m.x.values), to_spectral(s.m.y.values)
+    kx, ky = forces(s.n.values, s.m.x.values, s.m.y.values, mxh, myh, s.time)
+    an, ax, ay = _linear_stage(g, half, to_spectral(s.n.values), mxh, myh)  # E u
+    del mxh, myh
+    # (sn, sx, sy) = E k1, then the sum E (u + h/6 k1) + h/3 (k2 + k3)
+    sn, sx, sy = _linear_stage(g, half, 0.0, kx, ky)
+    t = s.time + 0.5 * dt
+    kx, ky = forces_at(t, an + (0.5 * dt) * sn, ax + (0.5 * dt) * sx, ay + (0.5 * dt) * sy)
+    sn, sx, sy = an + (dt / 6.0) * sn, ax + (dt / 6.0) * sx, ay + (dt / 6.0) * sy
+    sx += (dt / 3.0) * kx
+    sy += (dt / 3.0) * ky
+    kx, ky = forces_at(t, an, ax + (0.5 * dt) * kx, ay + (0.5 * dt) * ky)
+    sx += (dt / 3.0) * kx
+    sy += (dt / 3.0) * ky
+    t = s.time + dt
+    kx, ky = forces_at(t, *_linear_stage(g, half, an, ax + dt * kx, ay + dt * ky))
+    del an, ax, ay
+    nh, mxh, myh = _linear_stage(g, half, sn, sx, sy)
+    del sn, sx, sy
+    mxh += (dt / 6.0) * kx
+    myh += (dt / 6.0) * ky
     n_vals, mx, my = to_physical(nh), to_physical(mxh), to_physical(myh)
-    t_new = s.time + dt
-    _check_state(n_vals, mx, my, t_new)
-    return QnsState(
-        n=ScalarField(g, n_vals),
-        m=vector_field(g, mx, my),
-        time=t_new,
-        params=s.params,
-    )
+    _check_state(n_vals, mx, my, t)
+    return QnsState(n=ScalarField(g, n_vals), m=vector_field(g, mx, my), time=t, params=s.params)
 
 
 def _check_state(n_vals, mx, my, t):

@@ -27,6 +27,10 @@ class Grid2D:
     """Uniform even-N periodic grid with precomputed half-plane
     wavenumber arrays of shape (N, N/2 + 1).
 
+    ``coords`` are the 1-D grid coordinates; ``x`` and ``y`` their
+    meshgrids, indexed [iy, ix].  A field separable in x and y is
+    cheaper to build from ``coords`` by broadcasting.
+
     Attributes ending in ``g`` (``kgx``, ``kgy``, ``kg2``) are the
     first-derivative wavenumbers with the Nyquist column/row zeroed; the
     plain ``kx``, ``ky``, ``k2`` carry the +N/2 Nyquist label and are
@@ -45,8 +49,8 @@ class Grid2D:
         self.n_points = n
         self.spacing = TWO_PI / n
 
-        coords = np.arange(n) * self.spacing
-        self.x, self.y = np.meshgrid(coords, coords)
+        self.coords = np.arange(n) * self.spacing
+        self.x, self.y = np.meshgrid(self.coords, self.coords)
 
         ky1 = np.fft.fftfreq(n, 1.0 / n).astype(int)
         ky1[n // 2] = n // 2  # relabel Nyquist as +N/2
@@ -65,8 +69,8 @@ class Grid2D:
         self.ddx = 1j * self.kgx * self.dealias_mask
         self.ddy = 1j * self.kgy * self.dealias_mask
 
-        for arr in (self.x, self.y, self.kx, self.ky, self.kgx, self.kgy, self.k2,
-                    self.kg2, self.inv_kg2, self.dealias_mask, self.ddx, self.ddy):
+        for arr in (self.coords, self.x, self.y, self.kx, self.ky, self.kgx, self.kgy,
+                    self.k2, self.kg2, self.inv_kg2, self.dealias_mask, self.ddx, self.ddy):
             arr.setflags(write=False)
 
     def __eq__(self, other):

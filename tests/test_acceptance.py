@@ -48,24 +48,24 @@ def _verdict(num, name, ok, detail=""):
 # a change that keeps the numerics keeps them to round-off.
 HEADLINE_TERMINAL = {
     2.0: [
-        (0.31789839266824149, 0.39128202138573093, 0.12187127740071149,
-         0.00019305228733163226, 1.8510311226462339),
-        (0.14695415234987244, 0.25296771233676979, 0.020466994203222674,
-         1.6509891315609224e-06, 2.6478596953087328),
-        (0.071918050594233895, 0.11647441550243967, 0.013680679579736036,
-         8.1631639036227546e-08, 2.8607909442818982),
-        (0.063890001425846263, 0.027413449763872003, 0.050183236742926629,
-         1.9900393140423285e-08, 2.2056170477867352),
+        (0.31694621769868236, 0.38989710786834963, 0.12161277039773193,
+         0.0001924466833871186, 1.8507486152587742),
+        (0.14584677946959759, 0.25047333229626734, 0.020606787425824422,
+         1.6629478203680068e-06, 2.6482132631099411),
+        (0.071462709300785687, 0.11592283162285864, 0.013501132491064912,
+         8.0499158115526138e-08, 2.8608165253578508),
+        (0.063701348079949149, 0.027393722691346167, 0.050004447082056626,
+         1.9826161629282991e-08, 2.2055355818894915),
     ],
     3.0: [
-        (0.50340783803152567, 0.69768104692345911, 0.10365639805934493,
-         0.00014167541682760093, 1.0568751615424492),
-        (0.30806614350601624, 0.19486566947449296, 0.1400932127339298,
-         1.3106899174257041e-05, 2.298730438390316),
-        (0.18496701608596983, 0.26737619246071104, 0.034150462591642436,
-         2.3156802180619079e-07, 1.134295575136091),
-        (0.18064480417780221, 0.12440468043228958, 0.079044704793744189,
-         3.2618525609179352e-08, 1.7501766582419711),
+        (0.50050728851084469, 0.69188396278019981, 0.10366696447527647,
+         0.00014113311919456369, 1.056994519235537),
+        (0.30176391241513717, 0.19008905607473855, 0.13748706228972546,
+         1.2819460133735424e-05, 2.2985551520043961),
+        (0.18368214571942937, 0.26525526033340457, 0.033999559308891286,
+         2.3093446057710194e-07, 1.1343278699708579),
+        (0.18007646457271437, 0.12416171780559176, 0.078746804522026259,
+         3.2487226855283502e-08, 1.7501036550264417),
     ],
 }
 

@@ -189,6 +189,14 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "inv"))
 
     v0 = _random_solenoidal(grid32, rng, kmax=4)
+    # each velocity component is transformed once
+    counts.update(fwd=0, inv=0)
+    euler._advection_hats(v0)
+    assert counts["fwd"] <= 4 and counts["inv"] <= 4, counts
+    counts.update(fwd=0, inv=0)
+    euler.pressure_recover(v0)
+    assert counts["fwd"] <= 4 and counts["inv"] <= 5, counts
+
     w_hat = to_spectral(curl(v0).values)
     counts.update(fwd=0, inv=0)
     euler._rk4_vorticity_step(grid32, w_hat, 1e-3)

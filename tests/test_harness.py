@@ -106,6 +106,40 @@ def test_profile_reference_is_consistent(grid32):
     assert norm(gap, 2, 0) < 1e-10
 
 
+@pytest.mark.parametrize("profile", ["sine_density", "tg_plus_gradient"])
+@pytest.mark.parametrize("grid_n", [32, 256])
+def test_profile_fields_equal_meshgrid_expressions(profile, grid_n):
+    # the profiles are built from 1-D trig tables; every entry must equal
+    # the expression evaluated on the meshgrids, bit for bit
+    from qnslab import Grid2D
+
+    a = 0.7
+    grid = Grid2D(grid_n)
+    x, y = grid.x, grid.y
+    cfg = RunConfig(grid_n=grid_n, epsilon=0.1, initial_profile=profile, profile_amplitude=a)
+    data, ref = build_initial_data(cfg, grid)
+    vx, vy = np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)
+    pi = 0.25 * (np.cos(2 * x) + np.cos(2 * y))
+    want = {
+        "tg_vx": vx,
+        "tg_vy": vy,
+        "tg_pi": pi - pi.mean(),  # EulerReference makes Pi mean-free
+        "n1_0": a * np.sin(x) if profile == "sine_density" else np.zeros_like(x),
+        "u0_x": vx + a * np.cos(x),
+        "u0_y": vy + a * np.cos(y),
+    }
+    got = {
+        "tg_vx": ref.v.x.values,
+        "tg_vy": ref.v.y.values,
+        "tg_pi": ref.pi.values,
+        "n1_0": data.n1_0.values,
+        "u0_x": data.u_0.x.values,
+        "u0_y": data.u_0.y.values,
+    }
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
 # ---------------------------------------------------------------- snapshots
 
 
@@ -311,8 +345,8 @@ def test_run_counts_the_limit_that_set_each_step(tmp_path):
         assert sum(res.dt_limits.values()) == len(res.ledger.entries) - 1
         return {name: n for name, n in res.dt_limits.items() if n}
 
-    # the 0.25 eps cap twice, then the clamp to t_end
-    assert limits(epsilon=0.1, t_end=0.06) == {"acoustic": 2, "t_end": 1}
+    # the 0.5 eps cap once, then the clamp to t_end
+    assert limits(epsilon=0.1, t_end=0.06) == {"acoustic": 1, "t_end": 1}
     # delta = 0.45 at eps = 0.9: the quantum remainder sets dt
     assert limits(epsilon=0.9, t_end=0.01) == {"bohm": 4, "t_end": 1}
     assert limits(epsilon=0.1, t_end=0.025, dt_policy="fixed", dt_fixed=0.01) == {
@@ -323,6 +357,26 @@ def test_run_counts_the_limit_that_set_each_step(tmp_path):
     assert (counts["advective"], counts["t_end"]) == (2, 1)
 
 
+def test_auto_step_matches_a_dt_converged_run(tmp_path):
+    # the 0.5 eps acoustic cap of the Lawson step keeps the terminal
+    # tracked values within 5e-3 of a fixed step eps/64 (measured 2.3e-3;
+    # the Strang step at 0.25 eps was 2.5e-2 off)
+    from qnslab.harness import TRACKED_QUANTITIES, _terminal_values
+
+    def terminal(**kw):
+        cfg = RunConfig(grid_n=64, gamma=3.0, epsilon=0.1, t_end=0.25,
+                        initial_profile="sine_density", profile_amplitude=0.5,
+                        record_every=1000, output_dir=str(tmp_path), **kw)
+        res = run_single(cfg)
+        assert res.aborted is None
+        return _terminal_values(res)
+
+    auto = terminal()
+    fine = terminal(dt_policy="fixed", dt_fixed=0.1 / 64)
+    worst = max(abs(auto[q] - fine[q]) / abs(fine[q]) for q in TRACKED_QUANTITIES)
+    assert worst <= 5e-3, worst
+
+
 def test_cli_prints_dt_limit_counts(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(
@@ -331,7 +385,7 @@ def test_cli_prints_dt_limit_counts(tmp_path, capsys):
         f"output_dir = {tmp_path / 'out'}\n"
     )
     assert cli_main(["run", "--config", str(cfgfile)]) == 0
-    assert ("advective 0, bohm 0, viscous 0, acoustic 2, t_end 1, fixed 0"
+    assert ("advective 0, bohm 0, viscous 0, acoustic 1, t_end 1, fixed 0"
             in capsys.readouterr().out)
     cfgfile.write_text(
         "epsilon_ladder = 0.2,0.1,0.05\nt_end = 0.05\ngrid_n = 32\n"
@@ -341,7 +395,7 @@ def test_cli_prints_dt_limit_counts(tmp_path, capsys):
     assert cli_main(["sweep", "--config", str(cfgfile)]) == 0
     out = capsys.readouterr().out
     assert "eps = 0.1: PASS" in out
-    assert "advective 0, bohm 0, viscous 0, acoustic 3, t_end 1, fixed 0" in out
+    assert "advective 0, bohm 0, viscous 0, acoustic 2, t_end 0, fixed 0" in out
 
 
 def test_cli_mid_run_spectral_error_aborts(tmp_path, monkeypatch):
@@ -455,6 +509,26 @@ def test_cli_config_range_error_exit_code(tmp_path, capsys, command, text):
     bad.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
     assert cli_main([command, "--config", str(bad)]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["epsilon = nan", "epsilon = inf", "gamma = nan", "gamma = inf", "t_end = nan",
+     "t_end = inf", "eta = nan", "eta = inf", "dt_policy = fixed(nan)",
+     "dt_policy = fixed(inf)", "initial_profile = sine_density(nan)",
+     "initial_profile = sine_density(inf)", "initial_profile = tg_plus_gradient(-inf)"],
+)
+def test_cli_non_finite_config_value_exit_code(tmp_path, capsys, line):
+    keys = {"epsilon": "0.1", "grid_n": "16", "t_end": "0.02", "output_dir": tmp_path / "out"}
+    key, value = line.split(" = ")
+    keys[key] = value
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert cli_main(["run", "--config", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:"), captured.err
+    assert "Traceback" not in captured.err + captured.out
     assert not (tmp_path / "out").exists()
 
 
