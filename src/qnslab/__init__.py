@@ -53,7 +53,6 @@ from .qns import (
     EnergyLedger,
     NumericalAbort,
     QnsState,
-    TermSwitches,
     cfl_bounds,
     cfl_dt,
     dissipation_rate,

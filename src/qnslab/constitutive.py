@@ -138,7 +138,11 @@ def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.n
     grad(lap n) - 4 div(grad s x grad s), s = sqrt(n) dealiased, for a
     density already checked against the vacuum floor."""
     lap_nh = -g.k2 * to_spectral(vals)
-    qx, qy = _bohm_nonlinear_hats(g, vals)
+    txx, txy, tyy = _bohm_stress(g, vals)
+    txy = to_spectral(txy)
+    qx = g.ddx * to_spectral(txx) + g.ddy * txy
+    qy = g.ddx * txy + g.ddy * to_spectral(tyy)
+    del txx, txy, tyy
     return g.ddx * lap_nh + qx, g.ddy * lap_nh + qy
 
 
@@ -154,11 +158,3 @@ def _bohm_stress(g: Grid2D, vals: np.ndarray, coeff: float = -4.0):
         d *= d
         d *= coeff
     return sx, txy, sy
-
-
-def _bohm_nonlinear_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dealiased spectra of -4 div(grad s x grad s), s = sqrt(n)
-    dealiased: the quantum force less its linear part grad(lap n)."""
-    txx, txy, tyy = _bohm_stress(g, vals)
-    txy = to_spectral(txy)
-    return g.ddx * to_spectral(txx) + g.ddy * txy, g.ddx * txy + g.ddy * to_spectral(tyy)

@@ -1,5 +1,6 @@
 """Time integration of the Mach-scaled barotropic quantum Navier-Stokes
-system on the torus.
+system on the torus, always with all of its terms: pressure, the Bohm
+quantum force, viscosity and advection.
 
 The stiff linear part at (n, m) = (1, 0) - the pressure wave, the
 Bogoliubov term eps^2 grad(lap n) of the quantum force and the viscous
@@ -77,11 +78,6 @@ class QnsState:
     def grid(self) -> Grid2D:
         return self.n.grid
 
-    def velocity(self) -> VectorField:
-        """u = m/n, dealiased, with the vacuum guard."""
-        uxh, uyh = self._velocity_hats()
-        return vector_field(self.grid, to_physical(uxh), to_physical(uyh))
-
     def _velocity_hats(self) -> tuple[np.ndarray, np.ndarray]:
         vals = self.n.values
         _require_positive(vals, "velocity", N_FLOOR, self.time)
@@ -90,22 +86,6 @@ class QnsState:
             to_spectral(self.m.x.values / vals) * mask,
             to_spectral(self.m.y.values / vals) * mask,
         )
-
-
-@dataclass
-class TermSwitches:
-    """Test switches for the terms; production runs keep everything on.
-    bohm and viscous switch off both the linear part in the exact flow
-    and the remainder in the Lawson stages; with all four off the step
-    is the plain acoustic rotation."""
-
-    advection: bool = True
-    pressure_remainder: bool = True
-    bohm: bool = True
-    viscous: bool = True
-
-
-ALL_TERMS = TermSwitches()
 
 
 def qns_init(params: LimitParams, data: InitialData) -> QnsState:
@@ -163,7 +143,7 @@ def cfl_dt(s: QnsState) -> float:
     return CFL_SAFETY * min(cfl_bounds(s).values())
 
 
-def _linear_flow(g: Grid2D, params: LimitParams, switches: TermSwitches, t: float):
+def _linear_flow(g: Grid2D, params: LimitParams, t: float):
     """Per-mode coefficients of the exact flow over time t of the
     system linearized at (n, m) = (1, 0).
 
@@ -172,25 +152,22 @@ def _linear_flow(g: Grid2D, params: LimitParams, switches: TermSwitches, t: floa
     m_hat normal to k decays like e^{-nu t}; c_k^2 = p'(1)/eps^2 +
     eps^2 |k|^2 carries the Bogoliubov term of grad(lap n) and
     nu = eps |k|^2 the viscous eps (lap m + grad div m), both only inside
-    the 2/3 mask and only when their switch is on.  The 2x2 generator G
-    has trace -2 nu and determinant |k|^2 c_k^2, so
-    exp(G t) = e^{-nu t} [cos(w t) I + sin(w t)/w (G + nu I)] with
-    w^2 = |k|^2 c_k^2 - nu^2.  With both terms on, w = sqrt(p'(1))|k|/eps
-    exactly: the damped rotation runs at the acoustic frequency.  w is
-    imaginary (overdamped) only for high modes with the Bohm term off.
+    the 2/3 mask.  The 2x2 generator G has trace -2 nu and determinant
+    |k|^2 c_k^2, so exp(G t) = e^{-nu t} [cos(w t) I + sin(w t)/w (G + nu I)]
+    with w^2 = |k|^2 c_k^2 - nu^2 = p'(1)|k|^2/eps^2 exactly: the damped
+    rotation runs at the acoustic frequency, never overdamped.
 
     Returns the real arrays (decay, p11, sw, c2 sw, r) with exp(G t) =
     [[p11, -i sw], [-i |k|^2 c2 sw, p22]] and r = (p22 - decay)/|k|^2.
     """
     eps = params.epsilon
-    c2 = p_prime_at_one(params.gamma) / (eps * eps)
-    if switches.bohm:
-        c2 = c2 + eps * eps * g.kg2 * g.dealias_mask
-    nu = eps * g.kg2 * g.dealias_mask if switches.viscous else np.zeros_like(g.kg2)
-    w = np.emath.sqrt(g.kg2 * c2 - nu * nu)  # real unless a mode is overdamped
+    p1 = p_prime_at_one(params.gamma)
+    c2 = p1 / (eps * eps) + eps * eps * g.kg2 * g.dealias_mask
+    nu = eps * g.kg2 * g.dealias_mask
+    w = np.sqrt(p1 * g.kg2) / eps
     decay = np.exp(-nu * t)
-    cw = (decay * np.cos(w * t)).real
-    sw = (decay * t * np.sinc(w * t / np.pi)).real  # e^{-nu t} sin(w t)/w
+    cw = decay * np.cos(w * t)
+    sw = decay * t * np.sinc(w * t / np.pi)  # e^{-nu t} sin(w t)/w
     r = (cw - nu * sw - decay) * g.inv_kg2
     return decay, cw + nu * sw, sw, c2 * sw, r
 
@@ -218,7 +195,7 @@ def _strain(g: Grid2D, uxh: np.ndarray, uyh: np.ndarray):
     yield to_physical(g.ddy * uyh)
 
 
-def _stage_force_hats(g, params, switches, n, mx, my, mxh, myh):
+def _stage_force_hats(g, params, n, mx, my, mxh, myh):
     """Spectra of the nonlinear momentum forces at one Lawson stage, for
     a state given by its physical fields and its momentum spectra.
 
@@ -230,50 +207,39 @@ def _stage_force_hats(g, params, switches, n, mx, my, mxh, myh):
     eps (lap m + grad div m), is subtracted as a spectrum, because the
     linear flow carries it.  7 forward / 7 inverse transforms; every
     temporary is dropped or folded in place as soon as it is read."""
-    eps = params.epsilon
-    if switches.advection or switches.viscous:
-        uxh, uyh = (to_spectral(f / n) * g.dealias_mask for f in (mx, my))
-    if switches.bohm:
-        sxx, sxy, syy = _bohm_stress(g, n, -4.0 * eps * eps)
-    else:
-        sxx, sxy, syy = np.zeros_like(n), np.zeros_like(n), np.zeros_like(n)
-    if switches.pressure_remainder:
-        gamma = params.gamma
-        p = (n ** gamma - gamma * n + (gamma - 1.0)) / (eps * eps)
-        sxx -= p
-        syy -= p
-        del p
-    if switches.viscous:
-        for s, d in zip((sxx, sxy, syy), _strain(g, uxh, uyh)):
-            d *= n
-            d *= 2.0 * eps
-            s += d
-        del d
-    syx = sxy  # S is symmetric but for the advective flux
-    if switches.advection:
-        ux, uy = to_physical(uxh), to_physical(uyh)
-        del uxh, uyh
-        syx = sxy - my * ux
-        sxy -= mx * uy
-        sxx -= mx * ux
-        syy -= my * uy
-        del ux, uy
-    sxy_h = to_spectral(sxy)
-    syx_h = sxy_h if syx is sxy else to_spectral(syx)
+    eps, gamma = params.epsilon, params.gamma
+    uxh, uyh = (to_spectral(f / n) * g.dealias_mask for f in (mx, my))
+    sxx, sxy, syy = _bohm_stress(g, n, -4.0 * eps * eps)
+    p = (n ** gamma - gamma * n + (gamma - 1.0)) / (eps * eps)
+    sxx -= p
+    syy -= p
+    del p
+    for s, d in zip((sxx, sxy, syy), _strain(g, uxh, uyh)):
+        d *= n
+        d *= 2.0 * eps
+        s += d
+    del d
+    ux, uy = to_physical(uxh), to_physical(uyh)
+    del uxh, uyh
+    syx = sxy - my * ux  # S is symmetric but for the advective flux
+    sxy -= mx * uy
+    sxx -= mx * ux
+    syy -= my * uy
+    del ux, uy
+    sxy_h, syx_h = to_spectral(sxy), to_spectral(syx)
     del sxy, syx
     fx = g.ddx * to_spectral(sxx) + g.ddy * sxy_h
     del sxx
     fy = g.ddx * syx_h + g.ddy * to_spectral(syy)
-    if switches.viscous:
-        # per mode, eps (lap m + grad div m) = -eps (|k|^2 m + k (k . m))
-        b = g.kgx * mxh + g.kgy * myh
-        visc = eps * g.dealias_mask
-        fx += visc * (g.kg2 * mxh + g.kgx * b)
-        fy += visc * (g.kg2 * myh + g.kgy * b)
+    # per mode, eps (lap m + grad div m) = -eps (|k|^2 m + k (k . m))
+    b = g.kgx * mxh + g.kgy * myh
+    visc = eps * g.dealias_mask
+    fx += visc * (g.kg2 * mxh + g.kgx * b)
+    fy += visc * (g.kg2 * myh + g.kgy * b)
     return fx, fy
 
 
-def qns_step(s: QnsState, dt: float, switches: TermSwitches = ALL_TERMS) -> QnsState:
+def qns_step(s: QnsState, dt: float) -> QnsState:
     """One classical Lawson RK4 step: RK4 on E(-t) u, with E the exact
     linear flow.  With h = dt and E = E(h/2),
 
@@ -289,11 +255,11 @@ def qns_step(s: QnsState, dt: float, switches: TermSwitches = ALL_TERMS) -> QnsS
     if dt > limit * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt:g} exceeds the stability bound {limit:g} at t = {s.time:g}")
     g = s.grid
-    half = _linear_flow(g, s.params, switches, 0.5 * dt)
+    half = _linear_flow(g, s.params, 0.5 * dt)
 
     def forces(n, mx, my, mxh, myh, t):
         _check_state(n, mx, my, t)
-        return _stage_force_hats(g, s.params, switches, n, mx, my, mxh, myh)
+        return _stage_force_hats(g, s.params, n, mx, my, mxh, myh)
 
     def forces_at(t, nh, mxh, myh):
         return forces(to_physical(nh), to_physical(mxh), to_physical(myh), mxh, myh, t)

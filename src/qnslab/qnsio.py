@@ -64,7 +64,8 @@ def read_snapshot(path) -> tuple[int, dict[str, np.ndarray]]:
 
     Raises BadMagic, VersionMismatch or Truncated with distinct
     messages for the three malformation classes, and a SnapshotError
-    naming the field when a field holds a NaN or an infinity.
+    naming the byte offset of a field name that is not UTF-8, or the
+    field when a field holds a NaN or an infinity.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != SNAPSHOT_MAGIC:
@@ -91,7 +92,12 @@ def read_snapshot(path) -> tuple[int, dict[str, np.ndarray]]:
                 f"TRUNCATED: field payload incomplete at byte {offset} "
                 f"(need {name_len + payload} more bytes, have {len(data) - offset})"
             )
-        name = data[offset : offset + name_len].decode("utf-8")
+        try:
+            name = data[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(
+                f"BAD_NAME: field name at byte {offset} is not UTF-8 ({exc.reason})"
+            ) from None
         offset += name_len
         arr = np.frombuffer(data, dtype="<f8", count=grid_n * grid_n, offset=offset)
         if not np.isfinite(arr).all():

@@ -318,13 +318,21 @@ def test_cli_numerical_abort_exit_code(tmp_path):
     assert cli_main(["run", "--config", str(cfgfile)]) == 3
 
 
-def test_cli_non_finite_snapshot_is_io_error(tmp_path, grid32, capsys):
+@pytest.mark.parametrize(
+    "case, named", [("nan", "'n1_0'"), ("non_utf8_name", "byte 16")], ids=["nan", "non_utf8_name"]
+)
+def test_cli_non_finite_snapshot_is_io_error(tmp_path, grid32, capsys, case, named):
     zero = np.zeros((32, 32))
     n1 = zero.copy()
-    n1[0, 0] = np.nan
-    snap = tmp_path / "nan.qnsf"
-    write_snapshot({"n1_0": n1, "u0_x": zero, "u0_y": zero}, snap)
-    cfgfile = tmp_path / "nan.cfg"
+    snap = tmp_path / "bad.qnsf"
+    if case == "nan":
+        n1[0, 0] = np.nan
+        write_snapshot({"n1_0": n1, "u0_x": zero, "u0_y": zero}, snap)
+    else:
+        # the first field name, read at byte 16, becomes b"n1_\xff0"
+        write_snapshot({"n1_?0": n1, "u0_x": zero, "u0_y": zero}, snap)
+        snap.write_bytes(snap.read_bytes().replace(b"n1_?0", b"n1_\xff0", 1))
+    cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(
         "epsilon = 0.1\nt_end = 0.02\ngrid_n = 32\n"
         f"initial_profile = from_snapshot({snap})\n"
@@ -332,7 +340,7 @@ def test_cli_non_finite_snapshot_is_io_error(tmp_path, grid32, capsys):
     )
     assert cli_main(["run", "--config", str(cfgfile)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("io error:") and "'n1_0'" in err
+    assert err.startswith("io error:") and named in err
     assert "Traceback" not in err
 
 

@@ -12,9 +12,7 @@ from qnslab import (
     QnsState,
     RunConfig,
     ScalarField,
-    TermSwitches,
     VacuumError,
-    acoustic_evolve,
     acoustic_init,
     bohm_force,
     cfl_bounds,
@@ -22,8 +20,8 @@ from qnslab import (
     corollary_lhs,
     dealias,
     differentiate,
+    dissipation_rate,
     free_energy,
-    gradient,
     integrate,
     pressure,
     qns_init,
@@ -185,30 +183,16 @@ def test_mass_and_momentum_conservation_100_steps():
     assert abs(integrate(s.m.y) - mom0[1]) < 1e-10 * scale
 
 
-def test_pure_acoustic_regime_matches_exact_flow(grid64, rng):
+@pytest.mark.parametrize("amp", [0.0, 0.5])
+def test_dissipation_rate_hand_value(grid32, amp):
+    # u = (sin y, 0): |D(u)|^2 = cos^2(y)/2, and sin x integrates out of
+    # n cos^2 y, so 2 eps int n |D(u)|^2 = 2 eps pi^2 for either density
+    g = grid32
     params = LimitParams(0.1, 2.0)
-    sigma0 = random_band_limited(grid64, 5, rng, 0.3)
-    phi = random_band_limited(grid64, 5, rng, 0.4)
-    gpsi0 = gradient(phi)
-
-    s = QnsState(
-        n=ScalarField(grid64, 1.0 + params.epsilon * sigma0.values),
-        m=gpsi0,
-        time=0.0,
-        params=params,
-    )
-    ac0 = AcousticState(sigma=sigma0, psi=phi, time=0.0, params=params)
-
-    off = TermSwitches(advection=False, pressure_remainder=False, bohm=False, viscous=False)
-    dt = params.epsilon / 20
-    for _ in range(20):
-        s = qns_step(s, dt, off)
-
-    ac = acoustic_evolve(ac0, s.time)
-    gp = gradient(ac.psi)
-    assert np.abs(s.n.values - (1 + params.epsilon * ac.sigma.values)).max() < 1e-8
-    assert np.abs(s.m.x.values - gp.x.values).max() < 1e-8
-    assert np.abs(s.m.y.values - gp.y.values).max() < 1e-8
+    n = 1.0 + amp * np.sin(g.x)
+    s = QnsState(n=ScalarField(g, n), m=vector_field(g, n * np.sin(g.y), np.zeros_like(n)),
+                 time=0.0, params=params)
+    assert dissipation_rate(s) == pytest.approx(2.0 * params.epsilon * np.pi ** 2, rel=1e-12)
 
 
 def test_total_energy_examples(grid64):
@@ -285,7 +269,7 @@ def test_splitting_second_order(grid64):
     assert e1 / e2 >= 3.5
 
 
-def _unfused_explicit_forces(g, n, mx, my, params, switches):
+def _unfused_explicit_forces(g, n, mx, my, params):
     """The explicit-stage forces composed term by term: every dealias and
     every derivative its own round trip, frozen forces and flux
     divergences added in physical space."""
@@ -297,31 +281,25 @@ def _unfused_explicit_forces(g, n, mx, my, params, switches):
         return dealias(ScalarField(g, vals)).values
 
     eps, gamma = params.epsilon, params.gamma
-    fx = np.zeros_like(n)
-    fy = np.zeros_like(n)
-    if switches.pressure_remainder:
-        p_rem = da(n ** gamma - gamma * (n - 1.0) - 1.0)
-        fx -= d(p_rem, (1, 0)) / (eps * eps)
-        fy -= d(p_rem, (0, 1)) / (eps * eps)
-    if switches.bohm:
-        qf = bohm_force(ScalarField(g, n), DIVERGENCE)
-        fx += eps * eps * qf.x.values
-        fy += eps * eps * qf.y.values
+    p_rem = da(n ** gamma - gamma * (n - 1.0) - 1.0)
+    fx = -d(p_rem, (1, 0)) / (eps * eps)
+    fy = -d(p_rem, (0, 1)) / (eps * eps)
+    qf = bohm_force(ScalarField(g, n), DIVERGENCE)
+    fx += eps * eps * qf.x.values
+    fy += eps * eps * qf.y.values
     ux = da(mx / n)
     uy = da(my / n)
-    if switches.advection:
-        fx -= d(da(mx * ux), (1, 0)) + d(da(mx * uy), (0, 1))
-        fy -= d(da(my * ux), (1, 0)) + d(da(my * uy), (0, 1))
-    if switches.viscous:
-        sxx = da(n * d(ux, (1, 0)))
-        sxy = da(n * 0.5 * (d(ux, (0, 1)) + d(uy, (1, 0))))
-        syy = da(n * d(uy, (0, 1)))
-        fx += 2.0 * eps * (d(sxx, (1, 0)) + d(sxy, (0, 1)))
-        fy += 2.0 * eps * (d(sxy, (1, 0)) + d(syy, (0, 1)))
+    fx -= d(da(mx * ux), (1, 0)) + d(da(mx * uy), (0, 1))
+    fy -= d(da(my * ux), (1, 0)) + d(da(my * uy), (0, 1))
+    sxx = da(n * d(ux, (1, 0)))
+    sxy = da(n * 0.5 * (d(ux, (0, 1)) + d(uy, (1, 0))))
+    syy = da(n * d(uy, (0, 1)))
+    fx += 2.0 * eps * (d(sxx, (1, 0)) + d(sxy, (0, 1)))
+    fy += 2.0 * eps * (d(sxy, (1, 0)) + d(syy, (0, 1)))
     return fx, fy
 
 
-def _linear_forces(g, n, mx, my, params, switches):
+def _linear_forces(g, n, mx, my, params):
     """The n = 1 linear parts that the exact linear stage carries,
     composed term by term: eps^2 grad(lap n) and eps (lap m + grad div m)."""
 
@@ -332,32 +310,16 @@ def _linear_forces(g, n, mx, my, params, switches):
         return dealias(ScalarField(g, vals)).values
 
     eps = params.epsilon
-    fx = np.zeros_like(n)
-    fy = np.zeros_like(n)
-    if switches.bohm:
-        nd = da(n)
-        fx += eps * eps * (d(nd, (3, 0)) + d(nd, (1, 2)))
-        fy += eps * eps * (d(nd, (2, 1)) + d(nd, (0, 3)))
-    if switches.viscous:
-        mxd, myd = da(mx), da(my)
-        div = d(mxd, (1, 0)) + d(myd, (0, 1))
-        fx += eps * (d(mxd, (2, 0)) + d(mxd, (0, 2)) + d(div, (1, 0)))
-        fy += eps * (d(myd, (2, 0)) + d(myd, (0, 2)) + d(div, (0, 1)))
+    nd, mxd, myd = da(n), da(mx), da(my)
+    div = d(mxd, (1, 0)) + d(myd, (0, 1))
+    fx = eps * eps * (d(nd, (3, 0)) + d(nd, (1, 2)))
+    fy = eps * eps * (d(nd, (2, 1)) + d(nd, (0, 3)))
+    fx += eps * (d(mxd, (2, 0)) + d(mxd, (0, 2)) + d(div, (1, 0)))
+    fy += eps * (d(myd, (2, 0)) + d(myd, (0, 2)) + d(div, (0, 1)))
     return fx, fy
 
 
-@pytest.mark.parametrize(
-    "switches",
-    [
-        TermSwitches(),
-        TermSwitches(advection=True, pressure_remainder=False, bohm=False, viscous=False),
-        TermSwitches(advection=False, pressure_remainder=True, bohm=False, viscous=False),
-        TermSwitches(advection=False, pressure_remainder=False, bohm=True, viscous=False),
-        TermSwitches(advection=False, pressure_remainder=False, bohm=False, viscous=True),
-    ],
-    ids=["all", "advection", "pressure_remainder", "bohm", "viscous"],
-)
-def test_fused_explicit_stage_matches_unfused(grid32, switches):
+def test_fused_explicit_stage_matches_unfused(grid32):
     params = LimitParams(0.1, 3.0)
     rng = np.random.default_rng(2024)
     n = 1.0 + random_band_limited(grid32, 6, rng, 0.5).values
@@ -367,23 +329,14 @@ def test_fused_explicit_stage_matches_unfused(grid32, switches):
 
     # the fused remainder plus the linear stage's part is the whole force
     fxh, fyh = qns._stage_force_hats(
-        grid32, params, switches, n, mx, my, to_spectral(mx), to_spectral(my)
+        grid32, params, n, mx, my, to_spectral(mx), to_spectral(my)
     )
-    lx, ly = _linear_forces(grid32, n, mx, my, params, switches)
+    lx, ly = _linear_forces(grid32, n, mx, my, params)
     fx, fy = to_physical(fxh) + lx, to_physical(fyh) + ly
-    rx, ry = _unfused_explicit_forces(grid32, n, mx, my, params, switches)
+    rx, ry = _unfused_explicit_forces(grid32, n, mx, my, params)
     scale = max(np.abs(rx).max(), np.abs(ry).max())
     assert scale > 0.0
     assert max(np.abs(fx - rx).max(), np.abs(fy - ry).max()) <= 1e-11 * scale
-
-
-LINEAR_SWITCHES = [
-    TermSwitches(),
-    TermSwitches(bohm=False),
-    TermSwitches(viscous=False),
-    TermSwitches(bohm=False, viscous=False),
-]
-LINEAR_IDS = ["both", "viscous_only", "bohm_only", "acoustic_only"]
 
 
 def _random_spectra(grid, seed):
@@ -393,9 +346,7 @@ def _random_spectra(grid, seed):
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5])
-@pytest.mark.parametrize("switches", LINEAR_SWITCHES, ids=LINEAR_IDS)
-def test_linear_stage_is_per_mode_matrix_exponential(grid32, switches, eps):
-    # eps = 0.5 with the Bohm term off leaves the high modes overdamped
+def test_linear_stage_is_per_mode_matrix_exponential(grid32, eps):
     from scipy.linalg import expm
 
     params = LimitParams(eps, 2.0)
@@ -403,14 +354,14 @@ def test_linear_stage_is_per_mode_matrix_exponential(grid32, switches, eps):
     t = 0.01
     nh, mxh, myh = _random_spectra(g, 7)
     got_n, got_mx, got_my = qns._linear_stage(
-        g, qns._linear_flow(g, params, switches, t), nh, mxh, myh
+        g, qns._linear_flow(g, params, t), nh, mxh, myh
     )
 
     kabs = np.sqrt(g.kg2)
     safe = np.where(kabs > 0, kabs, 1.0)
     ex, ey = g.kgx / safe, g.kgy / safe
-    c2 = 2.0 / eps ** 2 + (eps ** 2 * g.kg2 * g.dealias_mask if switches.bohm else 0.0)
-    nu = eps * g.kg2 * g.dealias_mask if switches.viscous else np.zeros_like(g.kg2)
+    c2 = 2.0 / eps ** 2 + eps ** 2 * g.kg2 * g.dealias_mask
+    nu = eps * g.kg2 * g.dealias_mask
     gen = np.zeros(g.k2.shape + (2, 2))
     gen[..., 0, 1] = -kabs
     gen[..., 1, 0] = kabs * c2
@@ -433,12 +384,11 @@ def test_linear_stage_is_per_mode_matrix_exponential(grid32, switches, eps):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("switches", LINEAR_SWITCHES, ids=LINEAR_IDS)
-def test_linear_stage_semigroup(grid32, switches):
+def test_linear_stage_semigroup(grid32):
     params = LimitParams(0.1, 3.0)
     spectra = _random_spectra(grid32, 11)
-    half = qns._linear_flow(grid32, params, switches, 0.0125)
-    full = qns._linear_flow(grid32, params, switches, 0.025)
+    half = qns._linear_flow(grid32, params, 0.0125)
+    full = qns._linear_flow(grid32, params, 0.025)
     twice = qns._linear_stage(grid32, half, *qns._linear_stage(grid32, half, *spectra))
     once = qns._linear_stage(grid32, full, *spectra)
     for a, b in zip(twice, once):
@@ -460,7 +410,7 @@ def test_linear_stage_rotates_at_acoustic_frequency(grid32):
     nu = params.epsilon * g.kg2 * g.dealias_mask
     active = g.kg2 > 0
     for t in (1e-3, 0.0125, 0.05):
-        flow = qns._linear_flow(g, params, TermSwitches(), t)
+        flow = qns._linear_flow(g, params, t)
         p11 = qns._linear_stage(g, flow, one, zero, zero)[0]
         _, mx, my = qns._linear_stage(g, flow, zero, ex * one, ey * one)
         p22 = ex * mx + ey * my
@@ -547,7 +497,7 @@ def _vacuum_cases():
         "pressure": (lambda: pressure(n_bad, 2.0), None),
         "free_energy": (lambda: free_energy(n_bad, 2.0), None),
         "bohm_force": (lambda: bohm_force(n_bad), None),
-        "velocity": (s_bad.velocity, 0.3),
+        "velocity": (lambda: dissipation_rate(s_bad), 0.3),
         "qns_step": (lambda: qns_step(s_near, 1e-5), 0.0),
         "total_energy": (lambda: total_energy(s_bad), 0.3),
         "relative_entropy": (lambda: relative_entropy(s_one, taylor_green(grid), ac), 0.0),
