@@ -10,6 +10,7 @@ from .spectral import (
     Grid2D,
     ScalarField,
     VectorField,
+    _to_physical_into,
     dealias,
     differentiate,
     gradient,
@@ -146,15 +147,22 @@ def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.n
     return g.ddx * lap_nh + qx, g.ddy * lap_nh + qy
 
 
-def _bohm_stress(g: Grid2D, vals: np.ndarray, coeff: float = -4.0):
+def _bohm_stress(g: Grid2D, vals: np.ndarray, coeff: float = -4.0,
+                 out=(None, None, None), tmp=(None, None)):
     """Physical components (xx, xy, yy) of the Bohm stress
     coeff * grad s x grad s, s = sqrt(n) dealiased.  With coeff = -4 its
-    divergence is the quantum force less its linear part grad(lap n)."""
-    sh = to_spectral(np.sqrt(vals))
-    sx = to_physical(g.ddx * sh)
-    sy = to_physical(g.ddy * sh)
-    txy = coeff * sx * sy
-    for d in (sx, sy):
-        d *= d
-        d *= coeff
+    divergence is the quantum force less its linear part grad(lap n).
+
+    Written into out, three N x N fields, with two half-plane spectra
+    tmp as scratch; a None stands for a fresh array."""
+    sx, txy, sy = out
+    sh, d = tmp
+    sh = to_spectral(np.sqrt(vals, out=txy), out=sh)
+    sx = _to_physical_into(np.multiply(g.ddx, sh, out=d), sx)
+    sy = _to_physical_into(np.multiply(g.ddy, sh, out=sh), sy)
+    txy = np.multiply(sx, coeff, out=txy)
+    txy *= sy
+    for f in (sx, sy):
+        f *= f
+        f *= coeff
     return sx, txy, sy

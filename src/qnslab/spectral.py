@@ -83,10 +83,10 @@ class Grid2D:
         return f"Grid2D(n_points={self.n_points})"
 
 
-def to_spectral(values: np.ndarray) -> np.ndarray:
+def to_spectral(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half-plane forward transform, normalized so that fhat[0, 0] =
-    mean(values)."""
-    return np.fft.rfft2(values, norm="forward")
+    mean(values); written into out when given."""
+    return np.fft.rfft2(values, norm="forward", out=out)
 
 
 def to_physical(fhat: np.ndarray) -> np.ndarray:
@@ -94,6 +94,18 @@ def to_physical(fhat: np.ndarray) -> np.ndarray:
     spectrum."""
     n = fhat.shape[0]
     return np.fft.irfft2(fhat, s=(n, n), norm="forward")
+
+
+def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """to_physical(fhat), bit for bit, written into out (by default a
+    fresh array).  fhat is overwritten by its inverse transform along y,
+    so nothing else is allocated.
+
+    irfft2 cannot do this: it ignores its out argument (NumPy 2.x passes
+    out=None on to irfftn) and irfftn allocates a complex intermediate
+    the size of the spectrum, so the 1-D pair is spelled out here."""
+    np.fft.ifft(fhat, axis=0, norm="forward", out=fhat)
+    return np.fft.irfft(fhat, n=fhat.shape[0], axis=1, norm="forward", out=out)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,43 @@ def grid32():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+_FORWARD = ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn")
+_INVERSE = ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn")
+
+
+@pytest.fixture()
+def fft_counts(monkeypatch):
+    """Counts {"fwd": ..., "inv": ...} of the transforms qnslab takes.
+
+    Every numpy.fft transform called from outside a counted call is one,
+    whatever its dimension, and spectral._to_physical_into - the
+    in-place inverse built from a 1-D pair - is one inverse, wherever a
+    qnslab module binds it.  Reset with counts.update(fwd=0, inv=0)."""
+    from qnslab import spectral
+
+    counts = {"fwd": 0, "inv": 0}
+    depth = [0]
+
+    def counting(fn, kind):
+        def wrapped(*args, **kwargs):
+            if depth[0] == 0:
+                counts[kind] += 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    for names, kind in ((_FORWARD, "fwd"), (_INVERSE, "inv")):
+        for name in names:
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), kind))
+    helper = spectral._to_physical_into
+    wrapped = counting(helper, "inv")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qnslab") and getattr(module, "_to_physical_into", None) is helper:
+            monkeypatch.setattr(module, "_to_physical_into", wrapped)
+    return counts

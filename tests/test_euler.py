@@ -170,11 +170,12 @@ def test_rk4_step_matches_term_by_term(grid32, rng):
     assert vmax == pytest.approx(max(np.abs(vx).max(), np.abs(vy).max()), rel=1e-12)
 
 
-def test_euler_fft_budget_per_step(grid32, rng, monkeypatch):
+def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
     from qnslab import curl, euler
     from qnslab.spectral import to_spectral
 
-    counts = {"fwd": 0, "inv": 0, "rk4": 0}
+    counts = fft_counts
+    counts["rk4"] = 0
 
     def counting(fn, kind):
         def wrapped(*args, **kwargs):
@@ -182,11 +183,6 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch):
             return fn(*args, **kwargs)
 
         return wrapped
-
-    for name in ("fft2", "rfft2"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "fwd"))
-    for name in ("ifft2", "irfft2"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "inv"))
 
     v0 = _random_solenoidal(grid32, rng, kmax=4)
     # each velocity component is transformed once

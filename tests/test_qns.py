@@ -244,7 +244,7 @@ def test_energy_ledger_inequality_short_run(grid64):
     assert d[-1] > 0.0
 
 
-def test_splitting_second_order(grid64):
+def test_lawson_step_fourth_order(grid64):
     params = LimitParams(0.1, 2.0)
     tg = taylor_green(grid64)
     data = InitialData(
@@ -266,7 +266,8 @@ def test_splitting_second_order(grid64):
     ref = advance(0.001)
     e1 = np.sqrt(((advance(0.004) - ref) ** 2).sum() * h2)
     e2 = np.sqrt(((advance(0.002) - ref) ** 2).sum() * h2)
-    assert e1 / e2 >= 3.5
+    # fourth order gives 16 (measured 17.0); third order would give 8
+    assert e1 / e2 >= 12.0
 
 
 def _unfused_explicit_forces(g, n, mx, my, params):
@@ -418,21 +419,8 @@ def test_linear_stage_rotates_at_acoustic_frequency(grid32):
         assert np.abs(0.5 * (p11 + p22) - want)[active].max() <= 1e-12
 
 
-def test_fft_budget_per_step_and_record(grid32, monkeypatch):
-    counts = {"fwd": 0, "inv": 0}
-
-    def counting(fn, kind):
-        def wrapped(*args, **kwargs):
-            counts[kind] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    for name in ("fft2", "rfft2"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "fwd"))
-    for name in ("ifft2", "irfft2"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), "inv"))
-
+def test_fft_budget_per_step_and_record(grid32, fft_counts):
+    counts = fft_counts
     tg = taylor_green(grid32)
     n1_0 = ScalarField(grid32, 0.5 * np.sin(grid32.x))
     u_0 = vector_field(
@@ -454,7 +442,7 @@ def test_fft_budget_per_step_and_record(grid32, monkeypatch):
     # 7 / 10 for each later one, 3 / 3 to and from the state's spectra
     counts.update(fwd=0, inv=0)
     qns_step(s, cfl_dt(s))
-    assert counts["fwd"] <= 31 and counts["inv"] <= 40, counts
+    assert counts["fwd"] == 31 and counts["inv"] == 40, counts
 
     counts.update(fwd=0, inv=0)
     EnergyLedger().record(s)
@@ -473,6 +461,58 @@ def test_fft_budget_per_step_and_record(grid32, monkeypatch):
         run_single(RunConfig(grid_n=32, epsilon=eps, t_end=0.1, initial_profile="sine_density",
                              profile_amplitude=0.5))
     assert counts["fwd"] <= 320 and counts["inv"] <= 429, counts
+
+
+def _tg_sine_state(grid):
+    tg = taylor_green(grid)
+    data = InitialData(
+        n1_0=ScalarField(grid, 0.5 * np.sin(grid.x)),
+        u_0=vector_field(
+            grid,
+            tg.v.x.values + 0.5 * np.cos(grid.x),
+            tg.v.y.values + 0.5 * np.cos(grid.y),
+        ),
+    )
+    return qns_init(PARAMS, data)
+
+
+def _arrays(s):
+    return s.n.values, s.m.x.values, s.m.y.values
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_step_buffers_are_private_to_the_step(n):
+    s0 = _tg_sine_state(Grid2D(n))
+    before = [a.copy() for a in _arrays(s0)]
+    dt = cfl_dt(s0)
+    s1 = qns_step(s0, dt)
+    for a, b in zip(_arrays(s0), before):
+        assert np.array_equal(a, b)
+    again = qns_step(s0, dt)
+    for a, b in zip(_arrays(s1), _arrays(again)):
+        assert np.array_equal(a, b)
+    s2 = qns_step(s1, cfl_dt(s1))
+    for a in _arrays(s1):
+        for b in _arrays(s2) + _arrays(again):
+            assert not np.shares_memory(a, b)
+
+
+def test_step_memory_peak_n256():
+    import tracemalloc
+
+    s = _tg_sine_state(Grid2D(256))
+    dt = cfl_dt(s)
+    qns._linear_flow.cache_clear()  # the flow is built inside the measured step
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        s1 = qns_step(s, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s1.time == dt
+    # the parent's per-operation step peaked at 25.6 fields above its entry
+    assert (peak - entry) / (256 * 256 * 8) <= 28.0
 
 
 def _vacuum_cases():

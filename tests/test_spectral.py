@@ -15,7 +15,7 @@ from qnslab import (
     random_band_limited,
     vector_field,
 )
-from qnslab.spectral import to_spectral
+from qnslab.spectral import _to_physical_into, to_physical, to_spectral
 
 
 def test_grid_rejects_odd_and_small():
@@ -255,3 +255,16 @@ def test_integrate_matches_mean(grid64, rng):
     f = random_band_limited(grid64, 5, rng)
     shifted = ScalarField(grid64, f.values + 0.7)
     assert integrate(shifted) == pytest.approx(0.7 * 4 * np.pi ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_in_place_transforms_match_bit_for_bit(n):
+    g = Grid2D(n)
+    vals = np.random.default_rng(n).standard_normal((n, n))
+    fhat = to_spectral(vals)
+    spec = np.empty(g.kg2.shape, complex)
+    assert to_spectral(vals, out=spec) is spec
+    assert np.array_equal(spec, fhat)
+    field = np.empty((n, n))
+    assert _to_physical_into(spec, field) is field  # spec is overwritten
+    assert np.array_equal(field, to_physical(fhat))
