@@ -99,13 +99,15 @@ def to_physical(fhat: np.ndarray) -> np.ndarray:
 def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """to_physical(fhat), bit for bit, written into out (by default a
     fresh array).  fhat is overwritten by its inverse transform along y,
-    so nothing else is allocated.
+    so nothing else is allocated.  Leading axes are a batch: a stack of
+    spectra (..., N, N/2 + 1) becomes the stack of their fields in one
+    call, each plane equal to its own to_physical.
 
     irfft2 cannot do this: it ignores its out argument (NumPy 2.x passes
     out=None on to irfftn) and irfftn allocates a complex intermediate
     the size of the spectrum, so the 1-D pair is spelled out here."""
-    np.fft.ifft(fhat, axis=0, norm="forward", out=fhat)
-    return np.fft.irfft(fhat, n=fhat.shape[0], axis=1, norm="forward", out=out)
+    np.fft.ifft(fhat, axis=-2, norm="forward", out=fhat)
+    return np.fft.irfft(fhat, n=fhat.shape[-2], axis=-1, norm="forward", out=out)
 
 
 @dataclass

@@ -25,23 +25,35 @@ _FORWARD = ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn")
 _INVERSE = ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn")
 
 
+def _planes(args, kwargs):
+    """2-D planes in the array a transform is called on: a stack of
+    spectra or fields (..., N, M) is one transform per plane."""
+    a = args[0] if args else kwargs.get("a", kwargs.get("fhat"))
+    return int(np.prod(np.shape(a)[:-2]))
+
+
 @pytest.fixture()
 def fft_counts(monkeypatch):
-    """Counts {"fwd": ..., "inv": ...} of the transforms qnslab takes.
+    """Counts {"fwd": ..., "inv": ..., "calls": ...} of the transforms
+    qnslab takes.
 
-    Every numpy.fft transform called from outside a counted call is one,
-    whatever its dimension, and spectral._to_physical_into - the
-    in-place inverse built from a 1-D pair - is one inverse, wherever a
-    qnslab module binds it.  Reset with counts.update(fwd=0, inv=0)."""
+    Every numpy.fft transform called from outside a counted call is one
+    per 2-D plane of its input, whatever its dimension, and
+    spectral._to_physical_into - the in-place inverse built from a 1-D
+    pair - is one inverse per plane, wherever a qnslab module binds it.
+    "calls" counts the counted calls, forward and inverse together, so a
+    batched call shows as fewer calls for the same transforms.  Reset
+    with counts.update(fwd=0, inv=0, calls=0)."""
     from qnslab import spectral
 
-    counts = {"fwd": 0, "inv": 0}
+    counts = {"fwd": 0, "inv": 0, "calls": 0}
     depth = [0]
 
     def counting(fn, kind):
         def wrapped(*args, **kwargs):
             if depth[0] == 0:
-                counts[kind] += 1
+                counts[kind] += _planes(args, kwargs)
+                counts["calls"] += 1
             depth[0] += 1
             try:
                 return fn(*args, **kwargs)

@@ -163,7 +163,7 @@ def test_rk4_step_matches_term_by_term(grid32, rng):
     k4 = rhs(ScalarField(g, w0.values + dt * k3))
     expected = w0.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    w_hat, vmax = _rk4_vorticity_step(g, to_spectral(w0.values), dt)
+    w_hat, vmax, _ = _rk4_vorticity_step(g, to_spectral(w0.values), dt)
     got = to_physical(w_hat)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     vx, vy = velocity(w0)
@@ -193,20 +193,103 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
     euler.pressure_recover(v0)
     assert counts["fwd"] <= 4 and counts["inv"] <= 5, counts
 
+    # 4 forward rfft2 calls and 4 batched inverse calls, one of them with
+    # the guard's plane of w: 4 + 4 + 4 + 5 = 17 inverse transforms
     w_hat = to_spectral(curl(v0).values)
-    counts.update(fwd=0, inv=0)
+    counts.update(fwd=0, inv=0, calls=0)
     euler._rk4_vorticity_step(grid32, w_hat, 1e-3)
-    assert counts["fwd"] <= 4 and counts["inv"] <= 16, counts
+    assert (counts["fwd"], counts["inv"], counts["calls"]) == (4, 17, 8), counts
 
     # per solver step: the difference of two runs with the same snapshots
     monkeypatch.setattr(euler, "_rk4_vorticity_step",
                         counting(euler._rk4_vorticity_step, "rk4"))
     totals = []
     for n_steps in (3, 5):
-        counts.update(fwd=0, inv=0, rk4=0)
+        counts.update(fwd=0, inv=0, calls=0, rk4=0)
         euler_solve(v0, t_end=n_steps * 1e-3, dt=1e-3, record_every=10 ** 6)
         assert counts["rk4"] == n_steps
-        totals.append((counts["fwd"], counts["inv"]))
-    fwd = (totals[1][0] - totals[0][0]) / 2
-    inv = (totals[1][1] - totals[0][1]) / 2
-    assert fwd <= 4 and inv <= 17, (fwd, inv)
+        totals.append((counts["fwd"], counts["inv"], counts["calls"]))
+    fwd, inv, calls = ((b - a) / 2 for a, b in zip(*totals))
+    # every forward transform is a call of its own
+    assert (fwd, inv, calls - fwd) == (4, 17, 4), (fwd, inv, calls)
+
+
+@pytest.mark.parametrize("step, factor, trips", [(3, 11.0, True), (5, 11.0, True),
+                                                 (3, 9.0, False)])
+def test_euler_blow_up_guard(grid32, monkeypatch, step, factor, trips):
+    # scale one step's result; step 5 is the last of 5, so only a check
+    # after the final step can see it
+    from qnslab import euler
+
+    step_fn = euler._rk4_vorticity_step
+    calls = [0]
+
+    def scaled(*args, **kwargs):
+        res = step_fn(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == step:
+            res = (res[0] * factor,) + tuple(res[1:])
+        return res
+
+    monkeypatch.setattr(euler, "_rk4_vorticity_step", scaled)
+    tg = taylor_green(grid32)
+    if trips:
+        with pytest.raises(EulerSolverError,
+                           match=rf"blow-up guard tripped at t={step * 1e-3:g}:"):
+            euler_solve(tg.v, t_end=5e-3, dt=1e-3)
+    else:
+        traj = euler_solve(tg.v, t_end=5e-3, dt=1e-3)
+        assert traj[-1].time == pytest.approx(5e-3)
+
+
+@pytest.mark.parametrize("t_end, dt, match", [
+    (0.01, 0.0, "dt must be finite and > 0"),
+    (0.01, -0.01, "dt must be finite and > 0"),
+    (0.01, float("nan"), "dt must be finite and > 0"),
+    (0.01, float("inf"), "dt must be finite and > 0"),
+    (float("nan"), 1e-3, "t_end must be finite and >= 0"),
+    (float("inf"), 1e-3, "t_end must be finite and >= 0"),
+    (-0.01, 1e-3, "t_end must be finite and >= 0"),
+    (0.0004, 1e-3, "not a whole number of steps"),
+    (0.025, 0.01, "not a whole number of steps"),
+])
+def test_euler_solve_rejects_bad_step_data(grid32, t_end, dt, match):
+    with pytest.raises(EulerSolverError, match=match):
+        euler_solve(taylor_green(grid32).v, t_end=t_end, dt=dt)
+
+
+def test_euler_solve_zero_time_returns_initial_state(grid32):
+    tg = taylor_green(grid32)
+    traj = euler_solve(tg.v, t_end=0.0, dt=1e-3)
+    assert len(traj) == 1 and traj[0].time == 0.0
+
+
+def test_euler_step_buffers_are_private(grid32, rng):
+    from qnslab import curl, euler
+    from qnslab.spectral import to_physical, to_spectral
+
+    for arr in euler._multipliers(grid32):
+        assert not arr.flags.writeable
+    v0 = _random_solenoidal(grid32, rng, kmax=4)
+    w_hat = to_spectral(curl(v0).values)
+    before = w_hat.copy()
+    first = euler._rk4_vorticity_step(grid32, w_hat, 1e-2)
+    assert np.array_equal(w_hat, before)
+    again = euler._rk4_vorticity_step(grid32, w_hat, 1e-2)
+    assert np.array_equal(first[0], again[0]) and first[1:] == again[1:]
+    assert not np.shares_memory(first[0], again[0])
+    assert first[2] == np.abs(to_physical(w_hat)).max()
+
+    v0_before = (v0.x.values.copy(), v0.y.values.copy())
+    traj = euler_solve(v0, t_end=4e-2, dt=1e-2, record_every=1)
+    assert np.array_equal(v0.x.values, v0_before[0]) and np.array_equal(v0.y.values, v0_before[1])
+    # entry k is the state after k lone steps, bit for bit
+    w = w_hat
+    for k, ref in enumerate(traj[1:], 1):
+        w = euler._rk4_vorticity_step(grid32, w, 1e-2)[0]
+        vx_h = euler._velocity_hats_from_vorticity(grid32, w)[0]
+        assert ref.time == k * 1e-2 and np.array_equal(ref.v.x.values, to_physical(vx_h))
+    arrays = [a for ref in traj for a in (ref.v.x.values, ref.v.y.values, ref.pi.values)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)

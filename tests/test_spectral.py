@@ -268,3 +268,11 @@ def test_in_place_transforms_match_bit_for_bit(n):
     field = np.empty((n, n))
     assert _to_physical_into(spec, field) is field  # spec is overwritten
     assert np.array_equal(field, to_physical(fhat))
+    # a stack of spectra: one call, each plane its own to_physical
+    planes = np.random.default_rng(n + 1).standard_normal((3, n, n))
+    stack = np.stack([to_spectral(v) for v in planes])
+    expected = [to_physical(h) for h in stack]
+    fields = np.empty((3, n, n))
+    assert _to_physical_into(stack, fields) is fields
+    for got, want in zip(fields, expected):
+        assert np.array_equal(got, want)
