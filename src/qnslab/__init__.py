@@ -17,9 +17,7 @@ from .constitutive import (
     LimitParams,
     VacuumError,
     bohm_force,
-    free_energy,
     p_prime_at_one,
-    pressure,
 )
 from .diagnostics import (
     EntropyReport,

@@ -1,4 +1,5 @@
-"""Pressure law, Helmholtz free energy, and the quantum (Bohm) force."""
+"""Limit parameters, the vacuum guard, the free energy, and the quantum
+(Bohm) force."""
 
 from __future__ import annotations
 
@@ -76,29 +77,22 @@ def _require_positive(values: np.ndarray, what: str, floor: float = 0.0,
         )
 
 
-def pressure(n: ScalarField, gamma: float) -> ScalarField:
-    """Barotropic pressure n**gamma."""
-    _require_positive(n.values, "pressure")
-    return ScalarField(n.grid, n.values ** gamma)
+def _free_energy_values(n, gamma: float, order: int, out=None, tmp=None):
+    """The convex free energy H(n) = (n^g - g(n-1) - 1)/(g-1), or H', H''.
 
-
-def _free_energy_values(n: np.ndarray, gamma: float, order: int) -> np.ndarray:
+    H(1) = H'(1) = 0 and H''(1) = gamma = p'(1).  H is written into out,
+    with tmp as scratch, when they are given (by default fresh arrays)."""
     if order == 0:
-        return (n ** gamma - gamma * (n - 1.0) - 1.0) / (gamma - 1.0)
+        h = np.power(n, gamma, out=out)
+        h -= np.multiply(gamma, np.subtract(n, 1.0, out=tmp), out=tmp)
+        h -= 1.0
+        h /= gamma - 1.0
+        return h
     if order == 1:
         return gamma * (n ** (gamma - 1.0) - 1.0) / (gamma - 1.0)
     if order == 2:
         return gamma * n ** (gamma - 2.0)
     raise ValueError(f"free energy order must be 0, 1 or 2, got {order}")
-
-
-def free_energy(n: ScalarField, gamma: float, order: int = 0) -> ScalarField:
-    """Convex free energy H(n) = (n^g - g(n-1) - 1)/(g-1), or H', H''.
-
-    H(1) = H'(1) = 0 and H''(1) = gamma = p'(1).
-    """
-    _require_positive(n.values, "free_energy")
-    return ScalarField(n.grid, _free_energy_values(n.values, gamma, order))
 
 
 def p_prime_at_one(gamma: float) -> float:
@@ -147,20 +141,19 @@ def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.n
     return g.ddx * lap_nh + qx, g.ddy * lap_nh + qy
 
 
-def _bohm_stress(g: Grid2D, vals: np.ndarray, coeff: float = -4.0,
-                 out=(None, None, None), tmp=(None, None)):
+def _bohm_stress(g: Grid2D, vals: np.ndarray):
     """Physical components (xx, xy, yy) of the Bohm stress
-    coeff * grad s x grad s, s = sqrt(n) dealiased.  With coeff = -4 its
-    divergence is the quantum force less its linear part grad(lap n).
+    -4 grad s x grad s, s = sqrt(n) dealiased, whose divergence is the
+    quantum force less its linear part grad(lap n)."""
+    sh = to_spectral(np.sqrt(vals))
+    sx, sy = _to_physical_into(np.stack((g.ddx * sh, g.ddy * sh)))
+    return _stress_of_gradient(sx, sy, -4.0, np.empty_like(sx))
 
-    Written into out, three N x N fields, with two half-plane spectra
-    tmp as scratch; a None stands for a fresh array."""
-    sx, txy, sy = out
-    sh, d = tmp
-    sh = to_spectral(np.sqrt(vals, out=txy), out=sh)
-    sx = _to_physical_into(np.multiply(g.ddx, sh, out=d), sx)
-    sy = _to_physical_into(np.multiply(g.ddy, sh, out=sh), sy)
-    txy = np.multiply(sx, coeff, out=txy)
+
+def _stress_of_gradient(sx: np.ndarray, sy: np.ndarray, coeff: float, txy: np.ndarray):
+    """coeff * grad s x grad s from grad s = (sx, sy), in place: xx is
+    written into sx, yy into sy and xy into txy."""
+    np.multiply(sx, coeff, out=txy)
     txy *= sy
     for f in (sx, sy):
         f *= f

@@ -329,9 +329,12 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
     steady Euler reference.
 
     Records an entropy report every record_every steps (plus t=0 and the
-    final step) and the energy ledger every step; diagnostics go to
-    csv_path when given, with an ABORTED sentinel row appended after a
-    numerical abort (the partial series is still flushed)."""
+    final step) and the energy ledger at every state: each step appends
+    the entry of the state it starts from, and the state the run ends on
+    - the final one, or the last one before an abort - is recorded on
+    its own.  Diagnostics go to csv_path when given, with an ABORTED
+    sentinel row appended after a numerical abort (the partial series is
+    still flushed)."""
     eps = epsilon if epsilon is not None else cfg.epsilon
     if eps is None:
         raise ConfigError("run_single needs a single epsilon")
@@ -346,18 +349,17 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
     reports = []
     aborted = None
     terminal_norms = None
+    state = None
     step = 0
     try:
         state = qns_init(params, data)
         ac0 = acoustic_init(data, params)
-        ledger.record(state)
         reports.append(relative_entropy(state, ref, ac0))
         while state.time < cfg.t_end - 1e-12:
             dt, limit = _next_dt(cfg, state, eps)
-            state = qns_step(state, dt)
+            state = qns_step(state, dt, ledger)
             dt_limits[limit] += 1
             dt_max = max(dt_max, dt)
-            ledger.record(state)
             step += 1
             final = state.time >= cfg.t_end - 1e-12
             if step % cfg.record_every == 0 or final:
@@ -366,6 +368,8 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
         terminal_norms = density_deviation_norms(state)
     except (VacuumError, NumericalAbort, CflViolation, SpectralError) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
+    if state is not None and (not ledger.entries or ledger.entries[-1].t != state.time):
+        ledger.record(state)
 
     if csv_path is not None:
         csv_path = Path(csv_path)

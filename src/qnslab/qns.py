@@ -18,11 +18,19 @@ the divergence of one stress tensor, transformed once per component.
 A step allocates its working arrays once, at its top, and every stage
 operation writes into them through out= arguments; the last stage's
 physical fields become the new state's arrays, and no array outlives
-the step.  Each inverse transform is spectral._to_physical_into, an
-in-place 1-D pair: irfft2 ignores out= and allocates a complex
-intermediate, and at N = 256 the per-operation temporaries made glibc
-trim and re-fault the heap, about 5.5k minor page faults per step
-against about 350 now.
+the step.  Both directions of every transform are the 1-D pairs of
+spectral.to_spectral and spectral._to_physical_into, taken on stacks:
+each stage makes two forward and two inverse calls, each later stage
+one more inverse for its state, so a step takes its 31 / 40 transforms
+in 21 calls (71 one transform at a time).  The stacks live in one pool
+of spectra whose planes also hold the fields, so the step's traced
+peak stays at 24 N x N fields at N = 256.
+
+Stage 1 of a step forms the dealiased velocity spectra, the strain and
+grad s of the state it starts from, and with a ledger it reads that
+state's energy entry from them; a run records its states that way at
+no transform of its own.  The quantum energy is 2 eps^2 int |grad s|^2
+for that grad s, the dealiased gradient the Bohm stress uses.
 """
 
 from __future__ import annotations
@@ -37,8 +45,8 @@ from .constitutive import (
     LimitParams,
     N_FLOOR,
     VacuumError,
-    _bohm_stress,
     _free_energy_values,
+    _stress_of_gradient,
     _require_positive,
     p_prime_at_one,
 )
@@ -48,7 +56,6 @@ from .spectral import (
     VectorField,
     _to_physical_into,
     dealias_values,
-    gradient,
     integrate,
     to_spectral,
     vector_field,
@@ -216,46 +223,45 @@ def _linear_stage(g: Grid2D, flow, nh, mxh: np.ndarray, myh: np.ndarray, out=Non
     return on, ox, oy
 
 
-def _spectra(g: Grid2D, count: int) -> list[np.ndarray]:
-    return [np.empty(g.kg2.shape, complex) for _ in range(count)]
+def _spectra(g: Grid2D, count: int) -> np.ndarray:
+    return np.empty((count,) + g.kg2.shape, complex)
 
 
-def _fields(g: Grid2D, count: int) -> list[np.ndarray]:
-    return [np.empty((g.n_points, g.n_points)) for _ in range(count)]
+def _fields(g: Grid2D, count: int) -> np.ndarray:
+    return np.empty((count, g.n_points, g.n_points))
 
 
 class _Work:
     """Working arrays of one qns_step, or of one stage evaluated alone:
-    the stage forces fx, fy, four scratch spectra c and six scratch
-    N x N fields r.  The stage, the Bohm stress, the strain and the
-    linear stage write into them; they live no longer than their step."""
+    the stage forces fx, fy and a pool q of ten half-plane spectra.  The
+    first N^2 reals of each plane q[i] also hold an N x N field r[i], so
+    the fields a stage transforms reuse the planes of spectra it has
+    done with, and a run of planes is a stack in either role.  The stage,
+    the linear stage and the RK4 sums write into them; they live no
+    longer than their step."""
 
     def __init__(self, g: Grid2D):
+        n = g.n_points
         self.fx, self.fy = _spectra(g, 2)
-        self.c = _spectra(g, 4)
-        self.r = _fields(g, 6)
+        self.q = _spectra(g, 10)
+        self.r = self.q.view(float).reshape(10, -1)[:, : n * n].reshape(10, n, n)
 
 
-def _strain(g: Grid2D, uxh: np.ndarray, uyh: np.ndarray, out=None, tmp=(None, None)):
-    """Components dxx, dxy, dyy of D(u) for a velocity given by its
-    dealiased spectra, one at a time.  With out given, each one is
-    written into out, so read it before taking the next; tmp holds two
-    scratch spectra, and a None stands for a fresh array."""
-    a, b = tmp
-    yield _to_physical_into(np.multiply(g.ddx, uxh, out=a), out)
-    a = np.multiply(g.ddy, uxh, out=a)
-    a += np.multiply(g.ddx, uyh, out=b)
-    a *= 0.5
-    yield _to_physical_into(a, out)
-    yield _to_physical_into(np.multiply(g.ddy, uyh, out=a), out)
+def _strain(g: Grid2D, uxh: np.ndarray, uyh: np.ndarray) -> np.ndarray:
+    """The stack (dxx, dxy, dyy) of D(u) for a velocity given by its
+    dealiased spectra."""
+    dxy = g.ddy * uxh
+    dxy += g.ddx * uyh
+    dxy *= 0.5
+    return _to_physical_into(np.stack((g.ddx * uxh, dxy, g.ddy * uyh)))
 
 
 def _viscous_hats(g: Grid2D, eps: float, mxh: np.ndarray, myh: np.ndarray, w: _Work):
     """Start a stage's forces: (w.fx, w.fy) = -eps (lap m + grad div m),
     per mode eps (|k|^2 m + k (k . m)) inside the 2/3 mask.  The linear
     flow carries this viscous part at n = 1, so the stage subtracts it.
-    Reads mxh and myh, and w.c[3] is its scratch."""
-    b = np.multiply(g.kgx, mxh, out=w.c[3])
+    Reads mxh and myh, and w.q[3] is its scratch."""
+    b = np.multiply(g.kgx, mxh, out=w.q[3])
     b += np.multiply(g.kgy, myh, out=w.fy)
     np.multiply(g.kg2, mxh, out=w.fx)
     w.fx += np.multiply(g.kgx, b, out=w.fy)
@@ -267,45 +273,76 @@ def _viscous_hats(g: Grid2D, eps: float, mxh: np.ndarray, myh: np.ndarray, w: _W
         f *= eps
 
 
-def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work):
+def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work, energy=None):
     """Finish a stage's forces: add to (w.fx, w.fy) the divergence of the
     stress tensor S of the physical state (n, mx, my), each of its four
-    components transformed once.  7 forward / 7 inverse transforms."""
+    components transformed once.  7 forward / 7 inverse transforms in
+    four stacked calls: forward (u_x, u_y, s), inverse (grad s, dxx, dyy),
+    inverse (u_x, u_y, dxy), forward S.  Planes of w.q / w.r, by index:
+
+        forward  r6-8 (mx/n, my/n, sqrt n)     -> q0-2 (ux, uy, s)
+        inverse  q2-5 (ddx s, ddy s, dxx, dyy) -> r6-9, then S_xx in r8,
+                 S_yy in r9 and the Bohm xy term in r3
+        inverse  q0-2 (ux, uy, dxy)            -> r5-7, then S_xy in r7
+        forward  r6-9 (S_yx, S_xy, S_xx, S_yy) -> q0-3
+
+    and the rest is scratch.  energy, a _StageEnergy, is handed grad s
+    and the strain before the stress scales them."""
     eps, gamma = params.epsilon, params.gamma
-    c0, c1, c2, c3 = w.c
-    r0, r1, r2, r3, r4, r5 = w.r
-    uxh = to_spectral(np.divide(mx, n, out=r0), out=c0)
+    q, r = w.q, w.r
+    np.divide(mx, n, out=r[6])
+    np.divide(my, n, out=r[7])
+    np.sqrt(n, out=r[8])
+    uxh, uyh, sh = to_spectral(r[6:9], out=q[:3])
     uxh *= g.dealias_mask
-    uyh = to_spectral(np.divide(my, n, out=r0), out=c1)
     uyh *= g.dealias_mask
-    sxx, sxy, syy = _bohm_stress(g, n, -4.0 * eps * eps, out=(r1, r2, r3), tmp=(c2, c3))
-    p = np.power(n, gamma, out=r0)
-    p -= np.multiply(n, gamma, out=r4)
+    np.multiply(g.ddy, sh, out=q[3])
+    np.multiply(g.ddx, sh, out=sh)
+    np.multiply(g.ddx, uxh, out=q[4])
+    np.multiply(g.ddy, uyh, out=q[5])
+    sx, sy, dxx, dyy = _to_physical_into(q[2:6], r[6:10])
+    if energy is not None:
+        energy.gradients(sx, sy, dxx, dyy)
+    sxx, txy, syy = _stress_of_gradient(sx, sy, -4.0 * eps * eps, r[3])
+    p = np.power(n, gamma, out=r[5])
+    p -= np.multiply(n, gamma, out=r[2])
     p += gamma - 1.0
     p /= eps * eps
     sxx -= p
     syy -= p
-    for s, d in zip((sxx, sxy, syy), _strain(g, uxh, uyh, out=r4, tmp=(c2, c3))):
+    # the viscous stress 2 eps n D(u), summed into the strain's own plane
+    for s, d in ((sxx, dxx), (syy, dyy)):
         d *= n
         d *= 2.0 * eps
-        s += d
-    ux, uy = _to_physical_into(uxh, r0), _to_physical_into(uyh, r4)
+        d += s
+    sxx, syy = dxx, dyy
+    dxy = np.multiply(g.ddy, uxh, out=q[2])
+    dxy += np.multiply(g.ddx, uyh, out=q[5])
+    dxy *= 0.5
+    ux, uy, dxy = _to_physical_into(q[:3], r[5:8])
+    if energy is not None:
+        energy.shear(dxy)
+    dxy *= n
+    dxy *= 2.0 * eps
+    dxy += txy
+    sxy = dxy
     # S is symmetric but for the advective flux -m x u
-    syx = np.subtract(sxy, np.multiply(my, ux, out=r5), out=r5)
-    sxx -= np.multiply(mx, ux, out=r0)
-    sxy -= np.multiply(mx, uy, out=r0)
-    syy -= np.multiply(my, uy, out=r4)
-    for f, a, b in ((w.fx, sxx, sxy), (w.fy, syx, syy)):
-        ah = to_spectral(a, out=c0)
-        ah *= g.ddx
-        bh = to_spectral(b, out=c1)
-        bh *= g.ddy
-        ah += bh
-        f += ah
+    my_ux = np.multiply(my, ux, out=r[0])
+    syy -= np.multiply(my, uy, out=r[1])
+    mx_uy = np.multiply(mx, uy, out=r[2])
+    np.subtract(sxy, my_ux, out=r[6])  # S_yx, where uy was
+    sxy -= mx_uy
+    sxx -= np.multiply(mx, ux, out=r[1])
+    syxh, sxyh, sxxh, syyh = to_spectral(r[6:10], out=q[:4])
+    for f, a, b in ((w.fx, sxxh, sxyh), (w.fy, syxh, syyh)):
+        a *= g.ddx
+        b *= g.ddy
+        a += b
+        f += a
     return w.fx, w.fy
 
 
-def _stage_force_hats(g, params, n, mx, my, mxh, myh, w: _Work | None = None):
+def _stage_force_hats(g, params, n, mx, my, mxh, myh, w: _Work | None = None, energy=None):
     """Spectra of the nonlinear momentum forces at one Lawson stage, for
     a state given by its physical fields and its momentum spectra,
     written into (w.fx, w.fy) of w, by default a fresh _Work.
@@ -319,7 +356,7 @@ def _stage_force_hats(g, params, n, mx, my, mxh, myh, w: _Work | None = None):
     linear flow carries it.  7 forward / 7 inverse transforms."""
     w = _Work(g) if w is None else w
     _viscous_hats(g, params.epsilon, mxh, myh, w)
-    return _stress_hats(g, params, n, mx, my, w)
+    return _stress_hats(g, params, n, mx, my, w, energy)
 
 
 def _axpy(out: np.ndarray, a: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
@@ -329,7 +366,7 @@ def _axpy(out: np.ndarray, a: np.ndarray, c: float, x: np.ndarray) -> np.ndarray
     return out
 
 
-def qns_step(s: QnsState, dt: float) -> QnsState:
+def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsState:
     """One classical Lawson RK4 step: RK4 on E(-t) u, with E the exact
     linear flow.  With h = dt and E = E(h/2),
 
@@ -342,6 +379,9 @@ def qns_step(s: QnsState, dt: float) -> QnsState:
     input state's included - is checked.  Aborts on vacuum or
     non-finite values.
 
+    With a ledger, stage 1 appends the entry of s to it, read from the
+    fields the stage forms for s anyway, before a later stage can abort.
+
     The working arrays are allocated once, here, and every operation
     writes into them: the spectra of u (then E u) and of the RK4 sum, a
     _Work for the stages and the linear stage, and three fields for each
@@ -353,25 +393,23 @@ def qns_step(s: QnsState, dt: float) -> QnsState:
     g, params = s.grid, s.params
     half = _linear_flow(g, params, 0.5 * dt)
     w = _Work(g)
-    kx, ky, tmp = w.fx, w.fy, w.c[0]
-    lin = v = w.c[:3]  # scratch of the linear stage; the spectra of a stage's state
+    kx, ky, tmp = w.fx, w.fy, w.q[0]
+    lin = v = w.q[:3]  # scratch of the linear stage; the spectra of a stage's state
     u = _spectra(g, 3)  # u, then E u
     acc = _spectra(g, 3)  # E k1, then the RK4 sum
     phys = _fields(g, 3)
 
-    def forces_at(t, nh, mxh, myh):
+    def forces_at(t, spectra):
         # (kx, ky) = N at the state of these spectra, which are destroyed
-        _viscous_hats(g, params.epsilon, mxh, myh, w)
-        for h, f in zip((nh, mxh, myh), phys):
-            _to_physical_into(h, f)
-        _check_state(*phys, t)
+        _viscous_hats(g, params.epsilon, spectra[1], spectra[2], w)
+        _check_state(*_to_physical_into(spectra, phys), t)
         _stress_hats(g, params, *phys, w)
 
     n, mx, my = s.n.values, s.m.x.values, s.m.y.values
     _check_state(n, mx, my, s.time)
-    for f, h in zip((n, mx, my), u):
-        to_spectral(f, out=h)
-    _stage_force_hats(g, params, n, mx, my, u[1], u[2], w)  # k1
+    to_spectral(np.stack((n, mx, my), out=w.r[:3]), out=u)
+    energy = None if ledger is None else _StageEnergy(s, ledger, phys)
+    _stage_force_hats(g, params, n, mx, my, u[1], u[2], w, energy)  # k1
     _linear_stage(g, half, *u, out=u, tmp=lin)  # E u
     _linear_stage(g, half, 0.0, kx, ky, out=acc, tmp=lin)  # E k1
     t = s.time + 0.5 * dt
@@ -379,25 +417,24 @@ def qns_step(s: QnsState, dt: float) -> QnsState:
         _axpy(vi, ui, 0.5 * dt, ai)  # E (u + h/2 k1)
         ai *= dt / 6.0
         ai += ui  # E (u + h/6 k1)
-    forces_at(t, *v)  # k2
+    forces_at(t, v)  # k2
     for ai, k in ((acc[1], kx), (acc[2], ky)):
         ai += np.multiply(k, dt / 3.0, out=tmp)
     np.copyto(v[0], u[0])
     _axpy(v[1], u[1], 0.5 * dt, kx)
     _axpy(v[2], u[2], 0.5 * dt, ky)
-    forces_at(t, *v)  # k3
+    forces_at(t, v)  # k3
     for ai, ui, k in ((acc[1], u[1], kx), (acc[2], u[2], ky)):
         ai += np.multiply(k, dt / 3.0, out=tmp)
         ui += np.multiply(k, dt, out=tmp)  # E u + h k3
     t = s.time + dt
-    forces_at(t, *_linear_stage(g, half, *u, out=u, tmp=lin))  # k4
+    _linear_stage(g, half, *u, out=u, tmp=lin)
+    forces_at(t, u)  # k4
     _linear_stage(g, half, *acc, out=acc, tmp=lin)
     for ai, k in ((acc[1], kx), (acc[2], ky)):
         ai += np.multiply(k, dt / 6.0, out=tmp)
-    for h, f in zip(acc, phys):
-        _to_physical_into(h, f)
-    _check_state(*phys, t)
-    n, mx, my = phys
+    n, mx, my = _to_physical_into(acc, phys)
+    _check_state(n, mx, my, t)
     return QnsState(n=ScalarField(g, n), m=vector_field(g, mx, my), time=t, params=params)
 
 
@@ -426,21 +463,31 @@ def dissipation_rate(s: QnsState) -> float:
 
 
 def total_energy(s: QnsState, d_cumulative: float = 0.0) -> EnergyEntry:
-    """Kinetic + internal + quantum energy of the state."""
+    """Kinetic + internal + quantum energy of the state.  The quantum
+    energy is 2 eps^2 int |grad s|^2, with grad s = (ddx s, ddy s) of the
+    dealiased s = sqrt(n) that the Bohm stress uses."""
     vals = s.n.values
     _require_positive(vals, "total_energy", N_FLOOR, s.time)
     g = s.grid
-    eps = s.params.epsilon
-    kin = 0.5 * integrate(
-        ScalarField(g, (s.m.x.values ** 2 + s.m.y.values ** 2) / vals)
-    )
-    internal = integrate(
-        ScalarField(g, _free_energy_values(vals, s.params.gamma, 0))
-    ) / (eps * eps)
-    gs = gradient(ScalarField(g, np.sqrt(vals)))
-    quantum = 2.0 * eps * eps * integrate(
-        ScalarField(g, gs.x.values ** 2 + gs.y.values ** 2)
-    )
+    sh = to_spectral(np.sqrt(vals))
+    sx, sy = _to_physical_into(np.stack((g.ddx * sh, g.ddy * sh)))
+    return _energy_entry(s, sx, sy, np.empty_like(vals), np.empty_like(vals), d_cumulative)
+
+
+def _energy_entry(s: QnsState, sx, sy, a, b, d_cumulative: float = 0.0) -> EnergyEntry:
+    """total_energy of s from grad s = (sx, sy), computed in the scratch
+    fields a and b."""
+    g, eps = s.grid, s.params.epsilon
+    n, mx, my = s.n.values, s.m.x.values, s.m.y.values
+    np.multiply(mx, mx, out=a)
+    a += np.multiply(my, my, out=b)
+    a /= n
+    kin = 0.5 * integrate(ScalarField(g, a))
+    h = _free_energy_values(n, s.params.gamma, 0, out=a, tmp=b)
+    internal = integrate(ScalarField(g, h)) / (eps * eps)
+    np.multiply(sx, sx, out=a)
+    a += np.multiply(sy, sy, out=b)
+    quantum = 2.0 * eps * eps * integrate(ScalarField(g, a))
     return EnergyEntry(
         t=s.time,
         e_total=kin + internal + quantum,
@@ -451,22 +498,55 @@ def total_energy(s: QnsState, d_cumulative: float = 0.0) -> EnergyEntry:
     )
 
 
+class _StageEnergy:
+    """The ledger entry of a step's input state s, read from the fields
+    its stage 1 forms: grad s for _energy_entry and the strain for the
+    dissipation rate, each with the bits of total_energy's and
+    dissipation_rate's own transforms.  fields are three N x N fields
+    that stage 1 leaves free; the entry is appended as soon as the
+    strain is complete."""
+
+    def __init__(self, s: QnsState, ledger: EnergyLedger, fields):
+        self.s, self.ledger, self.fields = s, ledger, fields
+
+    def gradients(self, sx, sy, dxx, dyy):
+        dxx2, dyy2, _ = self.fields
+        self.entry = _energy_entry(self.s, sx, sy, dxx2, dyy2)
+        np.multiply(dxx, dxx, out=dxx2)
+        np.multiply(dyy, dyy, out=dyy2)
+
+    def shear(self, dxy):
+        # n (dxx^2 + 2 dxy^2 + dyy^2), in dissipation_rate's order
+        dens, dyy2, dxy2 = self.fields
+        np.multiply(dxy, dxy, out=dxy2)
+        dxy2 *= 2.0
+        dens += dxy2
+        dens += dyy2
+        dens *= self.s.n.values
+        rate = 2.0 * self.s.params.epsilon * integrate(ScalarField(self.s.grid, dens))
+        self.ledger._append(self.entry, rate)
+
+
 @dataclass
 class EnergyLedger:
     """Time series of the energy budget with trapezoid-accumulated
-    viscous dissipation."""
+    viscous dissipation.  In a run, qns_step(s, dt, ledger) appends the
+    entry of each state s it starts from; record takes one on its own."""
 
     entries: list[EnergyEntry] = field(default_factory=list)
     _last_rate: float = 0.0
 
     def record(self, s: QnsState) -> EnergyEntry:
+        """Append the entry of s: 3 forward / 5 inverse transforms."""
         rate = dissipation_rate(s)
+        return self._append(total_energy(s), rate)
+
+    def _append(self, entry: EnergyEntry, rate: float) -> EnergyEntry:
         if self.entries:
             prev = self.entries[-1]
-            d_cum = prev.d_cumulative + 0.5 * (rate + self._last_rate) * (s.time - prev.t)
-        else:
-            d_cum = 0.0
-        entry = total_energy(s, d_cumulative=d_cum)
+            entry.d_cumulative = (
+                prev.d_cumulative + 0.5 * (rate + self._last_rate) * (entry.t - prev.t)
+            )
         self.entries.append(entry)
         self._last_rate = rate
         return entry

@@ -85,27 +85,31 @@ class Grid2D:
 
 def to_spectral(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half-plane forward transform, normalized so that fhat[0, 0] =
-    mean(values); written into out when given."""
-    return np.fft.rfft2(values, norm="forward", out=out)
+    mean(values); written into out when given.  Leading axes are a batch:
+    a stack of fields (..., N, N) becomes the stack of their spectra in
+    one call, each plane equal to its own transform.
+
+    rfft2 bit for bit: the same 1-D pair, an rfft along x into out, then
+    an fft along y in place, without rfftn's argument handling."""
+    out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
 def to_physical(fhat: np.ndarray) -> np.ndarray:
     """Inverse of to_spectral: the real N x N field of a half-plane
-    spectrum."""
-    n = fhat.shape[0]
-    return np.fft.irfft2(fhat, s=(n, n), norm="forward")
+    spectrum (a stack of them for a stack of spectra); fhat is kept."""
+    return _to_physical_into(np.array(fhat, dtype=complex))
 
 
 def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """to_physical(fhat), bit for bit, written into out (by default a
-    fresh array).  fhat is overwritten by its inverse transform along y,
-    so nothing else is allocated.  Leading axes are a batch: a stack of
-    spectra (..., N, N/2 + 1) becomes the stack of their fields in one
-    call, each plane equal to its own to_physical.
+    """to_physical(fhat), written into out (by default a fresh array).
+    fhat is overwritten by its inverse transform along y, so nothing else
+    is allocated.  Leading axes are a batch, as for to_spectral.
 
     irfft2 cannot do this: it ignores its out argument (NumPy 2.x passes
     out=None on to irfftn) and irfftn allocates a complex intermediate
-    the size of the spectrum, so the 1-D pair is spelled out here."""
+    the size of the spectrum, so the 1-D pair is spelled out here; it is
+    irfft2 bit for bit."""
     np.fft.ifft(fhat, axis=-2, norm="forward", out=fhat)
     return np.fft.irfft(fhat, n=fhat.shape[-2], axis=-1, norm="forward", out=out)
 

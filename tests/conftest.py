@@ -28,7 +28,7 @@ _INVERSE = ("ifft", "irfft", "ifft2", "irfft2", "ifftn", "irfftn")
 def _planes(args, kwargs):
     """2-D planes in the array a transform is called on: a stack of
     spectra or fields (..., N, M) is one transform per plane."""
-    a = args[0] if args else kwargs.get("a", kwargs.get("fhat"))
+    a = args[0] if args else next(kwargs[k] for k in ("a", "values", "fhat") if k in kwargs)
     return int(np.prod(np.shape(a)[:-2]))
 
 
@@ -38,9 +38,10 @@ def fft_counts(monkeypatch):
     qnslab takes.
 
     Every numpy.fft transform called from outside a counted call is one
-    per 2-D plane of its input, whatever its dimension, and
-    spectral._to_physical_into - the in-place inverse built from a 1-D
-    pair - is one inverse per plane, wherever a qnslab module binds it.
+    per 2-D plane of its input, whatever its dimension.  The spectral
+    core's 1-D pairs, spectral.to_spectral forward and
+    spectral._to_physical_into inverse, are one transform per plane,
+    wherever a qnslab module binds them.
     "calls" counts the counted calls, forward and inverse together, so a
     batched call shows as fewer calls for the same transforms.  Reset
     with counts.update(fwd=0, inv=0, calls=0)."""
@@ -65,9 +66,10 @@ def fft_counts(monkeypatch):
     for names, kind in ((_FORWARD, "fwd"), (_INVERSE, "inv")):
         for name in names:
             monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), kind))
-    helper = spectral._to_physical_into
-    wrapped = counting(helper, "inv")
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qnslab") and getattr(module, "_to_physical_into", None) is helper:
-            monkeypatch.setattr(module, "_to_physical_into", wrapped)
+    for attr, kind in (("to_spectral", "fwd"), ("_to_physical_into", "inv")):
+        helper = getattr(spectral, attr)
+        wrapped = counting(helper, kind)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qnslab") and getattr(module, attr, None) is helper:
+                monkeypatch.setattr(module, attr, wrapped)
     return counts

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import sympy
@@ -12,12 +10,11 @@ from qnslab import (
     ScalarField,
     VacuumError,
     bohm_force,
-    free_energy,
     integrate,
     p_prime_at_one,
-    pressure,
     random_band_limited,
 )
+from qnslab.constitutive import _free_energy_values
 
 
 def test_limit_params_derived_exponents():
@@ -41,42 +38,18 @@ def test_limit_params_validation():
         LimitParams(0.1, 1.0)
 
 
-def test_pressure_constant_fields(grid64):
-    ones = ScalarField(grid64, np.ones((64, 64)))
-    assert np.abs(pressure(ones, 1.7).values - 1.0).max() == 0.0
-    twos = ScalarField(grid64, np.full((64, 64), 2.0))
-    assert np.abs(pressure(twos, 2.0).values - 4.0).max() < 1e-14
+def test_free_energy_values():
+    twos = np.full((64, 64), 2.0)
+    assert np.abs(_free_energy_values(twos, 2.0, 0) - 1.0).max() < 1e-14
 
-
-def test_pressure_scalar_oracle(grid64):
-    n = ScalarField(grid64, 1.0 + 0.1 * np.sin(grid64.x))
-    p = pressure(n, 1.4)
-    for i in range(10):
-        iy, ix = (7 * i + 3) % 64, (13 * i + 1) % 64
-        expected = math.pow(n.values[iy, ix], 1.4)
-        assert abs(p.values[iy, ix] - expected) < 1e-14
-
-
-def test_pressure_reports_offending_point(grid64):
-    bad = np.ones((64, 64))
-    bad[5, 9] = -0.25
-    with pytest.raises(VacuumError) as err:
-        pressure(ScalarField(grid64, bad), 2.0)
-    assert "iy=5" in str(err.value) and "ix=9" in str(err.value)
-
-
-def test_free_energy_values(grid64):
-    twos = ScalarField(grid64, np.full((64, 64), 2.0))
-    assert np.abs(free_energy(twos, 2.0, 0).values - 1.0).max() < 1e-14
-
-    ones = ScalarField(grid64, np.ones((64, 64)))
+    ones = np.ones((64, 64))
     for order, expected in [(0, 0.0), (1, 0.0), (2, 1.7)]:
-        assert np.abs(free_energy(ones, 1.7, order).values - expected).max() < 1e-14
+        assert np.abs(_free_energy_values(ones, 1.7, order) - expected).max() < 1e-14
 
-    halves = ScalarField(grid64, np.full((64, 64), 0.5))
+    halves = np.full((64, 64), 0.5)
     oracle = (0.5 ** 1.4 + 0.7 - 1.0) / 0.4
     assert oracle == pytest.approx(0.1973, abs=5e-5)
-    assert np.abs(free_energy(halves, 1.4, 0).values - oracle).max() < 1e-14
+    assert np.abs(_free_energy_values(halves, 1.4, 0) - oracle).max() < 1e-14
 
 
 def test_p_prime_at_one_equals_gamma():
@@ -92,18 +65,10 @@ def test_p_prime_at_one_equals_gamma():
 )
 def test_free_energy_convexity(a, b, gamma):
     def h(x, order):
-        g = Grid2D_one(x)
-        return free_energy(g, gamma, order).values[0, 0]
+        return _free_energy_values(np.full((8, 8), x), gamma, order)[0, 0]
 
     gap = h(a, 0) - h(b, 1) * (a - b) - h(b, 0)
     assert gap >= -1e-12
-
-
-def Grid2D_one(value):
-    from qnslab import Grid2D
-
-    g = Grid2D(8)
-    return ScalarField(g, np.full((8, 8), value))
 
 
 def test_bohm_force_constant_density(grid64):

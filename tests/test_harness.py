@@ -308,6 +308,77 @@ def test_run_single_abort_flushes_sentinel_csv(tmp_path):
     assert not (tmp_path / "abort.qnsf").exists()
 
 
+def _step_and_record_entries(cfg, steps=None):
+    """Energy entries of a plain qns_step + EnergyLedger.record loop over
+    the states run_single steps through, for at most `steps` steps."""
+    from qnslab import EnergyLedger, Grid2D, qns_init, qns_step
+    from qnslab.harness import _next_dt
+
+    data, _ = build_initial_data(cfg, Grid2D(cfg.grid_n))
+    s = qns_init(cfg.params(), data)
+    ledger = EnergyLedger()
+    ledger.record(s)
+    while s.time < cfg.t_end - 1e-12 and (steps is None or len(ledger.entries) <= steps):
+        s = qns_step(s, _next_dt(cfg, s, cfg.epsilon)[0])
+        ledger.record(s)
+    return ledger.entries
+
+
+@pytest.mark.parametrize("gamma, t_end", [(2.0, 0.12), (3.0, 0.12), (2.0, 1e-13)],
+                         ids=["gamma2", "gamma3", "no_step"])
+def test_run_ledger_matches_a_step_and_record_loop(tmp_path, gamma, t_end):
+    cfg = RunConfig(grid_n=32, gamma=gamma, epsilon=0.1, t_end=t_end,
+                    initial_profile="sine_density", profile_amplitude=0.5,
+                    output_dir=str(tmp_path))
+    res = run_single(cfg)
+    assert res.aborted is None
+    assert res.ledger.entries == _step_and_record_entries(cfg)
+
+
+def _assert_aborted_after(res, csv_path, kind, want_entries):
+    # the last state before the abort has its entry, and the CSV ends
+    # with its row and the sentinel
+    assert res.aborted is not None and res.aborted.startswith(kind)
+    assert res.ledger.entries == want_entries
+    lines = csv_path.read_text().splitlines()
+    assert lines[-1].startswith(f"ABORTED,{kind}")
+    assert len(lines) == 1 + len(want_entries) + 1
+    assert float(lines[-2].split(",")[0]) == want_entries[-1].t
+
+
+@pytest.mark.parametrize("kind", ["NumericalAbort", "VacuumError"])
+def test_abort_at_a_later_stage_keeps_the_last_state_entry(tmp_path, monkeypatch, kind):
+    from qnslab import NumericalAbort, VacuumError, qns
+
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.1, dt_policy="fixed", dt_fixed=0.01,
+                    initial_profile="sine_density", profile_amplitude=0.5, record_every=1,
+                    output_dir=str(tmp_path))
+    want = _step_and_record_entries(cfg, steps=2)
+    check = qns._check_state
+
+    def failing_check(n, mx, my, t):
+        # stage 2 of step 3, the first check at t = 0.02 + dt/2
+        if abs(t - 0.025) < 1e-9:
+            raise NumericalAbort("injected", time=t) if kind == "NumericalAbort" else \
+                VacuumError("injected", min_n=0.0, location=(0, 0), time=t)
+        check(n, mx, my, t)
+
+    monkeypatch.setattr(qns, "_check_state", failing_check)
+    res = run_single(cfg, csv_path=tmp_path / "abort.csv")
+    _assert_aborted_after(res, tmp_path / "abort.csv", kind, want)
+
+
+def test_cfl_abort_at_a_later_step_keeps_the_last_state_entry(tmp_path):
+    # the bound falls 0.0125 -> 0.0108 over three steps of dt = 0.011, so
+    # step 4 is refused before its first stage
+    cfg = RunConfig(grid_n=32, epsilon=0.5, t_end=0.1, dt_policy="fixed", dt_fixed=0.011,
+                    initial_profile="sine_density", profile_amplitude=0.5, record_every=1,
+                    output_dir=str(tmp_path))
+    res = run_single(cfg, csv_path=tmp_path / "abort.csv")
+    _assert_aborted_after(res, tmp_path / "abort.csv", "CflViolation",
+                          _step_and_record_entries(cfg, steps=3))
+
+
 def test_cli_numerical_abort_exit_code(tmp_path):
     cfgfile = tmp_path / "abort.cfg"
     cfgfile.write_text(
@@ -409,7 +480,7 @@ def test_cli_prints_dt_limit_counts(tmp_path, capsys):
 def test_cli_mid_run_spectral_error_aborts(tmp_path, monkeypatch):
     from qnslab import SpectralError, harness
 
-    def failing_step(state, dt):
+    def failing_step(state, dt, ledger=None):
         raise SpectralError("field contains non-finite values")
 
     monkeypatch.setattr(harness, "qns_step", failing_step)

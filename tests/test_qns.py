@@ -21,9 +21,7 @@ from qnslab import (
     dealias,
     differentiate,
     dissipation_rate,
-    free_energy,
     integrate,
-    pressure,
     qns_init,
     qns_step,
     random_band_limited,
@@ -439,28 +437,41 @@ def test_fft_budget_per_step_and_record(grid32, fft_counts):
     s = qns_init(PARAMS, data)
 
     # Lawson RK4: 7 / 7 for the first stage (it reads the state's fields),
-    # 7 / 10 for each later one, 3 / 3 to and from the state's spectra
-    counts.update(fwd=0, inv=0)
+    # 7 / 10 for each later one, 3 / 3 to and from the state's spectra;
+    # each stage takes its transforms in four stacked calls and each
+    # later stage one more for its state: 21 calls for 71 transforms
+    counts.update(fwd=0, inv=0, calls=0)
     qns_step(s, cfl_dt(s))
-    assert counts["fwd"] == 31 and counts["inv"] == 40, counts
+    assert counts["fwd"] == 31 and counts["inv"] == 40 and counts["calls"] == 21, counts
+
+    # a ledger entry read from stage 1 takes no transform of its own
+    counts.update(fwd=0, inv=0, calls=0)
+    ledger = EnergyLedger()
+    qns_step(s, cfl_dt(s), ledger)
+    assert counts["fwd"] == 31 and counts["inv"] == 40 and counts["calls"] == 21, counts
+    assert ledger.entries == [total_energy(s)]
 
     counts.update(fwd=0, inv=0)
     EnergyLedger().record(s)
-    assert counts["fwd"] <= 3 and counts["inv"] <= 5, counts
+    assert counts["fwd"] == 3 and counts["inv"] == 5, counts
 
     ac = acoustic_init(data, PARAMS)
     counts.update(fwd=0, inv=0)
     relative_entropy(s, tg, ac)
     assert counts["fwd"] <= 3 and counts["inv"] <= 6, counts
 
-    # per run: a step costs more transforms than a Strang step (32 / 34),
-    # but the 0.5 eps acoustic cap halves the steps; the Strang step at
-    # the 0.25 eps cap took 538 / 615 over this short ladder
-    counts.update(fwd=0, inv=0)
+    # per run: 31 / 40 per step, one standalone record (3 / 5) of the
+    # final state, 3 / 6 per report and 2 / 2 for the acoustic companion
+    # of each report after t = 0, and the set-up: qns_init 3 / 3 and
+    # acoustic_init 2 / 1
     for eps in (0.2, 0.1, 0.05):
-        run_single(RunConfig(grid_n=32, epsilon=eps, t_end=0.1, initial_profile="sine_density",
-                             profile_amplitude=0.5))
-    assert counts["fwd"] <= 320 and counts["inv"] <= 429, counts
+        counts.update(fwd=0, inv=0)
+        res = run_single(RunConfig(grid_n=32, epsilon=eps, t_end=0.1,
+                                   initial_profile="sine_density", profile_amplitude=0.5))
+        steps, reports = sum(res.dt_limits.values()), len(res.reports)
+        fwd = 31 * steps + 3 + 3 * reports + 2 * (reports - 1) + 5
+        inv = 40 * steps + 5 + 6 * reports + 2 * (reports - 1) + 4
+        assert (counts["fwd"], counts["inv"]) == (fwd, inv), (eps, counts)
 
 
 def _tg_sine_state(grid):
@@ -534,8 +545,6 @@ def _vacuum_cases():
     near = 1.0 + (1.0 - 5e-9) * np.sin(grid.x)  # min n = 5e-9, below the floor
     s_near = QnsState(n=ScalarField(grid, near), m=s_bad.m, time=0.0, params=PARAMS)
     return {
-        "pressure": (lambda: pressure(n_bad, 2.0), None),
-        "free_energy": (lambda: free_energy(n_bad, 2.0), None),
         "bohm_force": (lambda: bohm_force(n_bad), None),
         "velocity": (lambda: dissipation_rate(s_bad), 0.3),
         "qns_step": (lambda: qns_step(s_near, 1e-5), 0.0),

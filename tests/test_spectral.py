@@ -257,21 +257,27 @@ def test_integrate_matches_mean(grid64, rng):
     assert integrate(shifted) == pytest.approx(0.7 * 4 * np.pi ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 256])
 def test_in_place_transforms_match_bit_for_bit(n):
+    # both directions are the 1-D pairs of rfft2 / irfft2, bit for bit
     g = Grid2D(n)
     vals = np.random.default_rng(n).standard_normal((n, n))
     fhat = to_spectral(vals)
+    assert np.array_equal(fhat, np.fft.rfft2(vals, norm="forward"))
     spec = np.empty(g.kg2.shape, complex)
     assert to_spectral(vals, out=spec) is spec
     assert np.array_equal(spec, fhat)
     field = np.empty((n, n))
     assert _to_physical_into(spec, field) is field  # spec is overwritten
     assert np.array_equal(field, to_physical(fhat))
-    # a stack of spectra: one call, each plane its own to_physical
+    assert np.array_equal(field, np.fft.irfft2(fhat, s=(n, n), norm="forward"))
+    # a stack: one call each way, each plane its own transform
     planes = np.random.default_rng(n + 1).standard_normal((3, n, n))
-    stack = np.stack([to_spectral(v) for v in planes])
-    expected = [to_physical(h) for h in stack]
+    stack = np.empty((3,) + g.kg2.shape, complex)
+    assert to_spectral(planes, out=stack) is stack
+    for got, v in zip(stack, planes):
+        assert np.array_equal(got, np.fft.rfft2(v, norm="forward"))
+    expected = [np.fft.irfft2(h, s=(n, n), norm="forward") for h in stack]
     fields = np.empty((3, n, n))
     assert _to_physical_into(stack, fields) is fields
     for got, want in zip(fields, expected):
