@@ -16,6 +16,7 @@ from .checks import acoustic_check, bohm_form_check, euler_check
 from .diagnostics import rate_fit
 from .harness import DENSITY_BAND_FACTOR, ConfigError, parse_config, run_single, run_sweep
 from .qnsio import SnapshotError, read_csv_columns
+from .spectral import SpectralError, check_grid_size
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,9 +163,13 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "bohm-check":
-            if args.fields < 1 or args.grid_n < 8 or args.grid_n % 2 or args.seed < 0:
+            if args.fields < 1 or args.seed < 0:
                 raise ConfigError(f"bohm-check needs --fields >= 1, an even --grid-n >= 8 and "
                                   f"--seed >= 0, got {args.fields}, {args.grid_n}, {args.seed}")
+            try:
+                check_grid_size(args.grid_n, "--grid-n")
+            except SpectralError as exc:
+                raise ConfigError(str(exc)) from exc
             passed, lines = bohm_form_check(
                 n_fields=args.fields, grid_n=args.grid_n, seed=args.seed
             )

@@ -30,7 +30,8 @@ from .qns import (
     qns_step,
 )
 from .qnsio import format_sig17, read_snapshot, write_csv, write_snapshot
-from .spectral import Grid2D, ScalarField, SpectralError, helmholtz_project, vector_field
+from .spectral import (Grid2D, ScalarField, SpectralError, check_grid_size, helmholtz_project,
+                       vector_field)
 
 RATE_SLOPE_MARGIN = 0.1
 DENSITY_BAND_FACTOR = 10.0
@@ -90,8 +91,10 @@ class RunConfig:
         for name, value in reals.items():
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.grid_n < 8 or self.grid_n % 2 != 0:
-            raise ConfigError(f"grid_n must be an even integer >= 8, got {self.grid_n}")
+        try:
+            check_grid_size(self.grid_n, "grid_n")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.epsilon is None and self.epsilon_ladder is None:
@@ -184,15 +187,9 @@ def parse_config(text: str) -> RunConfig:
     take("eta", float, "a real number")
     take("seed", parse_int, "an integer")
     take("record_every", parse_int, "an integer")
-
-    if "epsilon_ladder" in values:
-        raw, line_no = values.pop("epsilon_ladder")
-        try:
-            kwargs["epsilon_ladder"] = [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(
-                f"line {line_no}: epsilon_ladder expects comma-separated reals, got {raw!r}"
-            ) from exc
+    take("epsilon_ladder", lambda raw: [float(tok) for tok in raw.split(",") if tok.strip()],
+         "comma-separated reals")
+    take("output_dir", str, "a path")
 
     if "dt_policy" in values:
         raw, line_no = values.pop("dt_policy")
@@ -217,10 +214,6 @@ def parse_config(text: str) -> RunConfig:
         kwargs["initial_profile"] = name
         kwargs["profile_amplitude"] = amp
         kwargs["snapshot_path"] = snap
-
-    if "output_dir" in values:
-        raw, _ = values.pop("output_dir")
-        kwargs["output_dir"] = raw
 
     return RunConfig(**kwargs)
 
@@ -457,52 +450,33 @@ def run_sweep(cfg: RunConfig, synthetic: bool = False, output_dir=None) -> Sweep
     ladder = list(cfg.epsilon_ladder)
     out = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
 
+    rate = cfg.params(ladder[0]).rate
     if synthetic:
-        rate = cfg.params(ladder[0]).rate
-        vals = [e ** rate for e in ladder]
-        fits = {name: rate_fit(ladder, vals) for name in TRACKED_QUANTITIES}
-        result = SweepResult(
-            epsilons=ladder,
-            runs=[],
-            fits=fits,
-            rate_threshold=rate - RATE_SLOPE_MARGIN,
-            density_ratios=[1.0 for _ in ladder],
-            synthetic=True,
-        )
-        _write_sweep_summary(out, ladder, {q: vals for q in TRACKED_QUANTITIES},
-                             result.density_ratios)
-        return result
-
-    runs = [run_single(cfg, epsilon=eps, csv_path=out / f"run_eps_{eps:g}.csv")
-            for eps in ladder]
+        runs = []
+        per_quantity = {q: [e ** rate for e in ladder] for q in TRACKED_QUANTITIES}
+        density_ratios = [1.0 for _ in ladder]
+    else:
+        runs = [run_single(cfg, epsilon=eps, csv_path=out / f"run_eps_{eps:g}.csv")
+                for eps in ladder]
+        terminal = [_terminal_values(res) for res in runs]
+        per_quantity = {q: [t[q] for t in terminal] for q in TRACKED_QUANTITIES}
+        density_ratios = [float("nan") if res.terminal_density_norms is None
+                          else res.terminal_density_norms["full_Llambda"] / eps
+                          for eps, res in zip(ladder, runs)]
 
     failed = any(r.aborted is not None for r in runs)
-    per_quantity: dict[str, list[float]] = {q: [] for q in TRACKED_QUANTITIES}
-    density_ratios = []
-    for eps, res in zip(ladder, runs):
-        terminal = _terminal_values(res)
-        for q in TRACKED_QUANTITIES:
-            per_quantity[q].append(terminal[q])
-        if res.terminal_density_norms is not None:
-            density_ratios.append(res.terminal_density_norms["full_Llambda"] / eps)
-        else:
-            density_ratios.append(float("nan"))
-
-    fits = {}
-    rate = cfg.params(ladder[0]).rate
-    for q, vals in per_quantity.items():
-        if not failed and min(vals) > 0:
-            fits[q] = rate_fit(ladder, vals)
-    result = SweepResult(
+    fits = {q: rate_fit(ladder, vals) for q, vals in per_quantity.items()
+            if not failed and min(vals) > 0}
+    _write_sweep_summary(out, ladder, per_quantity, density_ratios)
+    return SweepResult(
         epsilons=ladder,
         runs=runs,
         fits=fits,
         rate_threshold=rate - RATE_SLOPE_MARGIN,
         density_ratios=density_ratios,
         failed=failed,
+        synthetic=synthetic,
     )
-    _write_sweep_summary(out, ladder, per_quantity, density_ratios)
-    return result
 
 
 def _write_sweep_summary(out: Path, ladder, per_quantity, density_ratios) -> None:

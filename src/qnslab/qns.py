@@ -26,11 +26,14 @@ in 21 calls (71 one transform at a time).  The stacks live in one pool
 of spectra whose planes also hold the fields, so the step's traced
 peak stays at 24 N x N fields at N = 256.
 
-Stage 1 of a step forms the dealiased velocity spectra, the strain and
-grad s of the state it starts from, and with a ledger it reads that
-state's energy entry from them; a run records its states that way at
-no transform of its own.  The quantum energy is 2 eps^2 int |grad s|^2
-for that grad s, the dealiased gradient the Bohm stress uses.
+The energy entry of a state is computed in one place, _StageEnergy, from
+the fields of a stage's first transforms (_gradients): grad s, and the
+strain for the dissipation rate.  Stage 1 of a step reads it for the
+state the step starts from, so a run records its states at no transform
+of its own; total_energy, dissipation_rate and EnergyLedger.record take
+those transforms for a state by itself, 3 forward / 5 inverse in three
+calls.  The quantum energy is 2 eps^2 int |grad s|^2 for that grad s,
+the dealiased gradient the Bohm stress uses.
 """
 
 from __future__ import annotations
@@ -94,15 +97,6 @@ class QnsState:
     @property
     def grid(self) -> Grid2D:
         return self.n.grid
-
-    def _velocity_hats(self) -> tuple[np.ndarray, np.ndarray]:
-        vals = self.n.values
-        _require_positive(vals, "velocity", N_FLOOR, self.time)
-        mask = self.grid.dealias_mask
-        return (
-            to_spectral(self.m.x.values / vals) * mask,
-            to_spectral(self.m.y.values / vals) * mask,
-        )
 
 
 def qns_init(params: LimitParams, data: InitialData) -> QnsState:
@@ -247,15 +241,6 @@ class _Work:
         self.r = self.q.view(float).reshape(10, -1)[:, : n * n].reshape(10, n, n)
 
 
-def _strain(g: Grid2D, uxh: np.ndarray, uyh: np.ndarray) -> np.ndarray:
-    """The stack (dxx, dxy, dyy) of D(u) for a velocity given by its
-    dealiased spectra."""
-    dxy = g.ddy * uxh
-    dxy += g.ddx * uyh
-    dxy *= 0.5
-    return _to_physical_into(np.stack((g.ddx * uxh, dxy, g.ddy * uyh)))
-
-
 def _viscous_hats(g: Grid2D, eps: float, mxh: np.ndarray, myh: np.ndarray, w: _Work):
     """Start a stage's forces: (w.fx, w.fy) = -eps (lap m + grad div m),
     per mode eps (|k|^2 m + k (k . m)) inside the 2/3 mask.  The linear
@@ -273,22 +258,12 @@ def _viscous_hats(g: Grid2D, eps: float, mxh: np.ndarray, myh: np.ndarray, w: _W
         f *= eps
 
 
-def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work, energy=None):
-    """Finish a stage's forces: add to (w.fx, w.fy) the divergence of the
-    stress tensor S of the physical state (n, mx, my), each of its four
-    components transformed once.  7 forward / 7 inverse transforms in
-    four stacked calls: forward (u_x, u_y, s), inverse (grad s, dxx, dyy),
-    inverse (u_x, u_y, dxy), forward S.  Planes of w.q / w.r, by index:
-
-        forward  r6-8 (mx/n, my/n, sqrt n)     -> q0-2 (ux, uy, s)
-        inverse  q2-5 (ddx s, ddy s, dxx, dyy) -> r6-9, then S_xx in r8,
-                 S_yy in r9 and the Bohm xy term in r3
-        inverse  q0-2 (ux, uy, dxy)            -> r5-7, then S_xy in r7
-        forward  r6-9 (S_yx, S_xy, S_xx, S_yy) -> q0-3
-
-    and the rest is scratch.  energy, a _StageEnergy, is handed grad s
-    and the strain before the stress scales them."""
-    eps, gamma = params.epsilon, params.gamma
+def _gradients(g: Grid2D, n, mx, my, w: _Work):
+    """The first transforms of a stage, for the physical state (n, mx, my):
+    forward r6-8 (mx/n, my/n, sqrt n) -> q0-2 and inverse q2-5 -> r6-9,
+    the returned fields (ddx s, ddy s, dxx, dyy).  The dealiased velocity
+    spectra stay in q0-1, and the spectrum of the strain's
+    dxy = (ddy ux + ddx uy)/2 is left in q2, with q5 as scratch."""
     q, r = w.q, w.r
     np.divide(mx, n, out=r[6])
     np.divide(my, n, out=r[7])
@@ -300,12 +275,37 @@ def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work, energy=Non
     np.multiply(g.ddx, sh, out=sh)
     np.multiply(g.ddx, uxh, out=q[4])
     np.multiply(g.ddy, uyh, out=q[5])
-    sx, sy, dxx, dyy = _to_physical_into(q[2:6], r[6:10])
+    fields = _to_physical_into(q[2:6], r[6:10])
+    dxy = np.multiply(g.ddy, uxh, out=q[2])
+    dxy += np.multiply(g.ddx, uyh, out=q[5])
+    dxy *= 0.5
+    return fields
+
+
+def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work, energy=None):
+    """Finish a stage's forces: add to (w.fx, w.fy) the divergence of the
+    stress tensor S of the physical state (n, mx, my), each of its four
+    components transformed once.  7 forward / 7 inverse transforms in
+    four stacked calls: forward (u_x, u_y, s), inverse (grad s, dxx, dyy),
+    inverse (u_x, u_y, dxy), forward S.  Planes of w.q / w.r, by index:
+
+        forward  r6-8 (mx/n, my/n, sqrt n)     -> q0-2 (ux, uy, s)
+        inverse  q2-5 (ddx s, ddy s, dxx, dyy) -> r6-9, then dxy in q2,
+                 S_xx in r8, S_yy in r9 and the Bohm xy term in r3
+        inverse  q0-2 (ux, uy, dxy)            -> r5-7, then S_xy in r7
+        forward  r6-9 (S_yx, S_xy, S_xx, S_yy) -> q0-3
+
+    and the rest is scratch; the first two calls are _gradients.  energy,
+    a _StageEnergy, is handed grad s and the strain before the stress
+    scales them."""
+    eps, gamma = params.epsilon, params.gamma
+    q, r = w.q, w.r
+    sx, sy, dxx, dyy = _gradients(g, n, mx, my, w)
     if energy is not None:
         energy.gradients(sx, sy, dxx, dyy)
     sxx, txy, syy = _stress_of_gradient(sx, sy, -4.0 * eps * eps, r[3])
     p = np.power(n, gamma, out=r[5])
-    p -= np.multiply(n, gamma, out=r[2])
+    p -= np.multiply(n, gamma, out=r[4])
     p += gamma - 1.0
     p /= eps * eps
     sxx -= p
@@ -316,9 +316,6 @@ def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work, energy=Non
         d *= 2.0 * eps
         d += s
     sxx, syy = dxx, dyy
-    dxy = np.multiply(g.ddy, uxh, out=q[2])
-    dxy += np.multiply(g.ddx, uyh, out=q[5])
-    dxy *= 0.5
     ux, uy, dxy = _to_physical_into(q[:3], r[5:8])
     if energy is not None:
         energy.shear(dxy)
@@ -379,8 +376,8 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
     input state's included - is checked.  Aborts on vacuum or
     non-finite values.
 
-    With a ledger, stage 1 appends the entry of s to it, read from the
-    fields the stage forms for s anyway, before a later stage can abort.
+    With a ledger, the entry of s is read from the fields stage 1 forms
+    for s anyway, and appended before a later stage can abort.
 
     The working arrays are allocated once, here, and every operation
     writes into them: the spectra of u (then E u) and of the RK4 sum, a
@@ -408,8 +405,10 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
     n, mx, my = s.n.values, s.m.x.values, s.m.y.values
     _check_state(n, mx, my, s.time)
     to_spectral(np.stack((n, mx, my), out=w.r[:3]), out=u)
-    energy = None if ledger is None else _StageEnergy(s, ledger, phys)
+    energy = None if ledger is None else _StageEnergy(s, phys)
     _stage_force_hats(g, params, n, mx, my, u[1], u[2], w, energy)  # k1
+    if energy is not None:
+        ledger._append(energy)
     _linear_stage(g, half, *u, out=u, tmp=lin)  # E u
     _linear_stage(g, half, 0.0, kx, ky, out=acc, tmp=lin)  # E k1
     t = s.time + 0.5 * dt
@@ -451,80 +450,69 @@ class EnergyEntry:
     e_kinetic: float
     e_internal: float
     e_quantum: float
-    d_cumulative: float
-
-
-def dissipation_rate(s: QnsState) -> float:
-    """Instantaneous viscous dissipation 2 eps * int n |D(u)|^2."""
-    g = s.grid
-    dxx, dxy, dyy = _strain(g, *s._velocity_hats())
-    dens = s.n.values * (dxx ** 2 + 2.0 * dxy ** 2 + dyy ** 2)
-    return 2.0 * s.params.epsilon * integrate(ScalarField(g, dens))
-
-
-def total_energy(s: QnsState, d_cumulative: float = 0.0) -> EnergyEntry:
-    """Kinetic + internal + quantum energy of the state.  The quantum
-    energy is 2 eps^2 int |grad s|^2, with grad s = (ddx s, ddy s) of the
-    dealiased s = sqrt(n) that the Bohm stress uses."""
-    vals = s.n.values
-    _require_positive(vals, "total_energy", N_FLOOR, s.time)
-    g = s.grid
-    sh = to_spectral(np.sqrt(vals))
-    sx, sy = _to_physical_into(np.stack((g.ddx * sh, g.ddy * sh)))
-    return _energy_entry(s, sx, sy, np.empty_like(vals), np.empty_like(vals), d_cumulative)
-
-
-def _energy_entry(s: QnsState, sx, sy, a, b, d_cumulative: float = 0.0) -> EnergyEntry:
-    """total_energy of s from grad s = (sx, sy), computed in the scratch
-    fields a and b."""
-    g, eps = s.grid, s.params.epsilon
-    n, mx, my = s.n.values, s.m.x.values, s.m.y.values
-    np.multiply(mx, mx, out=a)
-    a += np.multiply(my, my, out=b)
-    a /= n
-    kin = 0.5 * integrate(ScalarField(g, a))
-    h = _free_energy_values(n, s.params.gamma, 0, out=a, tmp=b)
-    internal = integrate(ScalarField(g, h)) / (eps * eps)
-    np.multiply(sx, sx, out=a)
-    a += np.multiply(sy, sy, out=b)
-    quantum = 2.0 * eps * eps * integrate(ScalarField(g, a))
-    return EnergyEntry(
-        t=s.time,
-        e_total=kin + internal + quantum,
-        e_kinetic=kin,
-        e_internal=internal,
-        e_quantum=quantum,
-        d_cumulative=d_cumulative,
-    )
+    d_cumulative: float = 0.0
 
 
 class _StageEnergy:
-    """The ledger entry of a step's input state s, read from the fields
-    its stage 1 forms: grad s for _energy_entry and the strain for the
-    dissipation rate, each with the bits of total_energy's and
-    dissipation_rate's own transforms.  fields are three N x N fields
-    that stage 1 leaves free; the entry is appended as soon as the
-    strain is complete."""
+    """The ledger entry of a state s and its dissipation rate, read from
+    the fields _gradients forms for s: grad s for the quantum energy and
+    the strain for the rate, with three N x N scratch fields."""
 
-    def __init__(self, s: QnsState, ledger: EnergyLedger, fields):
-        self.s, self.ledger, self.fields = s, ledger, fields
+    def __init__(self, s: QnsState, fields):
+        self.s, self.fields = s, fields
 
     def gradients(self, sx, sy, dxx, dyy):
-        dxx2, dyy2, _ = self.fields
-        self.entry = _energy_entry(self.s, sx, sy, dxx2, dyy2)
-        np.multiply(dxx, dxx, out=dxx2)
-        np.multiply(dyy, dyy, out=dyy2)
+        s, (a, b, _) = self.s, self.fields
+        g, eps = s.grid, s.params.epsilon
+        n, mx, my = s.n.values, s.m.x.values, s.m.y.values
+        np.multiply(mx, mx, out=a)
+        a += np.multiply(my, my, out=b)
+        a /= n
+        kin = 0.5 * integrate(ScalarField(g, a))
+        h = _free_energy_values(n, s.params.gamma, 0, out=a, tmp=b)
+        internal = integrate(ScalarField(g, h)) / (eps * eps)
+        np.multiply(sx, sx, out=a)
+        a += np.multiply(sy, sy, out=b)
+        quantum = 2.0 * eps * eps * integrate(ScalarField(g, a))
+        self.entry = EnergyEntry(t=s.time, e_total=kin + internal + quantum, e_kinetic=kin,
+                                 e_internal=internal, e_quantum=quantum)
+        np.multiply(dxx, dxx, out=a)
+        np.multiply(dyy, dyy, out=b)
 
     def shear(self, dxy):
-        # n (dxx^2 + 2 dxy^2 + dyy^2), in dissipation_rate's order
+        # 2 eps int n (dxx^2 + 2 dxy^2 + dyy^2)
         dens, dyy2, dxy2 = self.fields
         np.multiply(dxy, dxy, out=dxy2)
         dxy2 *= 2.0
         dens += dxy2
         dens += dyy2
         dens *= self.s.n.values
-        rate = 2.0 * self.s.params.epsilon * integrate(ScalarField(self.s.grid, dens))
-        self.ledger._append(self.entry, rate)
+        self.rate = 2.0 * self.s.params.epsilon * integrate(ScalarField(self.s.grid, dens))
+
+
+def _state_energy(s: QnsState) -> _StageEnergy:
+    """The _StageEnergy of s on its own: 3 forward / 5 inverse transforms
+    in three calls, _gradients and the inverse of its dxy, with planes
+    that _gradients leaves free as the scratch fields."""
+    n = s.n.values
+    _require_positive(n, "energy entry", N_FLOOR, s.time)
+    w = _Work(s.grid)
+    energy = _StageEnergy(s, (w.r[3], w.r[4], w.r[6]))
+    energy.gradients(*_gradients(s.grid, n, s.m.x.values, s.m.y.values, w))
+    energy.shear(_to_physical_into(w.q[2], w.r[7]))
+    return energy
+
+
+def dissipation_rate(s: QnsState) -> float:
+    """Instantaneous viscous dissipation 2 eps * int n |D(u)|^2."""
+    return _state_energy(s).rate
+
+
+def total_energy(s: QnsState) -> EnergyEntry:
+    """Kinetic + internal + quantum energy of the state.  The quantum
+    energy is 2 eps^2 int |grad s|^2, with grad s = (ddx s, ddy s) of the
+    dealiased s = sqrt(n) that the Bohm stress uses."""
+    return _state_energy(s).entry
 
 
 @dataclass
@@ -538,10 +526,10 @@ class EnergyLedger:
 
     def record(self, s: QnsState) -> EnergyEntry:
         """Append the entry of s: 3 forward / 5 inverse transforms."""
-        rate = dissipation_rate(s)
-        return self._append(total_energy(s), rate)
+        return self._append(_state_energy(s))
 
-    def _append(self, entry: EnergyEntry, rate: float) -> EnergyEntry:
+    def _append(self, energy: _StageEnergy) -> EnergyEntry:
+        entry, rate = energy.entry, energy.rate
         if self.entries:
             prev = self.entries[-1]
             entry.d_cumulative = (

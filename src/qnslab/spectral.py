@@ -12,6 +12,7 @@ real trigonometric interpolant at the grid points.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,23 @@ TWO_PI = 2.0 * np.pi
 
 class SpectralError(ValueError):
     pass
+
+
+def check_grid_size(n_points, what: str = "grid size") -> int:
+    """The one grid-size rule: N, returned, is an even integer >= 8 whose
+    N x N float64 field fits in physical memory, where os.sysconf reports
+    it, so an oversized grid is refused before anything is allocated."""
+    n = int(n_points)
+    if n != n_points or n < 8 or n % 2 != 0:
+        raise SpectralError(f"{what} must be an even integer >= 8, got {n_points}")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = 0
+    if 0 < memory < 8 * n * n:
+        raise SpectralError(f"{what} = {n} needs {8 * n * n / 2**30:.1f} GiB for one field, "
+                            f"more than the {memory / 2**30:.1f} GiB of physical memory")
+    return n
 
 
 class Grid2D:
@@ -43,10 +61,7 @@ class Grid2D:
     """
 
     def __init__(self, n_points: int):
-        n = int(n_points)
-        if n < 8 or n % 2 != 0:
-            raise SpectralError(f"grid size must be an even integer >= 8, got {n_points}")
-        self.n_points = n
+        self.n_points = n = check_grid_size(n_points)
         self.spacing = TWO_PI / n
 
         self.coords = np.arange(n) * self.spacing

@@ -46,6 +46,14 @@ def test_parse_ladder():
     assert cfg.epsilon_ladder == [0.2, 0.1, 0.05, 0.025]
 
 
+def test_parse_ladder_error_and_output_dir():
+    with pytest.raises(ConfigError) as err:
+        parse_config("epsilon_ladder = 0.2,abc")
+    assert str(err.value) == "line 1: epsilon_ladder expects comma-separated reals, got '0.2,abc'"
+    cfg = parse_config("epsilon = 0.1\noutput_dir = runs/eps 0.1\n")
+    assert cfg.output_dir == "runs/eps 0.1"
+
+
 def test_parse_comments_and_blank_lines():
     cfg = parse_config("# leading comment\n\ngamma = 2.5  # inline\nepsilon = 0.2\n")
     assert cfg.gamma == 2.5
@@ -518,6 +526,30 @@ def test_sweep_synthetic_plumbing(tmp_path):
     assert (tmp_path / "sweep_summary.csv").exists()
 
 
+_SYNTHETIC_SUMMARY = (
+    "epsilon,rel_entropy,thm_vel,thm_dens,thm_grad,density_ratio\n"
+    "0.20000000000000001,0.44721359549995793,0.44721359549995793,0.44721359549995793,"
+    "0.44721359549995793,1\n"
+    "0.10000000000000001,0.31622776601683794,0.31622776601683794,0.31622776601683794,"
+    "0.31622776601683794,1\n"
+    "0.050000000000000003,0.22360679774997896,0.22360679774997896,0.22360679774997896,"
+    "0.22360679774997896,1\n"
+    "0.025000000000000001,0.15811388300841897,0.15811388300841897,0.15811388300841897,"
+    "0.15811388300841897,1\n"
+)
+
+
+def test_sweep_synthetic_result_and_summary_bytes(tmp_path):
+    cfg = RunConfig(grid_n=32, gamma=2.0, epsilon_ladder=[0.2, 0.1, 0.05, 0.025],
+                    t_end=0.1, output_dir=str(tmp_path))
+    result = run_sweep(cfg, synthetic=True)
+    assert (tmp_path / "sweep_summary.csv").read_bytes() == _SYNTHETIC_SUMMARY.encode()
+    assert result.failed is False
+    assert result.runs == []
+    assert result.synthetic
+    assert result.density_band_ok
+
+
 def test_sweep_with_aborted_runs_is_failed_but_reports(tmp_path):
     cfg = RunConfig(grid_n=32, epsilon_ladder=[0.2, 0.1, 0.05], t_end=0.1,
                     dt_policy="fixed", dt_fixed=1.0,  # refused at step one
@@ -722,10 +754,13 @@ _SUMMARY_HEADER = "epsilon,rel_entropy\n"
         (["run", "--config", "{f}"], b"epsilon = 0.1\n# \xff\xfe\n", 2, "config error:"),
         (["sweep", "--config", "{f}"], b"epsilon_ladder = 0.2,0.1,0.05\n\xff\n", 2,
          "config error:"),
+        # one N x N field of N = 2**20 takes 8 TiB, refused before it is allocated
+        (["bohm-check", "--grid-n", str(2**20)], None, 2, "config error:"),
+        (["run", "--config", "{f}"], f"epsilon = 0.1\ngrid_n = {2**20}\n", 2, "config error:"),
     ],
     ids=["eps-ascending", "eps-repeated", "eps-zero", "eps-nan", "non-numeric-cell",
          "empty-csv", "bohm-grid-n", "bohm-seed", "bohm-fields", "run-not-utf8",
-         "sweep-not-utf8"],
+         "sweep-not-utf8", "bohm-grid-n-oversized", "run-grid-n-oversized"],
 )
 def test_cli_bad_input_reaches_documented_exit_code(tmp_path, capsys, argv, files, code,
                                                      prefix):

@@ -451,9 +451,9 @@ def test_fft_budget_per_step_and_record(grid32, fft_counts):
     assert counts["fwd"] == 31 and counts["inv"] == 40 and counts["calls"] == 21, counts
     assert ledger.entries == [total_energy(s)]
 
-    counts.update(fwd=0, inv=0)
+    counts.update(fwd=0, inv=0, calls=0)
     EnergyLedger().record(s)
-    assert counts["fwd"] == 3 and counts["inv"] == 5, counts
+    assert counts["fwd"] == 3 and counts["inv"] == 5 and counts["calls"] == 3, counts
 
     ac = acoustic_init(data, PARAMS)
     counts.update(fwd=0, inv=0)
