@@ -19,6 +19,10 @@ from .spectral import (
     vector_field,
 )
 
+# A report compares states at one time: the acoustic companion is evolved
+# to the state's time exactly, and every profile's reference is steady.
+TIME_TOL = 1e-9
+
 
 @dataclass
 class EntropyReport:
@@ -39,16 +43,16 @@ class RateFit:
     residual: float
 
 
-def _check_alignment(s: QnsState, ref: EulerReference, ac: AcousticState, time_tol: float):
+def _check_alignment(s: QnsState, ref: EulerReference, ac: AcousticState):
     if not (s.grid == ref.v.grid == ac.grid):
         raise ValueError("state, reference and acoustic state must share one grid")
-    if abs(s.time - ac.time) > time_tol:
+    if abs(s.time - ac.time) > TIME_TOL:
         raise ValueError(
-            f"state and acoustic times differ: {s.time:.6g} vs {ac.time:.6g} (tol {time_tol:g})"
+            f"state and acoustic times differ: {s.time:.6g} vs {ac.time:.6g} (tol {TIME_TOL:g})"
         )
-    if not ref.steady and abs(s.time - ref.time) > time_tol:
+    if not ref.steady and abs(s.time - ref.time) > TIME_TOL:
         raise ValueError(
-            f"state and reference times differ: {s.time:.6g} vs {ref.time:.6g} (tol {time_tol:g})"
+            f"state and reference times differ: {s.time:.6g} vs {ref.time:.6g} (tol {TIME_TOL:g})"
         )
 
 
@@ -58,17 +62,16 @@ def _reference_density(s: QnsState, ac: AcousticState) -> np.ndarray:
     return b
 
 
-def relative_entropy(
-    s: QnsState, ref: EulerReference, ac: AcousticState, time_tol: float = 1e-9
-) -> EntropyReport:
+def relative_entropy(s: QnsState, ref: EulerReference, ac: AcousticState) -> EntropyReport:
     """Modulated energy between the state and the corrected reference
     (v + grad Psi, 1 + eps sigma): kinetic + quantum + internal parts.
+    The state, ac and an unsteady ref must agree in time to TIME_TOL.
 
     The internal part is the Bregman gap of the free energy, hence
     nonnegative; the whole functional vanishes iff the state sits
     exactly on the corrected reference.
     """
-    thm = theorem_lhs(s, ref, ac, time_tol)
+    thm = theorem_lhs(s, ref, ac)
     vel, _, grad = thm
     eps = s.params.epsilon
     gamma = s.params.gamma
@@ -95,13 +98,12 @@ def relative_entropy(
     )
 
 
-def theorem_lhs(
-    s: QnsState, ref: EulerReference, ac: AcousticState, time_tol: float = 1e-9
-) -> tuple[float, float, float]:
+def theorem_lhs(s: QnsState, ref: EulerReference, ac: AcousticState) -> tuple[float, float, float]:
     """The three squared norms of the convergence estimate:
     ||sqrt(n)(u - v - grad Psi)||^2, ||(n - 1 - eps sigma)/eps||^2,
-    eps^2 ||grad sqrt(n) - grad sqrt(1 + eps sigma)||^2."""
-    _check_alignment(s, ref, ac, time_tol)
+    eps^2 ||grad sqrt(n) - grad sqrt(1 + eps sigma)||^2, at one time
+    (TIME_TOL, as for relative_entropy)."""
+    _check_alignment(s, ref, ac)
     g = s.grid
     eps = s.params.epsilon
     n = s.n.values

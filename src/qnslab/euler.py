@@ -194,8 +194,8 @@ def euler_solve(
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise EulerSolverError(f"t_end={t_end!r} is not a whole number of steps dt={dt!r}")
     g = v0.grid
-    div_norm = norm(divergence(v0), 2, 0)
-    v_norm = norm(v0, 2, 0)
+    div_norm = norm(divergence(v0), 2)
+    v_norm = norm(v0, 2)
     if div_norm > 1e-10 * max(v_norm, 1e-30):
         raise EulerSolverError(f"initial velocity is not solenoidal: ||div v0|| = {div_norm:.3e}")
     v0x_h = to_spectral(v0.x.values)
@@ -264,4 +264,4 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
         bx_h, by_h = _velocity_hats_from_vorticity(g, w_bwd)
         res_x = res_x + (to_physical(fx_h) - to_physical(bx_h)) / (2.0 * dt_probe)
         res_y = res_y + (to_physical(fy_h) - to_physical(by_h)) / (2.0 * dt_probe)
-    return norm(vector_field(g, res_x, res_y), 2, 0)
+    return norm(vector_field(g, res_x, res_y), 2)

@@ -226,36 +226,35 @@ def _fields(g: Grid2D, count: int) -> np.ndarray:
 
 
 class _Work:
-    """Working arrays of one qns_step, or of one stage evaluated alone:
-    the stage forces fx, fy and a pool q of ten half-plane spectra.  The
-    first N^2 reals of each plane q[i] also hold an N x N field r[i], so
-    the fields a stage transforms reuse the planes of spectra it has
-    done with, and a run of planes is a stack in either role.  The stage,
-    the linear stage and the RK4 sums write into them; they live no
-    longer than their step."""
+    """The scratch pool of one qns_step, or of one energy entry: ten
+    half-plane spectra q.  The first N^2 reals of each plane q[i] also
+    hold an N x N field r[i], so the fields a stage transforms reuse the
+    planes of spectra it has done with, and a run of planes is a stack in
+    either role.  The stage, the linear stage and the RK4 sums write into
+    them; they live no longer than their step."""
 
     def __init__(self, g: Grid2D):
         n = g.n_points
-        self.fx, self.fy = _spectra(g, 2)
         self.q = _spectra(g, 10)
         self.r = self.q.view(float).reshape(10, -1)[:, : n * n].reshape(10, n, n)
 
 
-def _viscous_hats(g: Grid2D, eps: float, mxh: np.ndarray, myh: np.ndarray, w: _Work):
-    """Start a stage's forces: (w.fx, w.fy) = -eps (lap m + grad div m),
-    per mode eps (|k|^2 m + k (k . m)) inside the 2/3 mask.  The linear
-    flow carries this viscous part at n = 1, so the stage subtracts it.
-    Reads mxh and myh, and w.q[3] is its scratch."""
+def _viscous_hats(g: Grid2D, eps: float, mxh: np.ndarray, myh: np.ndarray, f, w: _Work):
+    """Start a stage's forces: the spectra f = (fx, fy) become
+    -eps (lap m + grad div m), per mode eps (|k|^2 m + k (k . m)) inside
+    the 2/3 mask.  The linear flow carries this viscous part at n = 1, so
+    the stage subtracts it.  Reads mxh and myh, and w.q[3] is its scratch."""
+    fx, fy = f
     b = np.multiply(g.kgx, mxh, out=w.q[3])
-    b += np.multiply(g.kgy, myh, out=w.fy)
-    np.multiply(g.kg2, mxh, out=w.fx)
-    w.fx += np.multiply(g.kgx, b, out=w.fy)
-    np.multiply(g.kg2, myh, out=w.fy)
+    b += np.multiply(g.kgy, myh, out=fy)
+    np.multiply(g.kg2, mxh, out=fx)
+    fx += np.multiply(g.kgx, b, out=fy)
+    np.multiply(g.kg2, myh, out=fy)
     b *= g.kgy
-    w.fy += b
-    for f in (w.fx, w.fy):
-        f *= g.dealias_mask
-        f *= eps
+    fy += b
+    for fi in f:
+        fi *= g.dealias_mask
+        fi *= eps
 
 
 def _gradients(g: Grid2D, n, mx, my, w: _Work):
@@ -282,10 +281,13 @@ def _gradients(g: Grid2D, n, mx, my, w: _Work):
     return fields
 
 
-def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work, energy=None):
-    """Finish a stage's forces: add to (w.fx, w.fy) the divergence of the
-    stress tensor S of the physical state (n, mx, my), each of its four
-    components transformed once.  7 forward / 7 inverse transforms in
+def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, f, w: _Work, energy=None):
+    """Finish a stage's forces: add to the spectra f = (fx, fy) the
+    divergence of the stress tensor S of the physical state (n, mx, my):
+    the advective flux -m x u, the viscous stress 2 eps n D(u), the
+    pressure remainder -(n^gamma - gamma (n - 1) - 1)/eps^2 on the
+    diagonal and the Bohm stress -4 eps^2 grad s x grad s, each of its
+    four components transformed once.  7 forward / 7 inverse transforms in
     four stacked calls: forward (u_x, u_y, s), inverse (grad s, dxx, dyy),
     inverse (u_x, u_y, dxy), forward S.  Planes of w.q / w.r, by index:
 
@@ -331,29 +333,12 @@ def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, w: _Work, energy=Non
     sxy -= mx_uy
     sxx -= np.multiply(mx, ux, out=r[1])
     syxh, sxyh, sxxh, syyh = to_spectral(r[6:10], out=q[:4])
-    for f, a, b in ((w.fx, sxxh, sxyh), (w.fy, syxh, syyh)):
+    for fi, a, b in zip(f, (sxxh, syxh), (sxyh, syyh)):
         a *= g.ddx
         b *= g.ddy
         a += b
-        f += a
-    return w.fx, w.fy
-
-
-def _stage_force_hats(g, params, n, mx, my, mxh, myh, w: _Work | None = None, energy=None):
-    """Spectra of the nonlinear momentum forces at one Lawson stage, for
-    a state given by its physical fields and its momentum spectra,
-    written into (w.fx, w.fy) of w, by default a fresh _Work.
-
-    Every force is the divergence of one physical stress tensor S, each
-    of its four components transformed once: the advective flux -m x u,
-    the viscous stress 2 eps n D(u), the pressure remainder
-    -(n^gamma - gamma (n - 1) - 1)/eps^2 on the diagonal and the Bohm
-    stress -4 eps^2 grad s x grad s.  The viscous part at n = 1,
-    eps (lap m + grad div m), is subtracted as a spectrum, because the
-    linear flow carries it.  7 forward / 7 inverse transforms."""
-    w = _Work(g) if w is None else w
-    _viscous_hats(g, params.epsilon, mxh, myh, w)
-    return _stress_hats(g, params, n, mx, my, w, energy)
+        fi += a
+    return f
 
 
 def _axpy(out: np.ndarray, a: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
@@ -380,33 +365,38 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
     for s anyway, and appended before a later stage can abort.
 
     The working arrays are allocated once, here, and every operation
-    writes into them: the spectra of u (then E u) and of the RK4 sum, a
-    _Work for the stages and the linear stage, and three fields for each
-    stage's physical state, which the last stage hands on as the new
-    state's arrays.  s is not modified."""
+    writes into them: the spectra of u (then E u), of the RK4 sum and of
+    a stage's forces, a _Work for the stages and the linear stage, and
+    three fields for each stage's physical state, which the last stage
+    hands on as the new state's arrays.  s is not modified.  A dt that
+    is not finite and positive is refused before any transform."""
+    if not 0.0 < dt < np.inf:
+        raise CflViolation(f"dt must be finite and > 0, got {dt!r}")
     limit = cfl_dt(s)
     if dt > limit * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt:g} exceeds the stability bound {limit:g} at t = {s.time:g}")
     g, params = s.grid, s.params
     half = _linear_flow(g, params, 0.5 * dt)
     w = _Work(g)
-    kx, ky, tmp = w.fx, w.fy, w.q[0]
+    tmp = w.q[0]
     lin = v = w.q[:3]  # scratch of the linear stage; the spectra of a stage's state
     u = _spectra(g, 3)  # u, then E u
     acc = _spectra(g, 3)  # E k1, then the RK4 sum
+    f = kx, ky = _spectra(g, 2)  # a stage's forces
     phys = _fields(g, 3)
 
     def forces_at(t, spectra):
         # (kx, ky) = N at the state of these spectra, which are destroyed
-        _viscous_hats(g, params.epsilon, spectra[1], spectra[2], w)
+        _viscous_hats(g, params.epsilon, spectra[1], spectra[2], f, w)
         _check_state(*_to_physical_into(spectra, phys), t)
-        _stress_hats(g, params, *phys, w)
+        _stress_hats(g, params, *phys, f, w)
 
     n, mx, my = s.n.values, s.m.x.values, s.m.y.values
     _check_state(n, mx, my, s.time)
     to_spectral(np.stack((n, mx, my), out=w.r[:3]), out=u)
     energy = None if ledger is None else _StageEnergy(s, phys)
-    _stage_force_hats(g, params, n, mx, my, u[1], u[2], w, energy)  # k1
+    _viscous_hats(g, params.epsilon, u[1], u[2], f, w)  # k1
+    _stress_hats(g, params, n, mx, my, f, w, energy)
     if energy is not None:
         ledger._append(energy)
     _linear_stage(g, half, *u, out=u, tmp=lin)  # E u

@@ -233,27 +233,17 @@ def dealias_values(grid: Grid2D, values: np.ndarray) -> np.ndarray:
     return to_physical(to_spectral(values) * grid.dealias_mask)
 
 
-def norm(f: ScalarField | VectorField, p: float = 2.0, k: int = 0) -> float:
-    """Discrete L^p / W^{k,p} norm by uniform quadrature.
-
-    For k >= 1 all spectral derivatives with a + b <= k contribute:
-    finite p combines them as (sum_alpha ||D^alpha f||_p^p)^(1/p),
-    p = inf takes the largest sup-norm.  Vector fields combine their
-    components the same way.
+def norm(f: ScalarField | VectorField, p: float = 2.0) -> float:
+    """Discrete L^p norm by uniform quadrature.  A vector field's
+    components combine as (||f_x||_p^p + ||f_y||_p^p)^(1/p), and p = inf
+    takes the larger sup-norm.
     """
     if p < 1:
         raise SpectralError(f"p must be >= 1, got {p}")
-    if k not in (0, 1, 2):
-        raise SpectralError(f"derivative order k must be 0, 1 or 2, got {k}")
-    comps = [f] if isinstance(f, ScalarField) else [f.x, f.y]
-    pieces = []
-    for c in comps:
-        for a in range(k + 1):
-            for b in range(k + 1 - a):
-                pieces.append(c.values if a == b == 0 else differentiate(c, (a, b)).values)
+    pieces = [f.values] if isinstance(f, ScalarField) else [f.x.values, f.y.values]
     if np.isinf(p):
         return float(max(np.abs(v).max() for v in pieces))
-    h2 = comps[0].grid.spacing ** 2
+    h2 = f.grid.spacing ** 2
     total = sum(float((np.abs(v) ** p).sum()) * h2 for v in pieces)
     return total ** (1.0 / p)
 

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -29,7 +30,7 @@ def test_parse_minimal_config():
     cfg = parse_config("gamma = 2\nepsilon = 0.1\n")
     assert cfg.grid_n == 64
     assert cfg.t_end == 0.5
-    assert cfg.dt_policy == "auto"
+    assert cfg.dt_fixed is None
     assert cfg.eta == 0.0
     assert cfg.record_every == 10
     assert cfg.params().rate == pytest.approx(0.5)
@@ -91,14 +92,49 @@ def test_parse_profiles_and_dt_policy(tmp_path):
     assert cfg.initial_profile == "sine_density"
     assert cfg.profile_amplitude == 0.5
 
+    assert parse_config("epsilon = 0.1\ndt_policy = auto\n").dt_fixed is None
     cfg = parse_config("epsilon = 0.1\ndt_policy = FIXED(0.001)\n")
-    assert cfg.dt_policy == "fixed"
     assert cfg.dt_fixed == 0.001
 
     with pytest.raises(ConfigError, match="dt_policy"):
         parse_config("epsilon = 0.1\ndt_policy = adaptive\n")
     with pytest.raises(ConfigError, match="initial_profile"):
         parse_config("epsilon = 0.1\ninitial_profile = whirl(2)\n")
+
+
+def test_fixed_dt_alone_sets_the_step_policy():
+    # at rest the AUTO policy would take one step of 0.5 eps = t_end
+    res = run_single(RunConfig(grid_n=32, epsilon=0.1, t_end=0.05, dt_fixed=1e-3))
+    assert res.aborted is None
+    assert res.dt_max == 1e-3
+    assert res.dt_limits["acoustic"] == 0 and res.dt_limits["fixed"] >= 49
+
+
+def test_every_config_key_sets_a_field_and_is_documented():
+    # every RunConfig field is reached by some config key, and every key
+    # is in the README's config block; sine_density(a) and
+    # from_snapshot(path) exclude each other, so two configs cover it
+    from dataclasses import fields
+    from pathlib import Path
+
+    from qnslab.harness import _KNOWN_KEYS
+
+    keys = {"grid_n": "32", "gamma": "3", "epsilon": "0.1", "epsilon_ladder": "0.2,0.1,0.05",
+            "t_end": "0.25", "dt_policy": "fixed(1e-3)", "eta": "0.5", "output_dir": "out",
+            "seed": "7", "record_every": "3"}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    changed = set()
+    for profile in ("sine_density(0.5)", "from_snapshot(init.qnsf)"):
+        cfg_keys = dict(keys, initial_profile=profile)
+        assert set(cfg_keys) == _KNOWN_KEYS
+        cfg = parse_config("".join(f"{k} = {v}\n" for k, v in cfg_keys.items()))
+        changed |= {name for name, value in defaults.items() if getattr(cfg, name) != value}
+    assert changed == set(defaults)
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config files are", 1)[1].split("```")[1]
+    for key in _KNOWN_KEYS:
+        assert re.search(rf"\b{key}\s*=", block), key
 
 
 def test_profile_reference_is_consistent(grid32):
@@ -111,7 +147,7 @@ def test_profile_reference_is_consistent(grid32):
     gap = vector_field(
         grid32, p_part.x.values - ref.v.x.values, p_part.y.values - ref.v.y.values
     )
-    assert norm(gap, 2, 0) < 1e-10
+    assert norm(gap, 2) < 1e-10
 
 
 @pytest.mark.parametrize("profile", ["sine_density", "tg_plus_gradient"])
@@ -305,9 +341,9 @@ def test_run_single_from_snapshot_profile(tmp_path, grid32, rng):
 def test_run_single_abort_flushes_sentinel_csv(tmp_path):
     # a fixed step far above the stability bound is refused on step one;
     # the partial series is flushed with the sentinel row appended
-    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.1, dt_policy="fixed",
-                    dt_fixed=1.0, initial_profile="sine_density",
-                    profile_amplitude=0.5, output_dir=str(tmp_path))
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.1, dt_fixed=1.0,
+                    initial_profile="sine_density", profile_amplitude=0.5,
+                    output_dir=str(tmp_path))
     res = run_single(cfg, csv_path=tmp_path / "abort.csv")
     assert res.aborted is not None and "CflViolation" in res.aborted
     lines = (tmp_path / "abort.csv").read_text().splitlines()
@@ -358,7 +394,7 @@ def _assert_aborted_after(res, csv_path, kind, want_entries):
 def test_abort_at_a_later_stage_keeps_the_last_state_entry(tmp_path, monkeypatch, kind):
     from qnslab import NumericalAbort, VacuumError, qns
 
-    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.1, dt_policy="fixed", dt_fixed=0.01,
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.1, dt_fixed=0.01,
                     initial_profile="sine_density", profile_amplitude=0.5, record_every=1,
                     output_dir=str(tmp_path))
     want = _step_and_record_entries(cfg, steps=2)
@@ -379,7 +415,7 @@ def test_abort_at_a_later_stage_keeps_the_last_state_entry(tmp_path, monkeypatch
 def test_cfl_abort_at_a_later_step_keeps_the_last_state_entry(tmp_path):
     # the bound falls 0.0125 -> 0.0108 over three steps of dt = 0.011, so
     # step 4 is refused before its first stage
-    cfg = RunConfig(grid_n=32, epsilon=0.5, t_end=0.1, dt_policy="fixed", dt_fixed=0.011,
+    cfg = RunConfig(grid_n=32, epsilon=0.5, t_end=0.1, dt_fixed=0.011,
                     initial_profile="sine_density", profile_amplitude=0.5, record_every=1,
                     output_dir=str(tmp_path))
     res = run_single(cfg, csv_path=tmp_path / "abort.csv")
@@ -436,7 +472,7 @@ def test_run_counts_the_limit_that_set_each_step(tmp_path):
     assert limits(epsilon=0.1, t_end=0.06) == {"acoustic": 1, "t_end": 1}
     # delta = 0.45 at eps = 0.9: the quantum remainder sets dt
     assert limits(epsilon=0.9, t_end=0.01) == {"bohm": 4, "t_end": 1}
-    assert limits(epsilon=0.1, t_end=0.025, dt_policy="fixed", dt_fixed=0.01) == {
+    assert limits(epsilon=0.1, t_end=0.025, dt_fixed=0.01) == {
         "fixed": 2, "t_end": 1}
     fast = RunConfig(grid_n=32, epsilon=0.2, t_end=0.1, initial_profile="tg_plus_gradient",
                      profile_amplitude=2.0, output_dir=str(tmp_path))
@@ -459,7 +495,7 @@ def test_auto_step_matches_a_dt_converged_run(tmp_path):
         return _terminal_values(res)
 
     auto = terminal()
-    fine = terminal(dt_policy="fixed", dt_fixed=0.1 / 64)
+    fine = terminal(dt_fixed=0.1 / 64)
     worst = max(abs(auto[q] - fine[q]) / abs(fine[q]) for q in TRACKED_QUANTITIES)
     assert worst <= 5e-3, worst
 
@@ -552,7 +588,7 @@ def test_sweep_synthetic_result_and_summary_bytes(tmp_path):
 
 def test_sweep_with_aborted_runs_is_failed_but_reports(tmp_path):
     cfg = RunConfig(grid_n=32, epsilon_ladder=[0.2, 0.1, 0.05], t_end=0.1,
-                    dt_policy="fixed", dt_fixed=1.0,  # refused at step one
+                    dt_fixed=1.0,  # refused at step one
                     initial_profile="sine_density", profile_amplitude=0.5,
                     output_dir=str(tmp_path))
     result = run_sweep(cfg)
