@@ -2,22 +2,29 @@
 vorticity-streamfunction spectral solver for general solenoidal data.
 
 A solver step is classical RK4 of the dealiased vorticity transport
-equation, 4 forward and 17 inverse transforms.  Each stage multiplies
-the vorticity spectrum by one cached stack of the Biot-Savart and
-gradient multipliers and takes the four inverse transforms in one call
-of the in-place 1-D pair spectral._to_physical_into; stage 1 adds w
-itself as a fifth plane, whose max|w| feeds the blow-up guard.
-euler_solve allocates the working arrays once.  Batched this way a step
-takes 1.26, 3.77 and 16.8 ms at N = 64, 128 and 256, against 1.59, 5.23
-and 25.1 ms with one call per transform (2-vCPU x86_64 VM, NumPy 2.4).
-Batching with irfft2 was slower at N = 256 (7.2 ms against 4.0 ms for
-one stage's inverses), because it took a freshly stacked copy and irfftn
-allocates a complex intermediate; the in-place pair avoids both.
+equation, 8 forward and 9 inverse transforms in 8 calls.  Each stage
+takes -(v.grad)w in Basdevant's flux form (J. Atmos. Sci. 38, 1981),
+two velocity fields and two products in place of four derivative
+fields: one call of the in-place 1-D pair spectral._to_physical_into
+inverts vx and vy, and one stacked call of spectral.to_spectral takes
+vy^2 - vx^2 and vx vy back; stage 1 adds w itself as a third inverse
+plane, whose max|w| feeds the blow-up guard.  Every spectrum the step
+holds is zero for kx > N/3 under the 2/3 rule, so it is stored on that
+band, the c = N//3 + 1 columns kx <= N/3, and every fft along y runs on
+c of the N/2 + 1 columns.  When 3 does not divide N, no kept mode of a
+product aliases and the flux form equals the convective one v.grad w up
+to round-off; when it does, the mask keeps kx = N/3, where products
+alias, and the two forms differ by their aliasing errors there.
+euler_solve allocates the working arrays once.  A step takes 0.77, 3.05
+and 11.9 ms at N = 64, 128 and 256, against 1.06, 3.79 and 15.4 ms with
+four derivative fields on the full half plane (4 forward / 17 inverse
+transforms; interleaved in one process, 2-vCPU x86_64 VM, NumPy 2.4).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +36,6 @@ from .spectral import (
     VectorField,
     _to_physical_into,
     curl,
-    divergence,
     gradient,
     norm,
     to_physical,
@@ -76,55 +82,69 @@ def taylor_green(grid: Grid2D) -> EulerReference:
 # step Euler (every QNS run) do not build them.
 @lru_cache(maxsize=8)
 def _multipliers(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Wavenumber-only arrays of the vorticity step, read-only: the
-    stack (4, N, N/2 + 1) of the Biot-Savart multipliers (i kgy, -i kgx)
-    / |k|^2 (0 where kg2 == 0), taking w_hat to v_hat, and the gradient
-    multipliers i kgx, i kgy; and the negated 2/3-rule mask."""
-    stack = np.stack((1j * grid.kgy * grid.inv_kg2, -1j * grid.kgx * grid.inv_kg2,
-                      1j * grid.kgx, 1j * grid.kgy))
-    neg_mask = -grid.dealias_mask.astype(float)
-    for arr in (stack, neg_mask):
+    """Wavenumber-only arrays of the vorticity step on the dealiased
+    band, the c = N//3 + 1 columns kx <= N/3 of the half plane outside
+    which the 2/3-rule mask is zero, read-only and complex (a complex
+    times complex multiply is faster than complex times float): the
+    Biot-Savart stack (2, N, c) (i kgy, -i kgx) / |k|^2 (0 where
+    kg2 == 0), taking w_hat to v_hat, and the flux-form stack (2, N, c)
+    kx ky, kx^2 - ky^2 with the mask folded in, which takes the spectra
+    of vy^2 - vx^2 and vx vy to that of -(v.grad)w."""
+    c = int(np.count_nonzero(grid.dealias_mask[0]))
+    kx, ky = grid.kgx[:, :c], grid.kgy[:, :c]
+    inv_k2, mask = grid.inv_kg2[:, :c], grid.dealias_mask[:, :c]
+    biot_savart = np.stack((1j * ky * inv_k2, -1j * kx * inv_k2))
+    flux = np.stack((kx * ky * mask, (kx * kx - ky * ky) * mask)).astype(complex)
+    for arr in (biot_savart, flux):
         arr.setflags(write=False)
-    return stack, neg_mask
+    return biot_savart, flux
 
 
 def _velocity_hats_from_vorticity(grid: Grid2D, w_hat: np.ndarray):
+    """v_hat of a band spectrum w_hat (N, N//3 + 1)."""
     bs = _multipliers(grid)[0]
     return bs[0] * w_hat, bs[1] * w_hat
 
 
 class _Work:
     """Working arrays of one euler_solve call, or of one step taken
-    alone: the stacked stage spectra and their fields, whose fifth plane
-    carries w itself at stage 1 (for the blow-up guard), the RK4 sum
+    alone, every spectrum on the dealiased band (N, N//3 + 1): the
+    stacked stage spectra, whose third plane carries w itself at stage 1
+    (for the blow-up guard); the full half-plane scratch of the forward
+    transforms; the fields vx, vy, w and the two products; the RK4 sum
     acc, the stage input s, which each stage overwrites with its k, and
     a scratch spectrum t.  They live no longer than that call."""
 
     def __init__(self, g: Grid2D):
-        shape = g.kg2.shape
-        self.spec = np.empty((5,) + shape, complex)
+        band = _multipliers(g)[0].shape[1:]
+        self.spec = np.empty((3,) + band, complex)
+        self.half = np.empty((2,) + g.kg2.shape, complex)
         self.phys = np.empty((5, g.n_points, g.n_points))
-        self.acc, self.s, self.t = (np.empty(shape, complex) for _ in range(3))
+        self.acc, self.s, self.t = (np.empty(band, complex) for _ in range(3))
 
 
 def _vorticity_rhs(grid: Grid2D, w_hat: np.ndarray, out: np.ndarray, work: _Work,
                    guard: bool = False) -> np.ndarray:
-    """Write the spectrum of -(v.grad)w, dealiased, into out (which may
-    be w_hat): 1 forward transform and one call for the 4 inverse ones.
-    The physical velocity (vx, vy) it used is left in work.phys[:2] and,
-    with guard, w itself in work.phys[4] (5 inverse transforms)."""
-    stack, neg_mask = _multipliers(grid)
-    planes = 5 if guard else 4
-    spec = work.spec[:planes]
-    np.multiply(stack, w_hat, out=spec[:4])
+    """Write the band spectrum of -(v.grad)w, dealiased, into out (which
+    may be the band spectrum w_hat), in Basdevant's flux form: for div v = 0,
+        (v.grad)w = d_x d_y (vy^2 - vx^2) + (d_x^2 - d_y^2)(vx vy).
+    One call for the 2 inverse transforms of v and one for the 2 forward
+    transforms of the products.  The physical velocity (vx, vy) it used
+    is left in work.phys[:2] and, with guard, w itself in work.phys[2]
+    (3 inverse transforms)."""
+    bs, flux = _multipliers(grid)
+    planes = 3 if guard else 2
+    spec, prod = work.spec, work.phys[3:]
+    np.multiply(bs, w_hat, out=spec[:2])
     if guard:
-        spec[4] = w_hat
-    vx, vy, wx, wy = _to_physical_into(spec, work.phys[:planes])[:4]
-    np.multiply(vx, wx, out=wx)
-    wx += np.multiply(vy, wy, out=wy)
-    to_spectral(wx, out=out)
-    out *= neg_mask
-    return out
+        spec[2] = w_hat
+    vx, vy = _to_physical_into(spec[:planes], work.phys[:planes])[:2]
+    np.square(vy, out=prod[0])
+    prod[0] -= np.square(vx, out=prod[1])
+    np.multiply(vx, vy, out=prod[1])
+    fluxes = to_spectral(prod, out=spec[:2], scratch=work.half)
+    fluxes *= flux
+    return np.add(fluxes[0], fluxes[1], out=out)
 
 
 def _advection_hats(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -147,31 +167,33 @@ def pressure_recover(v: VectorField) -> ScalarField:
 
 def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float,
                         work: _Work | None = None, out: np.ndarray | None = None):
-    """One classical RK4 step of the vorticity transport equation,
-    written into out (a fresh array by default).
+    """One classical RK4 step of the vorticity transport equation, of
+    the band of w_hat (a full half plane or the band itself), written
+    into out (a fresh band array by default).
 
-    Returns the advanced spectrum, max|v| of the velocity at the start
-    of the step (the stage-1 velocity), for the CFL check, and max|w|
-    at the start of the step, for the blow-up guard: 4 forward and 17
-    inverse transforms, the inverse ones in 4 calls.
+    Returns the advanced band spectrum, max|v| of the velocity at the
+    start of the step (the stage-1 velocity), for the CFL check, and
+    max|w| at the start of the step, for the blow-up guard: 8 forward and
+    9 inverse transforms in 8 calls.
     """
     work = _Work(grid) if work is None else work
     acc, s, t, phys = work.acc, work.s, work.t, work.phys
-    _vorticity_rhs(grid, w_hat, acc, work, guard=True)
-    # the stage-1 products in phys[2:4] are spent: take |v| into them
-    vmax = np.abs(phys[:2], out=phys[2:4]).max()
-    w_inf = np.abs(phys[4], out=phys[4]).max()
+    w = w_hat[:, :acc.shape[-1]]
+    _vorticity_rhs(grid, w, acc, work, guard=True)
+    # the stage-1 products in phys[3:5] are spent: take |v| into them
+    vmax = np.abs(phys[:2], out=phys[3:5]).max()
+    w_inf = np.abs(phys[2], out=phys[2]).max()
     # acc gathers k1 + 2 k2 + 2 k3 + k4 in that order; s = w + c k
     np.multiply(acc, 0.5 * dt, out=s)
-    s += w_hat
+    s += w
     for c in (0.5 * dt, dt):
         _vorticity_rhs(grid, s, s, work)
         acc += np.multiply(s, 2.0, out=t)
         s *= c
-        s += w_hat
+        s += w
     acc += _vorticity_rhs(grid, s, s, work)
     acc *= dt / 6.0
-    return np.add(w_hat, acc, out=out), vmax, w_inf
+    return np.add(w, acc, out=out), vmax, w_inf
 
 
 def euler_solve(
@@ -181,11 +203,14 @@ def euler_solve(
 
     Returns the trajectory (initial state, every record_every-th step,
     final step), each entry with the pressure recovered from the
-    velocity.  Refuses a dt that is not finite and positive, a t_end
+    velocity.  Refuses a record_every that is not an integer >= 1, a dt
+    that is not finite and positive, a t_end
     that is not finite and >= 0 or not a whole number of steps (within
     1e-9 relative), and CFL-violating steps; aborts if the vorticity
     sup-norm grows tenfold (blow-up guard).
     """
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise EulerSolverError(f"record_every must be an integer >= 1, got {record_every!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise EulerSolverError(f"dt must be finite and > 0, got {dt!r}")
     if not (math.isfinite(t_end) and t_end >= 0.0):
@@ -194,16 +219,18 @@ def euler_solve(
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise EulerSolverError(f"t_end={t_end!r} is not a whole number of steps dt={dt!r}")
     g = v0.grid
-    div_norm = norm(divergence(v0), 2)
+    # the divergence, the cutoff check and w_hat from one pair of spectra
+    vx_h, vy_h = to_spectral(v0.x.values), to_spectral(v0.y.values)
+    div_norm = norm(ScalarField(g, to_physical(1j * (g.kgx * vx_h + g.kgy * vy_h))), 2)
     v_norm = norm(v0, 2)
     if div_norm > 1e-10 * max(v_norm, 1e-30):
         raise EulerSolverError(f"initial velocity is not solenoidal: ||div v0|| = {div_norm:.3e}")
-    v0x_h = to_spectral(v0.x.values)
-    outside = np.abs(v0x_h[~g.dealias_mask]).max() + np.abs(to_spectral(v0.y.values)[~g.dealias_mask]).max()
-    if outside > 1e-12 * max(np.abs(v0x_h).max(), 1e-30):
+    outside = np.abs(vx_h[~g.dealias_mask]).max() + np.abs(vy_h[~g.dealias_mask]).max()
+    if outside > 1e-12 * max(np.abs(vx_h).max(), 1e-30):
         raise EulerSolverError("initial velocity has content above the dealiasing cutoff")
 
-    w_hat = to_spectral(curl(v0).values)
+    c = _multipliers(g)[0].shape[-1]
+    w_hat = 1j * (g.kgx[:, :c] * vy_h[:, :c] - g.kgy[:, :c] * vx_h[:, :c])
 
     def snapshot(w_hat, t):
         vx_h, vy_h = _velocity_hats_from_vorticity(g, w_hat)

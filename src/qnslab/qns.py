@@ -189,16 +189,16 @@ def _linear_flow(g: Grid2D, params: LimitParams, t: float):
     return flow
 
 
-def _linear_stage(g: Grid2D, flow, nh, mxh: np.ndarray, myh: np.ndarray, out=None, tmp=None):
+def _linear_stage(g: Grid2D, flow, nh, mxh: np.ndarray, myh: np.ndarray, out, tmp):
     """Apply a _linear_flow to the spectra of n and m (nh may be the
     scalar 0).  Modes with kg = 0 (the mean included) map to themselves,
     so n_hat stands in for a = n_hat - delta_0.
 
     Written into out, three spectra that may be the inputs themselves,
-    with three scratch spectra tmp; both default to fresh arrays."""
+    with three scratch spectra tmp."""
     decay, p11, sw, c2sw, r = flow
-    on, ox, oy = out if out is not None else _spectra(g, 3)
-    b, shift, t = tmp if tmp is not None else _spectra(g, 3)
+    on, ox, oy = out
+    b, shift, t = tmp
     np.multiply(g.kgx, mxh, out=b)
     b += np.multiply(g.kgy, myh, out=t)
     # (b_new - decay b)/|k|^2: the change of the longitudinal momentum

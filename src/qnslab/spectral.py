@@ -98,16 +98,25 @@ class Grid2D:
         return f"Grid2D(n_points={self.n_points})"
 
 
-def to_spectral(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def to_spectral(values: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """Half-plane forward transform, normalized so that fhat[0, 0] =
     mean(values); written into out when given.  Leading axes are a batch:
     a stack of fields (..., N, N) becomes the stack of their spectra in
     one call, each plane equal to its own transform.
 
     rfft2 bit for bit: the same 1-D pair, an rfft along x into out, then
-    an fft along y in place, without rfftn's argument handling."""
-    out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
-    return np.fft.fft(out, axis=-2, norm="forward", out=out)
+    an fft along y in place, without rfftn's argument handling.
+
+    With scratch, a full half-plane stack the caller keeps, out may hold
+    only the first columns kx < out.shape[-1]: the rfft goes into scratch
+    and the fft along y transforms those columns alone, each equal to its
+    column of the full transform."""
+    if scratch is None:
+        out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
+        return np.fft.fft(out, axis=-2, norm="forward", out=out)
+    np.fft.rfft(values, axis=-1, norm="forward", out=scratch)
+    return np.fft.fft(scratch[..., :out.shape[-1]], axis=-2, norm="forward", out=out)
 
 
 def to_physical(fhat: np.ndarray) -> np.ndarray:
@@ -119,7 +128,9 @@ def to_physical(fhat: np.ndarray) -> np.ndarray:
 def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """to_physical(fhat), written into out (by default a fresh array).
     fhat is overwritten by its inverse transform along y, so nothing else
-    is allocated.  Leading axes are a batch, as for to_spectral.
+    is allocated.  Leading axes are a batch, as for to_spectral.  fhat
+    may hold only the first columns kx < fhat.shape[-1] of a spectrum
+    that vanishes beyond them: irfft zero-pads the rest.
 
     irfft2 cannot do this: it ignores its out argument (NumPy 2.x passes
     out=None on to irfftn) and irfftn allocates a complex intermediate

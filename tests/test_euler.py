@@ -133,16 +133,13 @@ def _random_solenoidal(grid, rng, kmax):
     return helmholtz_project(w)[0]
 
 
-def test_rk4_step_matches_term_by_term(grid32, rng):
+def _rk4_term_by_term(g, v0, dt, form):
     # reference: RK4 on the vorticity field, every stage composed from the
-    # public transforms and derivatives (streamfunction from -lap psi = w)
+    # public transforms and derivatives (streamfunction from -lap psi = w),
+    # with (v.grad)w in the convective form v.grad w or in the flux form
+    # d_x d_y (vy^2 - vx^2) + (d_x^2 - d_y^2)(vx vy)
     from qnslab import curl, dealias, differentiate
-    from qnslab.euler import _rk4_vorticity_step
     from qnslab.spectral import to_physical, to_spectral
-
-    g = grid32
-    v0 = _random_solenoidal(g, rng, kmax=4)
-    w0 = curl(v0)
 
     def velocity(w):
         psi_hat = np.divide(to_spectral(w.values), g.kg2,
@@ -152,21 +149,52 @@ def test_rk4_step_matches_term_by_term(grid32, rng):
 
     def rhs(w):
         vx, vy = velocity(w)
-        adv = vx * differentiate(w, (1, 0)).values + vy * differentiate(w, (0, 1)).values
-        return -dealias(ScalarField(g, adv)).values
+        if form == "convective":
+            adv = vx * differentiate(w, (1, 0)).values + vy * differentiate(w, (0, 1)).values
+            return -dealias(ScalarField(g, adv)).values
+        squares = dealias(ScalarField(g, vy * vy - vx * vx))
+        cross = dealias(ScalarField(g, vx * vy))
+        return -(differentiate(squares, (1, 1)).values + differentiate(cross, (2, 0)).values
+                 - differentiate(cross, (0, 2)).values)
 
-    dt = 2e-2
+    w0 = curl(v0)
     k1 = rhs(w0)
     k2 = rhs(ScalarField(g, w0.values + 0.5 * dt * k1))
     k3 = rhs(ScalarField(g, w0.values + 0.5 * dt * k2))
     k4 = rhs(ScalarField(g, w0.values + dt * k3))
-    expected = w0.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    vx, vy = velocity(w0)
+    return w0.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), max(np.abs(vx).max(),
+                                                                        np.abs(vy).max())
 
-    w_hat, vmax, _ = _rk4_vorticity_step(g, to_spectral(w0.values), dt)
+
+def _check_rk4_step(g, v0, dt, form):
+    from qnslab import curl
+    from qnslab.euler import _rk4_vorticity_step
+    from qnslab.spectral import to_physical, to_spectral
+
+    expected, vmax_expected = _rk4_term_by_term(g, v0, dt, form)
+    w_hat, vmax, _ = _rk4_vorticity_step(g, to_spectral(curl(v0).values), dt)
     got = to_physical(w_hat)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-    vx, vy = velocity(w0)
-    assert vmax == pytest.approx(max(np.abs(vx).max(), np.abs(vy).max()), rel=1e-12)
+    assert vmax == pytest.approx(vmax_expected, rel=1e-12)
+
+
+def test_rk4_step_matches_term_by_term(grid32, rng):
+    _check_rk4_step(grid32, _random_solenoidal(grid32, rng, kmax=4), 2e-2, "convective")
+
+
+@pytest.mark.parametrize("n, form", [(48, "flux"), (64, "flux"), (64, "convective")])
+def test_rk4_step_matches_term_by_term_on_the_full_band(n, form, rng):
+    # data on every kept mode, |kx|, |ky| <= N/3, so an off-by-one in the
+    # band width shows.  At N = 48 the mask keeps kx = N/3 = 16, where the
+    # products alias (16 + 16 = 32 = -16 mod 48); the two forms then
+    # differ by their different aliasing errors, and only the flux form
+    # is the step's.  At N = 64 no kept mode aliases and both forms agree.
+    from qnslab import Grid2D, euler
+
+    g = Grid2D(n)
+    assert euler._multipliers(g)[0].shape[-1] == n // 3 + 1
+    _check_rk4_step(g, _random_solenoidal(g, rng, kmax=n // 3), 2e-3, form)
 
 
 def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
@@ -192,12 +220,13 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
     euler.pressure_recover(v0)
     assert counts["fwd"] <= 4 and counts["inv"] <= 5, counts
 
-    # 4 forward rfft2 calls and 4 batched inverse calls, one of them with
-    # the guard's plane of w: 4 + 4 + 4 + 5 = 17 inverse transforms
+    # per stage one call for the 2 forward transforms of the products and
+    # one for the 2 inverse ones of v, at stage 1 with the guard's plane
+    # of w: 4 * 2 = 8 forward, 3 + 2 + 2 + 2 = 9 inverse transforms
     w_hat = to_spectral(curl(v0).values)
     counts.update(fwd=0, inv=0, calls=0)
     euler._rk4_vorticity_step(grid32, w_hat, 1e-3)
-    assert (counts["fwd"], counts["inv"], counts["calls"]) == (4, 17, 8), counts
+    assert (counts["fwd"], counts["inv"], counts["calls"]) == (8, 9, 8), counts
 
     # per solver step: the difference of two runs with the same snapshots
     monkeypatch.setattr(euler, "_rk4_vorticity_step",
@@ -209,8 +238,7 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
         assert counts["rk4"] == n_steps
         totals.append((counts["fwd"], counts["inv"], counts["calls"]))
     fwd, inv, calls = ((b - a) / 2 for a, b in zip(*totals))
-    # every forward transform is a call of its own
-    assert (fwd, inv, calls - fwd) == (4, 17, 4), (fwd, inv, calls)
+    assert (fwd, inv, calls) == (8, 9, 8), (fwd, inv, calls)
 
 
 @pytest.mark.parametrize("step, factor, trips", [(3, 11.0, True), (5, 11.0, True),
@@ -277,13 +305,15 @@ def test_euler_step_buffers_are_private(grid32, rng):
     again = euler._rk4_vorticity_step(grid32, w_hat, 1e-2)
     assert np.array_equal(first[0], again[0]) and first[1:] == again[1:]
     assert not np.shares_memory(first[0], again[0])
-    assert first[2] == np.abs(to_physical(w_hat)).max()
+    # the guard reads the band kx <= N/3 of w_hat, not its round-off tail
+    assert first[2] == np.abs(to_physical(w_hat[:, :32 // 3 + 1])).max()
 
     v0_before = (v0.x.values.copy(), v0.y.values.copy())
     traj = euler_solve(v0, t_end=4e-2, dt=1e-2, record_every=1)
     assert np.array_equal(v0.x.values, v0_before[0]) and np.array_equal(v0.y.values, v0_before[1])
-    # entry k is the state after k lone steps, bit for bit
-    w = w_hat
+    # entry k is the state after k lone steps, bit for bit, from the
+    # w_hat euler_solve takes from the velocity spectra
+    w = 1j * (grid32.kgx * to_spectral(v0.y.values) - grid32.kgy * to_spectral(v0.x.values))
     for k, ref in enumerate(traj[1:], 1):
         w = euler._rk4_vorticity_step(grid32, w, 1e-2)[0]
         vx_h = euler._velocity_hats_from_vorticity(grid32, w)[0]
@@ -292,3 +322,40 @@ def test_euler_step_buffers_are_private(grid32, rng):
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_euler_step_y_passes_run_on_the_band(grid64, rng, monkeypatch):
+    # every fft along y, forward and inverse, sees the N//3 + 1 = 22
+    # columns kx <= N/3 of the dealiased band, not the 33 of the half plane
+    from qnslab import curl, euler
+    from qnslab.spectral import to_spectral
+
+    w_hat = to_spectral(curl(_random_solenoidal(grid64, rng, kmax=4)).values)
+    shapes = []
+    for name in ("fft", "ifft"):
+        def recording(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    euler._rk4_vorticity_step(grid64, w_hat, 1e-3)
+    assert len(shapes) == 8 and {s[-1] for s in shapes} == {22}, shapes
+
+
+@pytest.mark.parametrize("record_every", [0, -1, 2.5])
+def test_euler_solve_rejects_bad_record_every(grid32, fft_counts, record_every):
+    tg = taylor_green(grid32)
+    fft_counts.update(fwd=0, inv=0, calls=0)
+    with pytest.raises(EulerSolverError, match="record_every must be an integer >= 1"):
+        euler_solve(tg.v, t_end=5e-3, dt=1e-3, record_every=record_every)
+    assert fft_counts == {"fwd": 0, "inv": 0, "calls": 0}
+
+
+def test_euler_solve_setup_takes_one_spectral_pass(grid64, fft_counts):
+    # the divergence, the cutoff check and w_hat: 2 forward transforms and
+    # 1 inverse one; the t = 0 snapshot adds 4 forward / 7 inverse
+    tg = taylor_green(grid64)
+    fft_counts.update(fwd=0, inv=0, calls=0)
+    traj = euler_solve(tg.v, t_end=0.0, dt=1e-3)
+    assert fft_counts["fwd"] <= 6 and fft_counts["inv"] <= 8, fft_counts
+    assert np.abs(traj[0].v.x.values - tg.v.x.values).max() < 1e-14

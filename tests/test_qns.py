@@ -364,7 +364,7 @@ def test_linear_stage_is_per_mode_matrix_exponential(grid32, eps):
     t = 0.01
     nh, mxh, myh = _random_spectra(g, 7)
     got_n, got_mx, got_my = qns._linear_stage(
-        g, qns._linear_flow(g, params, t), nh, mxh, myh
+        g, qns._linear_flow(g, params, t), nh, mxh, myh, qns._spectra(g, 3), qns._spectra(g, 3)
     )
 
     kabs = np.sqrt(g.kg2)
@@ -399,8 +399,10 @@ def test_linear_stage_semigroup(grid32):
     spectra = _random_spectra(grid32, 11)
     half = qns._linear_flow(grid32, params, 0.0125)
     full = qns._linear_flow(grid32, params, 0.025)
-    twice = qns._linear_stage(grid32, half, *qns._linear_stage(grid32, half, *spectra))
-    once = qns._linear_stage(grid32, full, *spectra)
+    tmp = qns._spectra(grid32, 3)
+    twice = qns._linear_stage(grid32, half, *qns._linear_stage(
+        grid32, half, *spectra, qns._spectra(grid32, 3), tmp), qns._spectra(grid32, 3), tmp)
+    once = qns._linear_stage(grid32, full, *spectra, qns._spectra(grid32, 3), tmp)
     for a, b in zip(twice, once):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -421,8 +423,9 @@ def test_linear_stage_rotates_at_acoustic_frequency(grid32):
     active = g.kg2 > 0
     for t in (1e-3, 0.0125, 0.05):
         flow = qns._linear_flow(g, params, t)
-        p11 = qns._linear_stage(g, flow, one, zero, zero)[0]
-        _, mx, my = qns._linear_stage(g, flow, zero, ex * one, ey * one)
+        tmp = qns._spectra(g, 3)
+        p11 = qns._linear_stage(g, flow, one, zero, zero, qns._spectra(g, 3), tmp)[0]
+        _, mx, my = qns._linear_stage(g, flow, zero, ex * one, ey * one, qns._spectra(g, 3), tmp)
         p22 = ex * mx + ey * my
         want = np.exp(-nu * t) * np.cos(omega * t)
         assert np.abs(0.5 * (p11 + p22) - want)[active].max() <= 1e-12
