@@ -2,15 +2,16 @@
 """Headline convergence-rate study.
 
 Runs the epsilon ladder (0.2, 0.1, 0.05, 0.025) at gamma = 2 and
-gamma = 3 with the sine-density profile, fits log-log slopes of the
-terminal entropy and theorem norms, and prints the one-sided verdicts
-(slope >= min{1 - 1/gamma, 1/gamma} - 0.1; faster convergence passes).
+gamma = 3 with the sine-density profile and prints each sweep's report
+(SweepResult.lines).  The verdict is SweepResult.passed of both sweeps:
+every run finishes and keeps its energy inequality, the density band
+holds, and each tracked quantity has a log-log slope >=
+min{1 - 1/gamma, 1/gamma} - 0.1 (faster convergence passes).
 
 Usage: python3 scripts/rate_study.py [output_dir]
 """
 
 import sys
-import time
 from pathlib import Path
 
 from qnslab import RunConfig, run_sweep
@@ -21,32 +22,14 @@ def main():
     overall = True
     for gamma in (2.0, 3.0):
         out = out_root / f"gamma_{gamma:g}"
-        cfg = RunConfig(
-            grid_n=64,
-            gamma=gamma,
-            epsilon_ladder=[0.2, 0.1, 0.05, 0.025],
-            t_end=0.25,
-            initial_profile="sine_density",
-            profile_amplitude=0.5,
-            record_every=10,
-            output_dir=str(out),
-        )
-        t0 = time.perf_counter()
+        cfg = RunConfig(grid_n=64, gamma=gamma, epsilon_ladder=[0.2, 0.1, 0.05, 0.025],
+                        t_end=0.25, initial_profile="sine_density", profile_amplitude=0.5,
+                        record_every=10, output_dir=str(out))
         result = run_sweep(cfg)
-        elapsed = time.perf_counter() - t0
-
-        print(f"gamma = {gamma:g}  (threshold {result.rate_threshold:.4f}, {elapsed:.1f}s)")
-        for name, fit in result.fits.items():
-            verdict = "PASS" if result.rate_verdicts[name] else "FAIL"
-            overall &= result.rate_verdicts[name]
-            print(f"  {name:12s} slope {fit.slope:+.4f}  log-residual {fit.residual:.3f}  {verdict}")
-        for eps, run, ok in zip(result.epsilons, result.runs, result.energy_verdicts):
-            overall &= ok
-            print(f"  energy inequality eps={eps:g}: {'PASS' if ok else 'FAIL'} "
-                  f"(max E+D-E0 = {run.ledger.max_violation():.2e})")
-        print(f"  density band spread: {'PASS' if result.density_band_ok else 'FAIL'} "
-              f"(ratios {['%.3f' % r for r in result.density_ratios]})")
-        print(f"  per-run diagnostics in {out}/")
+        print(f"gamma = {gamma:g} (per-run diagnostics in {out}/):")
+        print("\n".join(result.lines()))
+        print(f"gamma = {gamma:g}: {'PASS' if result.passed else 'FAIL'}")
+        overall &= result.passed
     print(f"overall: {'PASS' if overall else 'FAIL'}")
     return 0 if overall else 1
 

@@ -2,7 +2,7 @@
 
 Subcommands map onto the verification surfaces: run, sweep, bohm-check,
 acoustic-test, euler-test, rate-fit.  Exit codes: 0 success, 2 config
-error, 3 numerical abort, 4 IO error.
+error, 3 numerical abort or a FAIL verdict, 4 IO error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import acoustic_check, bohm_form_check, euler_check
 from .diagnostics import rate_fit
-from .harness import DENSITY_BAND_FACTOR, ConfigError, parse_config, run_single, run_sweep
+from .harness import ConfigError, parse_config, run_single, run_sweep
 from .qnsio import SnapshotError, read_csv_columns
 from .spectral import SpectralError, check_grid_size
 
@@ -39,10 +39,6 @@ def _load_config(args):
     return cfg
 
 
-def _limits(counts: dict[str, int]) -> str:
-    return ", ".join(f"{name} {n}" for name, n in counts.items())
-
-
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if cfg.epsilon is None:
@@ -56,35 +52,19 @@ def _cmd_run(args) -> int:
     last = res.reports[-1]
     print(f"run complete: t = {last.t:g}, {len(res.reports)} reports, "
           f"{res.wall_seconds:.2f} s")
-    print(f"  steps by the limit that set dt: {_limits(res.dt_limits)}")
+    print(f"  steps by the limit that set dt: {res.dt_limits_line}")
     print(f"  terminal relative entropy = {last.rel_entropy:.6e}")
     print(f"  energy inequality: {'PASS' if res.energy_ok else 'FAIL'} "
           f"(max E+D-E0 = {res.ledger.max_violation():.3e})")
     print(f"diagnostics written to {out / 'diagnostics.csv'}")
-    return EXIT_OK
+    return EXIT_OK if res.energy_ok else EXIT_NUMERICAL
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     result = run_sweep(cfg, synthetic=args.synthetic)
-    print(f"sweep over epsilon ladder {result.epsilons}"
-          + (" (synthetic)" if result.synthetic else ""))
-    for name, fit in result.fits.items():
-        verdict = "PASS" if result.rate_verdicts[name] else "FAIL"
-        print(f"  {name:12s}: slope = {fit.slope:+.4f} (threshold "
-              f"{result.rate_threshold:.4f}, residual {fit.residual:.2e}) {verdict}")
-    if not result.synthetic:
-        for eps, run, ok in zip(result.epsilons, result.runs, result.energy_verdicts):
-            state = "ABORTED" if run.aborted else ("PASS" if ok else "FAIL")
-            print(f"  energy inequality at eps = {eps:g}: {state} "
-                  f"({run.wall_seconds:.2f} s; steps by dt limit: {_limits(run.dt_limits)})")
-        print(f"  density band ||n-1||_Llambda/eps within x{DENSITY_BAND_FACTOR:g}: "
-              f"{'PASS' if result.density_band_ok else 'FAIL'} "
-              f"(ratios {['%.4g' % r for r in result.density_ratios]})")
     print(f"summary written to {Path(cfg.output_dir) / 'sweep_summary.csv'}")
-    if result.failed:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _print_battery("sweep", result.passed, result.lines())
 
 
 def _print_battery(name, passed, lines) -> int:

@@ -9,12 +9,10 @@ fields: one call of the in-place 1-D pair spectral._to_physical_into
 inverts vx and vy, and one stacked call of spectral.to_spectral takes
 vy^2 - vx^2 and vx vy back; stage 1 adds w itself as a third inverse
 plane, whose max|w| feeds the blow-up guard.  Every spectrum the step
-holds is zero for kx > N/3 under the 2/3 rule, so it is stored on that
-band, the c = N//3 + 1 columns kx <= N/3, and every fft along y runs on
-c of the N/2 + 1 columns.  When 3 does not divide N, no kept mode of a
-product aliases and the flux form equals the convective one v.grad w up
-to round-off; when it does, the mask keeps kx = N/3, where products
-alias, and the two forms differ by their aliasing errors there.
+holds is zero for kx >= N/3 under the 2/3 rule, so it is stored on that
+band, the c columns kx < N/3 (c = 22 at N = 64), and every fft along y
+runs on c of the N/2 + 1 columns.  No kept mode of a product aliases, so
+the flux form equals the convective one v.grad w up to round-off.
 euler_solve allocates the working arrays once.  A step takes 0.77, 3.05
 and 11.9 ms at N = 64, 128 and 256, against 1.06, 3.79 and 15.4 ms with
 four derivative fields on the full half plane (4 forward / 17 inverse
@@ -83,7 +81,7 @@ def taylor_green(grid: Grid2D) -> EulerReference:
 @lru_cache(maxsize=8)
 def _multipliers(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     """Wavenumber-only arrays of the vorticity step on the dealiased
-    band, the c = N//3 + 1 columns kx <= N/3 of the half plane outside
+    band, the c columns kx < N/3 of the half plane outside
     which the 2/3-rule mask is zero, read-only and complex (a complex
     times complex multiply is faster than complex times float): the
     Biot-Savart stack (2, N, c) (i kgy, -i kgx) / |k|^2 (0 where
@@ -101,14 +99,14 @@ def _multipliers(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _velocity_hats_from_vorticity(grid: Grid2D, w_hat: np.ndarray):
-    """v_hat of a band spectrum w_hat (N, N//3 + 1)."""
+    """v_hat of a band spectrum w_hat (N, c)."""
     bs = _multipliers(grid)[0]
     return bs[0] * w_hat, bs[1] * w_hat
 
 
 class _Work:
     """Working arrays of one euler_solve call, or of one step taken
-    alone, every spectrum on the dealiased band (N, N//3 + 1): the
+    alone, every spectrum on the dealiased band (N, c): the
     stacked stage spectra, whose third plane carries w itself at stage 1
     (for the blow-up guard); the full half-plane scratch of the forward
     transforms; the fields vx, vy, w and the two products; the RK4 sum

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import time as _time
 from dataclasses import dataclass, field
@@ -104,8 +105,8 @@ class RunConfig:
                 raise ConfigError(f"epsilon_ladder must be strictly decreasing, got {lad}")
         if self.dt_fixed is not None and self.dt_fixed <= 0:
             raise ConfigError("dt_policy fixed needs a positive dt")
-        if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
+            raise ConfigError(f"record_every must be an integer >= 1, got {self.record_every!r}")
         if self.eta < 0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
         try:
@@ -275,26 +276,19 @@ class RunResult:
     def energy_ok(self) -> bool:
         return self.aborted is None and self.ledger.inequality_ok(self.dt_max)
 
+    @property
+    def dt_limits_line(self) -> str:
+        """The dt_limits counts as 'advective 0, bohm 0, ...'."""
+        return ", ".join(f"{name} {n}" for name, n in self.dt_limits.items())
+
 
 def _csv_rows(reports: list[EntropyReport], ledger: EnergyLedger):
     by_t = {format_sig17(e.t): e for e in ledger.entries}
     rows = []
     for r in reports:
         e = by_t[format_sig17(r.t)]
-        rows.append(
-            (
-                r.t,
-                r.rel_entropy,
-                r.kinetic_part,
-                r.quantum_part,
-                r.internal_part,
-                r.theorem_lhs[0],
-                r.theorem_lhs[1],
-                r.theorem_lhs[2],
-                e.e_total,
-                e.d_cumulative,
-            )
-        )
+        rows.append((r.t, r.rel_entropy, r.kinetic_part, r.quantum_part, r.internal_part,
+                     *r.theorem_lhs, e.e_total, e.d_cumulative))
     return rows
 
 
@@ -394,12 +388,7 @@ def _terminal_values(res: RunResult) -> dict[str, float]:
     if not res.reports:  # aborted during initialisation
         return {q: float("nan") for q in TRACKED_QUANTITIES}
     last = res.reports[-1]
-    return {
-        "rel_entropy": last.rel_entropy,
-        "thm_vel": last.theorem_lhs[0],
-        "thm_dens": last.theorem_lhs[1],
-        "thm_grad": last.theorem_lhs[2],
-    }
+    return dict(zip(TRACKED_QUANTITIES, (last.rel_entropy, *last.theorem_lhs)))
 
 
 @dataclass
@@ -409,8 +398,12 @@ class SweepResult:
     fits: dict[str, RateFit] = field(default_factory=dict)
     rate_threshold: float = 0.0
     density_ratios: list[float] = field(default_factory=list)
-    failed: bool = False
     synthetic: bool = False
+
+    @property
+    def failed(self) -> bool:
+        """Some run aborted."""
+        return any(r.aborted is not None for r in self.runs)
 
     @property
     def rate_verdicts(self) -> dict[str, bool]:
@@ -431,16 +424,52 @@ class SweepResult:
     def energy_verdicts(self) -> list[bool]:
         return [r.energy_ok for r in self.runs]
 
+    @property
+    def passed(self) -> bool:
+        """The sweep's one verdict: no run aborted, every run keeps its
+        energy inequality, the density band holds, and each of the
+        TRACKED_QUANTITIES has a fit whose slope passes."""
+        verdicts = self.rate_verdicts
+        return (not self.failed and all(self.energy_verdicts) and self.density_band_ok
+                and all(verdicts.get(q, False) for q in TRACKED_QUANTITIES))
+
+    def lines(self) -> list[str]:
+        """The sweep report behind passed: per tracked quantity its slope,
+        threshold and log-residual, or "no fit"; per run its energy
+        verdict, max E+D-E0, wall time and the steps each dt limit set;
+        then the density band and its ratios."""
+        lines = [f"  sweep over epsilon ladder {self.epsilons}"
+                 + (" (synthetic)" if self.synthetic else "")]
+        verdicts = self.rate_verdicts
+        for q in TRACKED_QUANTITIES:
+            fit = self.fits.get(q)
+            if fit is None:
+                lines.append(f"  {q:12s}: no fit (FAIL)")
+                continue
+            lines.append(f"  {q:12s}: slope = {fit.slope:+.4f} (threshold "
+                         f"{self.rate_threshold:.4f}, residual {fit.residual:.2e}) "
+                         f"{'PASS' if verdicts[q] else 'FAIL'}")
+        for eps, run in zip(self.epsilons, self.runs):
+            state = "ABORTED" if run.aborted else ("PASS" if run.energy_ok else "FAIL")
+            lines.append(f"  energy inequality at eps = {eps:g}: {state} "
+                         f"(max E+D-E0 = {run.ledger.max_violation():.2e}; "
+                         f"{run.wall_seconds:.2f} s; steps by dt limit: {run.dt_limits_line})")
+        ratios = ", ".join(f"{r:.4g}" for r in self.density_ratios)
+        lines.append(f"  density band ||n-1||_Llambda/eps within x{DENSITY_BAND_FACTOR:g}: "
+                     f"{'PASS' if self.density_band_ok else 'FAIL'} (ratios {ratios})")
+        return lines
+
 
 def run_sweep(cfg: RunConfig, synthetic: bool = False) -> SweepResult:
     """run_single per ladder entry, in order, then log-log rate fits on
-    the terminal tracked quantities plus the energy and density-band
-    verdicts.  Each run's CSV and snapshot, and sweep_summary.csv, go to
-    cfg.output_dir.
+    the terminal tracked quantities and the density ratios; the result's
+    passed is the verdict.  Each run's CSV and snapshot, and
+    sweep_summary.csv, go to cfg.output_dir.
 
     synthetic=True bypasses the solver and injects the exact power law
     eps**rate, exercising the fit/report plumbing alone.  An aborted run
-    marks the sweep failed; the other runs still complete and report.
+    fails the sweep and leaves it without fits; the other runs still
+    complete and report.
     """
     if cfg.epsilon_ladder is None or len(cfg.epsilon_ladder) < 3:
         raise ConfigError("sweep needs an epsilon_ladder of length >= 3")
@@ -461,19 +490,13 @@ def run_sweep(cfg: RunConfig, synthetic: bool = False) -> SweepResult:
                           else res.terminal_density_norms["full_Llambda"] / eps
                           for eps, res in zip(ladder, runs)]
 
-    failed = any(r.aborted is not None for r in runs)
-    fits = {q: rate_fit(ladder, vals) for q, vals in per_quantity.items()
-            if not failed and min(vals) > 0}
     _write_sweep_summary(out, ladder, per_quantity, density_ratios)
-    return SweepResult(
-        epsilons=ladder,
-        runs=runs,
-        fits=fits,
-        rate_threshold=rate - RATE_SLOPE_MARGIN,
-        density_ratios=density_ratios,
-        failed=failed,
-        synthetic=synthetic,
-    )
+    result = SweepResult(epsilons=ladder, runs=runs, rate_threshold=rate - RATE_SLOPE_MARGIN,
+                         density_ratios=density_ratios, synthetic=synthetic)
+    if not result.failed:
+        result.fits = {q: rate_fit(ladder, vals) for q, vals in per_quantity.items()
+                       if min(vals) > 0}
+    return result
 
 
 def _write_sweep_summary(out: Path, ladder, per_quantity, density_ratios) -> None:

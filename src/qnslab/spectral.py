@@ -79,8 +79,10 @@ class Grid2D:
         self.inv_kg2 = np.divide(1.0, self.kg2, out=np.zeros(self.kg2.shape),
                                  where=self.kg2 != 0.0)
 
+        # strict: with |k| <= N/3 kept, a grid that 3 divides would alias
+        # the products at 2N/3 onto the kept modes |k| = N/3
         cutoff = n / 3.0
-        self.dealias_mask = (np.abs(self.kx) <= cutoff) & (np.abs(self.ky) <= cutoff)
+        self.dealias_mask = (np.abs(self.kx) < cutoff) & (np.abs(self.ky) < cutoff)
         self.ddx = 1j * self.kgx * self.dealias_mask
         self.ddy = 1j * self.kgy * self.dealias_mask
 
@@ -236,7 +238,7 @@ def helmholtz_project(w: VectorField) -> tuple[VectorField, VectorField]:
 
 
 def dealias(f: ScalarField) -> ScalarField:
-    """Zero every mode with |kx| or |ky| above N/3 (the 2/3 rule)."""
+    """Zero every mode with |kx| or |ky| at or above N/3 (the 2/3 rule)."""
     return ScalarField(f.grid, dealias_values(f.grid, f.values))
 
 

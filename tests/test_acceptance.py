@@ -36,6 +36,7 @@ from qnslab import (
     write_snapshot,
 )
 from qnslab.checks import acoustic_check, bohm_form_check, euler_check
+from qnslab.harness import TRACKED_QUANTITIES
 
 def _verdict(num, name, ok, detail=""):
     print(f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}"
@@ -186,6 +187,18 @@ def test_criterion_7_headline_rate_study(headline_sweeps):
     ok &= total_time < 900.0
     _verdict(7, "one-sided convergence-rate study", ok,
              "; ".join(details) + f"; total {total_time:.0f}s")
+
+
+def test_criterion_7_headline_sweeps_pass_with_four_fits(headline_sweeps):
+    # criterion 7 above reads only the fits that exist; the sweep's own
+    # verdict also fails a quantity without a fit
+    ok = True
+    details = []
+    for gamma, (result, _) in headline_sweeps.items():
+        ok &= result.passed and set(result.fits) == set(TRACKED_QUANTITIES)
+        details.append(f"g={gamma:g}: {len(result.fits)} fits, "
+                       f"{'PASS' if result.passed else 'FAIL'}")
+    _verdict(7, "each headline sweep passed with four fits", ok, "; ".join(details))
 
 
 def test_headline_terminal_values_pinned(headline_sweeps):

@@ -183,18 +183,18 @@ def test_rk4_step_matches_term_by_term(grid32, rng):
     _check_rk4_step(grid32, _random_solenoidal(grid32, rng, kmax=4), 2e-2, "convective")
 
 
-@pytest.mark.parametrize("n, form", [(48, "flux"), (64, "flux"), (64, "convective")])
+@pytest.mark.parametrize("n, form", [(48, "flux"), (48, "convective"), (64, "flux"),
+                                     (64, "convective")])
 def test_rk4_step_matches_term_by_term_on_the_full_band(n, form, rng):
-    # data on every kept mode, |kx|, |ky| <= N/3, so an off-by-one in the
-    # band width shows.  At N = 48 the mask keeps kx = N/3 = 16, where the
-    # products alias (16 + 16 = 32 = -16 mod 48); the two forms then
-    # differ by their different aliasing errors, and only the flux form
-    # is the step's.  At N = 64 no kept mode aliases and both forms agree.
+    # data on every kept mode, |kx|, |ky| < N/3, so an off-by-one in the
+    # band width shows.  No kept mode aliases, so both forms agree, also
+    # at N = 48 where 3 divides N.
     from qnslab import Grid2D, euler
 
     g = Grid2D(n)
-    assert euler._multipliers(g)[0].shape[-1] == n // 3 + 1
-    _check_rk4_step(g, _random_solenoidal(g, rng, kmax=n // 3), 2e-3, form)
+    c = int(np.count_nonzero(g.dealias_mask[0]))
+    assert euler._multipliers(g)[0].shape[-1] == c
+    _check_rk4_step(g, _random_solenoidal(g, rng, kmax=c - 1), 2e-3, form)
 
 
 def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):

@@ -82,6 +82,12 @@ def test_parse_missing_epsilon():
         parse_config("gamma = 2\n")
 
 
+@pytest.mark.parametrize("record_every", [2.5, 0])
+def test_config_refuses_record_every_not_a_positive_integer(record_every):
+    with pytest.raises(ConfigError, match="record_every must be an integer >= 1"):
+        RunConfig(epsilon=0.1, record_every=record_every)
+
+
 def test_parse_non_decreasing_ladder():
     with pytest.raises(ConfigError, match="decreasing"):
         parse_config("epsilon_ladder = 0.1,0.2,0.3\n")
@@ -515,10 +521,37 @@ def test_cli_prints_dt_limit_counts(tmp_path, capsys):
         "initial_profile = sine_density(0.5)\n"
         f"output_dir = {tmp_path / 'sweep'}\n"
     )
-    assert cli_main(["sweep", "--config", str(cfgfile)]) == 0
+    # thm_dens falls short of its rate on this short ladder: the sweep fails
+    assert cli_main(["sweep", "--config", str(cfgfile)]) == 3
     out = capsys.readouterr().out
     assert "eps = 0.1: PASS" in out
     assert "advective 0, bohm 0, viscous 0, acoustic 2, t_end 0, fixed 0" in out
+
+
+def test_cli_run_exits_3_when_its_energy_inequality_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("qnslab.qns.EnergyLedger.inequality_ok", lambda self, dt: False)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(
+        "epsilon = 0.1\nt_end = 0.02\ngrid_n = 32\n"
+        "initial_profile = sine_density(0.5)\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["run", "--config", str(cfgfile)]) == 3
+    assert "energy inequality: FAIL" in capsys.readouterr().out
+    assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_cli_sweep_of_a_rest_ladder_has_no_fit_and_fails(tmp_path, capsys):
+    # at rest every tracked quantity stays 0, so no quantity gets a fit
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(
+        "epsilon_ladder = 0.2,0.1,0.05\nt_end = 0.02\ngrid_n = 32\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(cfgfile)]) == 3
+    out = capsys.readouterr().out
+    assert out.count(": no fit (FAIL)") == 4
+    assert out.splitlines()[-1] == "sweep: FAIL"
 
 
 def test_cli_mid_run_spectral_error_aborts(tmp_path, monkeypatch):
@@ -608,6 +641,55 @@ def test_density_band_fails_on_non_finite_ratio():
     assert SweepResult(ladder, [], density_ratios=[16.0, 15.67, 17.07]).density_band_ok
     assert not SweepResult(ladder, [], density_ratios=[float("nan"), 15.67, 17.07]).density_band_ok
     assert not SweepResult(ladder, [], density_ratios=[16.0, float("inf"), 17.07]).density_band_ok
+
+
+def _healthy_sweep(tmp_path):
+    """The synthetic sweep plus one finished run that keeps its energy
+    inequality (an empty ledger): every clause of passed holds."""
+    from qnslab import EnergyLedger, RunResult
+
+    cfg = RunConfig(grid_n=32, gamma=2.0, epsilon_ladder=[0.2, 0.1, 0.05, 0.025],
+                    t_end=0.1, output_dir=str(tmp_path))
+    result = run_sweep(cfg, synthetic=True)
+    assert result.passed
+    result.runs = [RunResult(epsilon=0.2, reports=[], ledger=EnergyLedger(), dt_max=0.0)]
+    return result
+
+
+_BROKEN_CLAUSES = {
+    "aborted run": lambda res, mp: setattr(res.runs[0], "aborted", "NumericalAbort: test"),
+    "energy inequality": lambda res, mp: mp.setattr(
+        "qnslab.qns.EnergyLedger.inequality_ok", lambda self, dt: False),
+    "missing fit": lambda res, mp: res.fits.pop("thm_dens"),
+    "failing slope": lambda res, mp: setattr(res, "rate_threshold", 0.6),
+    "density band": lambda res, mp: setattr(res, "density_ratios", [1.0, 20.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("clause", list(_BROKEN_CLAUSES))
+def test_sweep_passed_fails_on_each_clause_alone(clause, tmp_path, monkeypatch):
+    result = _healthy_sweep(tmp_path)
+    assert result.passed
+    _BROKEN_CLAUSES[clause](result, monkeypatch)
+    assert not result.passed
+
+
+def test_sweep_report_names_every_quantity_run_and_the_band(tmp_path):
+    result = _healthy_sweep(tmp_path)
+    result.fits.pop("thm_dens")
+    result.runs[0].aborted = "NumericalAbort: test"
+    result.density_ratios = [1.0, 20.0, 1.0, 1.0]
+    lines = result.lines()
+    assert lines[0] == "  sweep over epsilon ladder [0.2, 0.1, 0.05, 0.025] (synthetic)"
+    assert lines[1].startswith("  rel_entropy : slope = +0.5000 (threshold 0.4000, residual ")
+    assert lines[1].endswith(") PASS")
+    assert lines[3] == "  thm_dens    : no fit (FAIL)"
+    assert lines[5].startswith("  energy inequality at eps = 0.2: ABORTED (max E+D-E0 = 0.00e+00;")
+    assert lines[5].endswith("steps by dt limit: advective 0, bohm 0, viscous 0, acoustic 0, "
+                             "t_end 0, fixed 0)")
+    assert lines[6] == ("  density band ||n-1||_Llambda/eps within x10: FAIL "
+                        "(ratios 1, 20, 1, 1)")
+    assert len(lines) == 7
 
 
 def test_sweep_rejects_short_ladder(tmp_path):
