@@ -9,14 +9,11 @@ fields: one call of the in-place 1-D pair spectral._to_physical_into
 inverts vx and vy, and one stacked call of spectral.to_spectral takes
 vy^2 - vx^2 and vx vy back; stage 1 adds w itself as a third inverse
 plane, whose max|w| feeds the blow-up guard.  Every spectrum the step
-holds is zero for kx >= N/3 under the 2/3 rule, so it is stored on that
-band, the c columns kx < N/3 (c = 22 at N = 64), and every fft along y
-runs on c of the N/2 + 1 columns.  No kept mode of a product aliases, so
-the flux form equals the convective one v.grad w up to round-off.
-euler_solve allocates the working arrays once.  A step takes 0.77, 3.05
-and 11.9 ms at N = 64, 128 and 256, against 1.06, 3.79 and 15.4 ms with
-four derivative fields on the full half plane (4 forward / 17 inverse
-transforms; interleaved in one process, 2-vCPU x86_64 VM, NumPy 2.4).
+holds lives on the dealiased band of Grid2D (22 of 33 columns at
+N = 64), as in qns.qns_step, so every fft along y runs on those
+columns.  No kept mode of a product aliases, so the flux form equals
+the convective one v.grad w up to round-off.  euler_solve allocates the
+working arrays once.  README's numerical notes give the step times.
 """
 
 from __future__ import annotations
@@ -80,28 +77,16 @@ def taylor_green(grid: Grid2D) -> EulerReference:
 # step Euler (every QNS run) do not build them.
 @lru_cache(maxsize=8)
 def _multipliers(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Wavenumber-only arrays of the vorticity step on the dealiased
-    band, the c columns kx < N/3 of the half plane outside
-    which the 2/3-rule mask is zero, read-only and complex (a complex
-    times complex multiply is faster than complex times float): the
-    Biot-Savart stack (2, N, c) (i kgy, -i kgx) / |k|^2 (0 where
-    kg2 == 0), taking w_hat to v_hat, and the flux-form stack (2, N, c)
-    kx ky, kx^2 - ky^2 with the mask folded in, which takes the spectra
-    of vy^2 - vx^2 and vx vy to that of -(v.grad)w."""
-    c = int(np.count_nonzero(grid.dealias_mask[0]))
-    kx, ky = grid.kgx[:, :c], grid.kgy[:, :c]
-    inv_k2, mask = grid.inv_kg2[:, :c], grid.dealias_mask[:, :c]
-    biot_savart = np.stack((1j * ky * inv_k2, -1j * kx * inv_k2))
-    flux = np.stack((kx * ky * mask, (kx * kx - ky * ky) * mask)).astype(complex)
+    """Read-only (2, N, c) band stacks of the vorticity step, built from
+    Grid2D.band_d: Biot-Savart (i ky, -i kx) / |k|^2 (0 where kg2 == 0),
+    taking w_hat to v_hat, and the flux form kx ky, kx^2 - ky^2, taking
+    the spectra of vy^2 - vx^2 and vx vy to that of -(v.grad)w."""
+    ddx, ddy = grid.band_d
+    biot_savart = np.stack((ddy, -ddx)) * grid.inv_kg2[:, :grid.band_c]
+    flux = np.stack((-ddx * ddy, ddy * ddy - ddx * ddx))
     for arr in (biot_savart, flux):
         arr.setflags(write=False)
     return biot_savart, flux
-
-
-def _velocity_hats_from_vorticity(grid: Grid2D, w_hat: np.ndarray):
-    """v_hat of a band spectrum w_hat (N, c)."""
-    bs = _multipliers(grid)[0]
-    return bs[0] * w_hat, bs[1] * w_hat
 
 
 class _Work:
@@ -114,7 +99,7 @@ class _Work:
     a scratch spectrum t.  They live no longer than that call."""
 
     def __init__(self, g: Grid2D):
-        band = _multipliers(g)[0].shape[1:]
+        band = (g.n_points, g.band_c)
         self.spec = np.empty((3,) + band, complex)
         self.half = np.empty((2,) + g.kg2.shape, complex)
         self.phys = np.empty((5, g.n_points, g.n_points))
@@ -227,11 +212,11 @@ def euler_solve(
     if outside > 1e-12 * max(np.abs(vx_h).max(), 1e-30):
         raise EulerSolverError("initial velocity has content above the dealiasing cutoff")
 
-    c = _multipliers(g)[0].shape[-1]
-    w_hat = 1j * (g.kgx[:, :c] * vy_h[:, :c] - g.kgy[:, :c] * vx_h[:, :c])
+    (ddx, ddy), c = g.band_d, g.band_c
+    w_hat = ddx * vy_h[:, :c] - ddy * vx_h[:, :c]
 
     def snapshot(w_hat, t):
-        vx_h, vy_h = _velocity_hats_from_vorticity(g, w_hat)
+        vx_h, vy_h = _multipliers(g)[0] * w_hat
         v = vector_field(g, to_physical(vx_h), to_physical(vy_h))
         return EulerReference(v=v, pi=pressure_recover(v), time=t)
 
@@ -285,8 +270,8 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
         w_hat = to_spectral(curl(ref.v).values)
         w_fwd = _rk4_vorticity_step(g, w_hat, dt_probe)[0]
         w_bwd = _rk4_vorticity_step(g, w_hat, -dt_probe)[0]
-        fx_h, fy_h = _velocity_hats_from_vorticity(g, w_fwd)
-        bx_h, by_h = _velocity_hats_from_vorticity(g, w_bwd)
+        fx_h, fy_h = _multipliers(g)[0] * w_fwd
+        bx_h, by_h = _multipliers(g)[0] * w_bwd
         res_x = res_x + (to_physical(fx_h) - to_physical(bx_h)) / (2.0 * dt_probe)
         res_y = res_y + (to_physical(fy_h) - to_physical(by_h)) / (2.0 * dt_probe)
     return norm(vector_field(g, res_x, res_y), 2)

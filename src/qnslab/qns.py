@@ -17,23 +17,17 @@ the divergence of one stress tensor, transformed once per component.
 
 A step allocates its working arrays once, at its top, and every stage
 operation writes into them through out= arguments; the last stage's
-physical fields become the new state's arrays, and no array outlives
-the step.  Both directions of every transform are the 1-D pairs of
-spectral.to_spectral and spectral._to_physical_into, taken on stacks:
-each stage makes two forward and two inverse calls, each later stage
-one more inverse for its state, so a step takes its 31 / 40 transforms
-in 21 calls (71 one transform at a time).  The stacks live in one pool
-of spectra whose planes also hold the fields, so the step's traced
-peak stays at 24 N x N fields at N = 256.
+physical fields become the new state's arrays.  Every spectrum it holds
+lives on the dealiased band of Grid2D (22 of 33 columns at N = 64), so
+every fft along y runs on those columns, and every table it multiplies
+by is complex with the mask folded in.  Each stage makes two forward and
+two inverse stacked transform calls, each later stage one more inverse
+for its state: a step takes its 31 / 40 transforms in 21 calls.
 
 The energy entry of a state is computed in one place, _StageEnergy, from
-the fields of a stage's first transforms (_gradients): grad s, and the
-strain for the dissipation rate.  Stage 1 of a step reads it for the
-state the step starts from, so a run records its states at no transform
-of its own; total_energy, dissipation_rate and EnergyLedger.record take
-those transforms for a state by itself, 3 forward / 5 inverse in three
-calls.  The quantum energy is 2 eps^2 int |grad s|^2 for that grad s,
-the dealiased gradient the Bohm stress uses.
+the fields of a stage's first transforms (_gradients); stage 1 of a step
+reads it for the state the step starts from, so a run records its
+states at no transform of its own.
 """
 
 from __future__ import annotations
@@ -169,114 +163,122 @@ def _linear_flow(g: Grid2D, params: LimitParams, t: float):
     with w^2 = |k|^2 c_k^2 - nu^2 = p'(1)|k|^2/eps^2 exactly: the damped
     rotation runs at the acoustic frequency, never overdamped.
 
-    Returns the real arrays (decay, p11, sw, c2 sw, r) with exp(G t) =
-    [[p11, -i sw], [-i |k|^2 c2 sw, p22]] and r = (p22 - decay)/|k|^2.
-    Successive steps mostly share one dt, so the last flow is cached;
-    its arrays are read-only.
+    Returns the band arrays (decay, p11, -sw, -c2 sw, -r, nu), complex
+    and zero outside the mask, with exp(G t) = [[p11, -i sw],
+    [-i |k|^2 c2 sw, p22]] and r = (p22 - decay)/|k|^2: the signs fold in
+    the i of the ddx, ddy _linear_stage takes for kx, ky.  The last flow
+    is cached, as steps mostly share one dt; its arrays are read-only.
     """
     eps = params.epsilon
     p1 = p_prime_at_one(params.gamma)
-    c2 = p1 / (eps * eps) + eps * eps * g.kg2 * g.dealias_mask
-    nu = eps * g.kg2 * g.dealias_mask
-    w = np.sqrt(p1 * g.kg2) / eps
+    k2, inv_k2 = g.kg2[:, :g.band_c], g.inv_kg2[:, :g.band_c]
+    c2 = p1 / (eps * eps) + eps * eps * k2
+    nu = eps * k2
+    w = np.sqrt(p1 * k2) / eps
     decay = np.exp(-nu * t)
     cw = decay * np.cos(w * t)
     sw = decay * t * np.sinc(w * t / np.pi)  # e^{-nu t} sin(w t)/w
-    r = (cw - nu * sw - decay) * g.inv_kg2
-    flow = decay, cw + nu * sw, sw, c2 * sw, r
+    r = (cw - nu * sw - decay) * inv_k2
+    flow = tuple(a.astype(complex) for a in (decay, cw + nu * sw, -sw, -(c2 * sw), -r, nu))
     for a in flow:
+        a[g.band_cut] = 0.0
         a.setflags(write=False)
     return flow
 
 
 def _linear_stage(g: Grid2D, flow, nh, mxh: np.ndarray, myh: np.ndarray, out, tmp):
-    """Apply a _linear_flow to the spectra of n and m (nh may be the
-    scalar 0).  Modes with kg = 0 (the mean included) map to themselves,
-    so n_hat stands in for a = n_hat - delta_0.
-
-    Written into out, three spectra that may be the inputs themselves,
-    with three scratch spectra tmp."""
-    decay, p11, sw, c2sw, r = flow
+    """Apply a _linear_flow to the band spectra of n and m (nh may be the
+    scalar 0), into out, three spectra that may be the inputs, with three
+    scratch spectra tmp.  Kept modes with kg = 0 (the mean included) map
+    to themselves, so n_hat stands in for n_hat - delta_0."""
+    decay, p11, m_sw, m_c2sw, m_r = flow[:5]
+    ddx, ddy = g.band_d
     on, ox, oy = out
-    b, shift, t = tmp
-    np.multiply(g.kgx, mxh, out=b)
-    b += np.multiply(g.kgy, myh, out=t)
-    # (b_new - decay b)/|k|^2: the change of the longitudinal momentum
-    np.multiply(c2sw, nh, out=t)
-    t *= 1j
-    np.multiply(r, b, out=shift)
-    shift -= t
-    np.multiply(sw, b, out=t)
-    t *= 1j
+    d, shift, t = tmp
+    np.multiply(ddx, mxh, out=d)  # i b, b = k . m_hat
+    d += np.multiply(ddy, myh, out=t)
+    # -i (b_new - decay b)/|k|^2: the change of the longitudinal momentum
+    np.multiply(m_r, d, out=shift)
+    shift += np.multiply(m_c2sw, nh, out=t)
     np.multiply(p11, nh, out=on)
-    on -= t
+    on += np.multiply(m_sw, d, out=t)
     np.multiply(decay, mxh, out=ox)
-    ox += np.multiply(shift, g.kgx, out=t)
+    ox += np.multiply(shift, ddx, out=t)
     np.multiply(decay, myh, out=oy)
-    oy += np.multiply(shift, g.kgy, out=t)
+    oy += np.multiply(shift, ddy, out=t)
     return on, ox, oy
 
 
 def _spectra(g: Grid2D, count: int) -> np.ndarray:
-    return np.empty((count,) + g.kg2.shape, complex)
-
-
-def _fields(g: Grid2D, count: int) -> np.ndarray:
-    return np.empty((count, g.n_points, g.n_points))
+    return np.empty((count, g.n_points, g.band_c), complex)
 
 
 class _Work:
-    """The scratch pool of one qns_step, or of one energy entry: ten
-    half-plane spectra q.  The first N^2 reals of each plane q[i] also
-    hold an N x N field r[i], so the fields a stage transforms reuse the
-    planes of spectra it has done with, and a run of planes is a stack in
-    either role.  The stage, the linear stage and the RK4 sums write into
-    them; they live no longer than their step."""
+    """The scratch pool of one qns_step or energy entry: max(4 F + 4 H,
+    3 B + 3 H + 3 F) reals (F, B, H: a field, band spectrum, half plane;
+    B < F < H, 6 B <= 4 H).  These runs of planes lie in it, over each
+    other only where they are never live at once:
+
+        q      6 band spectra  at 0: a stage's state, then its gradients
+        half3  3 half planes   after q0-2: the forward scratch of x
+        x      3 fields        after half3: mx/n, my/n, sqrt n, or a state
+        half4  4 half planes   at 0: the forward scratch of a1-4
+        t      1 field         before a: a stage's scratch field
+        a      5 fields        at the end: pressure, gradients, stress
+        s      4 band spectra  over a1-4: the stress's spectra
+    """
 
     def __init__(self, g: Grid2D):
-        n = g.n_points
-        self.q = _spectra(g, 10)
-        self.r = self.q.view(float).reshape(10, -1)[:, : n * n].reshape(10, n, n)
+        n, c = g.n_points, g.band_c
+        f, b, h = n * n, 2 * n * c, n * (n + 2)
+        size = max(4 * f + 4 * h, 3 * b + 3 * h + 3 * f)
+        pool = np.empty(size)
+
+        def planes(at, count, reals, dtype=complex):  # reals per row
+            return pool[at:at + count * n * reals].view(dtype).reshape(count, n, -1)
+
+        self.q, self.half3 = planes(0, 6, 2 * c), planes(3 * b, 3, n + 2)
+        self.x, self.half4 = planes(3 * b + 3 * h, 3, n, float), planes(0, 4, n + 2)
+        self.t, self.a = planes(size - 6 * f, 1, n, float)[0], planes(size - 5 * f, 5, n, float)
+        self.s = planes(size - 4 * f, 4, 2 * c)
 
 
-def _viscous_hats(g: Grid2D, eps: float, mxh: np.ndarray, myh: np.ndarray, f, w: _Work):
-    """Start a stage's forces: the spectra f = (fx, fy) become
+def _viscous_hats(g: Grid2D, eps: float, flow, mxh, myh, f, w: _Work):
+    """Start a stage's forces: the band spectra f = (fx, fy) become
     -eps (lap m + grad div m), per mode eps (|k|^2 m + k (k . m)) inside
-    the 2/3 mask.  The linear flow carries this viscous part at n = 1, so
-    the stage subtracts it.  Reads mxh and myh, and w.q[3] is its scratch."""
+    the mask, eps |k|^2 the nu of the _linear_flow, which carries this
+    part at n = 1.  Reads mxh and myh, and w.q[3] is its scratch."""
+    (ddx, ddy), nu = g.band_d, flow[5]
     fx, fy = f
-    b = np.multiply(g.kgx, mxh, out=w.q[3])
-    b += np.multiply(g.kgy, myh, out=fy)
-    np.multiply(g.kg2, mxh, out=fx)
-    fx += np.multiply(g.kgx, b, out=fy)
-    np.multiply(g.kg2, myh, out=fy)
-    b *= g.kgy
-    fy += b
-    for fi in f:
-        fi *= g.dealias_mask
-        fi *= eps
+    d = np.multiply(ddx, mxh, out=w.q[3])  # i k . m_hat, then eps times it
+    d += np.multiply(ddy, myh, out=fy)
+    d *= eps
+    np.multiply(nu, mxh, out=fx)
+    fx -= np.multiply(ddx, d, out=fy)
+    np.multiply(nu, myh, out=fy)
+    d *= ddy
+    fy -= d
 
 
 def _gradients(g: Grid2D, n, mx, my, w: _Work):
     """The first transforms of a stage, for the physical state (n, mx, my):
-    forward r6-8 (mx/n, my/n, sqrt n) -> q0-2 and inverse q2-5 -> r6-9,
+    forward x (mx/n, my/n, sqrt n) -> q0-2 and inverse q2-5 -> a1-4,
     the returned fields (ddx s, ddy s, dxx, dyy).  The dealiased velocity
     spectra stay in q0-1, and the spectrum of the strain's
     dxy = (ddy ux + ddx uy)/2 is left in q2, with q5 as scratch."""
-    q, r = w.q, w.r
-    np.divide(mx, n, out=r[6])
-    np.divide(my, n, out=r[7])
-    np.sqrt(n, out=r[8])
-    uxh, uyh, sh = to_spectral(r[6:9], out=q[:3])
-    uxh *= g.dealias_mask
-    uyh *= g.dealias_mask
-    np.multiply(g.ddy, sh, out=q[3])
-    np.multiply(g.ddx, sh, out=sh)
-    np.multiply(g.ddx, uxh, out=q[4])
-    np.multiply(g.ddy, uyh, out=q[5])
-    fields = _to_physical_into(q[2:6], r[6:10])
-    dxy = np.multiply(g.ddy, uxh, out=q[2])
-    dxy += np.multiply(g.ddx, uyh, out=q[5])
+    q, x, (ddx, ddy) = w.q, w.x, g.band_d
+    np.divide(mx, n, out=x[0])
+    np.divide(my, n, out=x[1])
+    np.sqrt(n, out=x[2])
+    uxh, uyh, sh = to_spectral(x, out=q[:3], scratch=w.half3)
+    q[:2, g.band_cut] = 0.0
+    np.multiply(ddy, sh, out=q[3])
+    np.multiply(ddx, sh, out=sh)
+    np.multiply(ddx, uxh, out=q[4])
+    np.multiply(ddy, uyh, out=q[5])
+    fields = _to_physical_into(q[2:6], w.a[1:])
+    dxy = np.multiply(ddy, uxh, out=q[2])
+    dxy += np.multiply(ddx, uyh, out=q[5])
     dxy *= 0.5
     return fields
 
@@ -287,29 +289,27 @@ def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, f, w: _Work, energy=
     the advective flux -m x u, the viscous stress 2 eps n D(u), the
     pressure remainder -(n^gamma - gamma (n - 1) - 1)/eps^2 on the
     diagonal and the Bohm stress -4 eps^2 grad s x grad s, each of its
-    four components transformed once.  7 forward / 7 inverse transforms in
-    four stacked calls: forward (u_x, u_y, s), inverse (grad s, dxx, dyy),
-    inverse (u_x, u_y, dxy), forward S.  Planes of w.q / w.r, by index:
+    four components transformed once: 7 forward / 7 inverse transforms
+    in four stacked calls, the first two _gradients, with t as scratch:
 
-        forward  r6-8 (mx/n, my/n, sqrt n)     -> q0-2 (ux, uy, s)
-        inverse  q2-5 (ddx s, ddy s, dxx, dyy) -> r6-9, then dxy in q2,
-                 S_xx in r8, S_yy in r9 and the Bohm xy term in r3
-        inverse  q0-2 (ux, uy, dxy)            -> r5-7, then S_xy in r7
-        forward  r6-9 (S_yx, S_xy, S_xx, S_yy) -> q0-3
+        forward  x (mx/n, my/n, sqrt n)        -> q0-2 (ux, uy, s)
+        inverse  q2-5 (ddx s, ddy s, dxx, dyy) -> a1-4, then dxy in q2,
+                 the pressure in a0, Bohm xy in t, S_xx, S_yy in a3-4
+        inverse  q0-2 (ux, uy, dxy)            -> a0-2, then S_xy in a2
+        forward  a1-4 (S_yx, S_xy, S_xx, S_yy) -> s0-3
 
-    and the rest is scratch; the first two calls are _gradients.  energy,
-    a _StageEnergy, is handed grad s and the strain before the stress
-    scales them."""
+    energy, a _StageEnergy, is handed grad s and the strain before the
+    stress scales them."""
     eps, gamma = params.epsilon, params.gamma
-    q, r = w.q, w.r
+    q, a, t = w.q, w.a, w.t
     sx, sy, dxx, dyy = _gradients(g, n, mx, my, w)
     if energy is not None:
         energy.gradients(sx, sy, dxx, dyy)
-    sxx, txy, syy = _stress_of_gradient(sx, sy, -4.0 * eps * eps, r[3])
-    p = np.power(n, gamma, out=r[5])
-    p -= np.multiply(n, gamma, out=r[4])
+    p = np.power(n, gamma, out=a[0])
+    p -= np.multiply(n, gamma, out=t)
     p += gamma - 1.0
     p /= eps * eps
+    sxx, txy, syy = _stress_of_gradient(sx, sy, -4.0 * eps * eps, t)
     sxx -= p
     syy -= p
     # the viscous stress 2 eps n D(u), summed into the strain's own plane
@@ -318,7 +318,7 @@ def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, f, w: _Work, energy=
         d *= 2.0 * eps
         d += s
     sxx, syy = dxx, dyy
-    ux, uy, dxy = _to_physical_into(q[:3], r[5:8])
+    ux, uy, dxy = _to_physical_into(q[:3], a[:3])
     if energy is not None:
         energy.shear(dxy)
     dxy *= n
@@ -326,26 +326,19 @@ def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, f, w: _Work, energy=
     dxy += txy
     sxy = dxy
     # S is symmetric but for the advective flux -m x u
-    my_ux = np.multiply(my, ux, out=r[0])
-    syy -= np.multiply(my, uy, out=r[1])
-    mx_uy = np.multiply(mx, uy, out=r[2])
-    np.subtract(sxy, my_ux, out=r[6])  # S_yx, where uy was
+    syy -= np.multiply(my, uy, out=t)
+    mx_uy = np.multiply(mx, uy, out=t)
+    syx = np.multiply(my, ux, out=a[1])  # S_yx, where uy was
+    np.subtract(sxy, syx, out=syx)
     sxy -= mx_uy
-    sxx -= np.multiply(mx, ux, out=r[1])
-    syxh, sxyh, sxxh, syyh = to_spectral(r[6:10], out=q[:4])
-    for fi, a, b in zip(f, (sxxh, syxh), (sxyh, syyh)):
-        a *= g.ddx
-        b *= g.ddy
-        a += b
-        fi += a
+    sxx -= np.multiply(mx, ux, out=t)
+    syxh, sxyh, sxxh, syyh = to_spectral(a[1:], out=w.s, scratch=w.half4)
+    for fi, sx_h, sy_h in zip(f, (sxxh, syxh), (sxyh, syyh)):
+        sx_h *= g.band_d[0]
+        sy_h *= g.band_d[1]
+        sx_h += sy_h
+        fi += sx_h
     return f
-
-
-def _axpy(out: np.ndarray, a: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
-    """out = a + c x, for out distinct from a."""
-    np.multiply(x, c, out=out)
-    out += a
-    return out
 
 
 def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsState:
@@ -364,9 +357,8 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
     With a ledger, the entry of s is read from the fields stage 1 forms
     for s anyway, and appended before a later stage can abort.
 
-    The working arrays are allocated once, here, and every operation
-    writes into them: the spectra of u (then E u), of the RK4 sum and of
-    a stage's forces, a _Work for the stages and the linear stage, and
+    The working arrays are allocated once, here: the band spectra of u
+    (then E u), of the RK4 sum and of a stage's forces, a _Work, and
     three fields for each stage's physical state, which the last stage
     hands on as the new state's arrays.  s is not modified.  A dt that
     is not finite and positive is refused before any transform."""
@@ -378,50 +370,47 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
     g, params = s.grid, s.params
     half = _linear_flow(g, params, 0.5 * dt)
     w = _Work(g)
-    tmp = w.q[0]
     lin = v = w.q[:3]  # scratch of the linear stage; the spectra of a stage's state
+    tmp = w.q[:2]
     u = _spectra(g, 3)  # u, then E u
     acc = _spectra(g, 3)  # E k1, then the RK4 sum
-    f = kx, ky = _spectra(g, 2)  # a stage's forces
-    phys = _fields(g, 3)
+    f = _spectra(g, 2)  # a stage's forces, on the momentum
+    phys = np.empty((3, g.n_points, g.n_points))
 
     def forces_at(t, spectra):
-        # (kx, ky) = N at the state of these spectra, which are destroyed
-        _viscous_hats(g, params.epsilon, spectra[1], spectra[2], f, w)
+        # f = N at the state of these spectra, which are destroyed
+        _viscous_hats(g, params.epsilon, half, spectra[1], spectra[2], f, w)
         _check_state(*_to_physical_into(spectra, phys), t)
         _stress_hats(g, params, *phys, f, w)
 
     n, mx, my = s.n.values, s.m.x.values, s.m.y.values
     _check_state(n, mx, my, s.time)
-    to_spectral(np.stack((n, mx, my), out=w.r[:3]), out=u)
+    to_spectral(np.stack((n, mx, my), out=w.x), out=u, scratch=w.half3)
     energy = None if ledger is None else _StageEnergy(s, phys)
-    _viscous_hats(g, params.epsilon, u[1], u[2], f, w)  # k1
+    _viscous_hats(g, params.epsilon, half, u[1], u[2], f, w)  # k1
     _stress_hats(g, params, n, mx, my, f, w, energy)
     if energy is not None:
         ledger._append(energy)
     _linear_stage(g, half, *u, out=u, tmp=lin)  # E u
-    _linear_stage(g, half, 0.0, kx, ky, out=acc, tmp=lin)  # E k1
+    _linear_stage(g, half, 0.0, *f, out=acc, tmp=lin)  # E k1
     t = s.time + 0.5 * dt
-    for vi, ui, ai in zip(v, u, acc):
-        _axpy(vi, ui, 0.5 * dt, ai)  # E (u + h/2 k1)
-        ai *= dt / 6.0
-        ai += ui  # E (u + h/6 k1)
+    np.multiply(acc, 0.5 * dt, out=v)
+    v += u  # E (u + h/2 k1)
+    acc *= dt / 6.0
+    acc += u  # E (u + h/6 k1)
     forces_at(t, v)  # k2
-    for ai, k in ((acc[1], kx), (acc[2], ky)):
-        ai += np.multiply(k, dt / 3.0, out=tmp)
+    acc[1:] += np.multiply(f, dt / 3.0, out=tmp)
     np.copyto(v[0], u[0])
-    _axpy(v[1], u[1], 0.5 * dt, kx)
-    _axpy(v[2], u[2], 0.5 * dt, ky)
+    np.multiply(f, 0.5 * dt, out=v[1:])
+    v[1:] += u[1:]
     forces_at(t, v)  # k3
-    for ai, ui, k in ((acc[1], u[1], kx), (acc[2], u[2], ky)):
-        ai += np.multiply(k, dt / 3.0, out=tmp)
-        ui += np.multiply(k, dt, out=tmp)  # E u + h k3
+    acc[1:] += np.multiply(f, dt / 3.0, out=tmp)
+    u[1:] += np.multiply(f, dt, out=tmp)  # E u + h k3
     t = s.time + dt
     _linear_stage(g, half, *u, out=u, tmp=lin)
     forces_at(t, u)  # k4
     _linear_stage(g, half, *acc, out=acc, tmp=lin)
-    for ai, k in ((acc[1], kx), (acc[2], ky)):
-        ai += np.multiply(k, dt / 6.0, out=tmp)
+    acc[1:] += np.multiply(f, dt / 6.0, out=tmp)
     n, mx, my = _to_physical_into(acc, phys)
     _check_state(n, mx, my, t)
     return QnsState(n=ScalarField(g, n), m=vector_field(g, mx, my), time=t, params=params)
@@ -487,9 +476,9 @@ def _state_energy(s: QnsState) -> _StageEnergy:
     n = s.n.values
     _require_positive(n, "energy entry", N_FLOOR, s.time)
     w = _Work(s.grid)
-    energy = _StageEnergy(s, (w.r[3], w.r[4], w.r[6]))
+    energy = _StageEnergy(s, (w.t, w.a[0], w.a[1]))
     energy.gradients(*_gradients(s.grid, n, s.m.x.values, s.m.y.values, w))
-    energy.shear(_to_physical_into(w.q[2], w.r[7]))
+    energy.shear(_to_physical_into(w.q[2], w.a[2]))
     return energy
 
 

@@ -62,10 +62,10 @@ def write_snapshot(fields: dict[str, np.ndarray], path) -> None:
 def read_snapshot(path) -> tuple[int, dict[str, np.ndarray]]:
     """Read a snapshot back; returns (grid_n, ordered field dict).
 
-    Raises BadMagic, VersionMismatch or Truncated with distinct
-    messages for the three malformation classes, and a SnapshotError
-    naming the byte offset of a field name that is not UTF-8, or the
-    field when a field holds a NaN or an infinity.
+    Raises BadMagic, VersionMismatch or Truncated with distinct messages
+    for the three malformation classes, and a SnapshotError naming the
+    byte offset of a field name that is not UTF-8, a field that holds a
+    NaN or an infinity or repeats a name, or bytes after the last field.
     """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != SNAPSHOT_MAGIC:
@@ -98,12 +98,16 @@ def read_snapshot(path) -> tuple[int, dict[str, np.ndarray]]:
             raise SnapshotError(
                 f"BAD_NAME: field name at byte {offset} is not UTF-8 ({exc.reason})"
             ) from None
+        if name in fields:
+            raise SnapshotError(f"DUPLICATE_NAME: field {name!r} at byte {offset} was read before")
         offset += name_len
         arr = np.frombuffer(data, dtype="<f8", count=grid_n * grid_n, offset=offset)
         if not np.isfinite(arr).all():
             raise SnapshotError(f"NON_FINITE: field {name!r} holds non-finite values")
         fields[name] = arr.reshape(grid_n, grid_n).copy()
         offset += payload
+    if offset != len(data):
+        raise SnapshotError(f"TRAILING: {len(data) - offset} bytes after the last field")
     return int(grid_n), fields
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,15 @@ def check_grid_size(n_points, what: str = "grid size") -> int:
     return n
 
 
+def _lazy(make):
+    """A read-only grid table built on first use: a grid that never needs it does not hold it."""
+    def table(grid):
+        a = make(grid)
+        a.setflags(write=False)
+        return a
+    return cached_property(table)
+
+
 class Grid2D:
     """Uniform even-N periodic grid with precomputed half-plane
     wavenumber arrays of shape (N, N/2 + 1).
@@ -56,8 +66,14 @@ class Grid2D:
     kg2 == 0 (the mean and the Nyquist corners): the one inverse
     Laplacian, mean-free.  ``ddx`` and ``ddy`` are the first-derivative
     multipliers i*kgx, i*kgy with the 2/3-rule mask folded in, so one
-    multiply dealiases and differentiates.  All arrays are read-only
-    after construction, so one grid may be shared freely across threads.
+    multiply dealiases and differentiates.
+
+    Both solvers keep their spectra on the dealiased band: the ``band_c``
+    columns kx < N/3 outside which the mask is zero, its rows |ky| >= N/3
+    the slice ``band_cut``.  ``band_d`` is the contiguous (2, N, c) stack
+    of its columns of ddx and ddy (complex times complex multiplies are
+    faster than times float); it, ddx and ddy are built on first use.
+    All arrays are read-only, so a grid may be shared across threads.
     """
 
     def __init__(self, n_points: int):
@@ -83,12 +99,23 @@ class Grid2D:
         # the products at 2N/3 onto the kept modes |k| = N/3
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.kx) < cutoff) & (np.abs(self.ky) < cutoff)
-        self.ddx = 1j * self.kgx * self.dealias_mask
-        self.ddy = 1j * self.kgy * self.dealias_mask
+        self.band_c = c = int(np.count_nonzero(self.dealias_mask[0]))
+        self.band_cut = slice(c, n - c + 1)
 
         for arr in (self.coords, self.x, self.y, self.kx, self.ky, self.kgx, self.kgy,
-                    self.k2, self.kg2, self.inv_kg2, self.dealias_mask, self.ddx, self.ddy):
+                    self.k2, self.kg2, self.inv_kg2, self.dealias_mask):
             arr.setflags(write=False)
+
+    ddx = _lazy(lambda g: 1j * g.kgx * g.dealias_mask)
+    ddy = _lazy(lambda g: 1j * g.kgy * g.dealias_mask)
+
+    @_lazy
+    def band_d(self):
+        c = self.band_c
+        d = np.zeros((2, self.n_points, c), complex)
+        for k, d_im in zip((self.kgx, self.kgy), d.imag):
+            np.multiply(k[:, :c], self.dealias_mask[:, :c], out=d_im)
+        return d
 
     def __eq__(self, other):
         return isinstance(other, Grid2D) and other.n_points == self.n_points
@@ -103,17 +130,12 @@ class Grid2D:
 def to_spectral(values: np.ndarray, out: np.ndarray | None = None,
                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Half-plane forward transform, normalized so that fhat[0, 0] =
-    mean(values); written into out when given.  Leading axes are a batch:
-    a stack of fields (..., N, N) becomes the stack of their spectra in
-    one call, each plane equal to its own transform.
-
-    rfft2 bit for bit: the same 1-D pair, an rfft along x into out, then
-    an fft along y in place, without rfftn's argument handling.
-
-    With scratch, a full half-plane stack the caller keeps, out may hold
-    only the first columns kx < out.shape[-1]: the rfft goes into scratch
-    and the fft along y transforms those columns alone, each equal to its
-    column of the full transform."""
+    mean(values), written into out when given; a stack of fields
+    (..., N, N) becomes the stack of their spectra in one call.  It is
+    rfft2 bit for bit: an rfft along x into out, then an fft along y in
+    place.  With scratch, a half-plane stack the caller keeps, out may
+    hold only the first columns kx < out.shape[-1] (the band): the rfft
+    goes into scratch and the fft along y takes those columns alone."""
     if scratch is None:
         out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
         return np.fft.fft(out, axis=-2, norm="forward", out=out)
@@ -128,16 +150,12 @@ def to_physical(fhat: np.ndarray) -> np.ndarray:
 
 
 def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """to_physical(fhat), written into out (by default a fresh array).
-    fhat is overwritten by its inverse transform along y, so nothing else
-    is allocated.  Leading axes are a batch, as for to_spectral.  fhat
-    may hold only the first columns kx < fhat.shape[-1] of a spectrum
-    that vanishes beyond them: irfft zero-pads the rest.
-
-    irfft2 cannot do this: it ignores its out argument (NumPy 2.x passes
-    out=None on to irfftn) and irfftn allocates a complex intermediate
-    the size of the spectrum, so the 1-D pair is spelled out here; it is
-    irfft2 bit for bit."""
+    """to_physical(fhat), written into out (by default a fresh array),
+    for a stack as for to_spectral.  fhat is overwritten by its inverse
+    along y, so nothing else is allocated, and may hold only the first
+    columns of a spectrum that vanishes beyond them (the band): irfft
+    zero-pads the rest.  irfft2 bit for bit; irfft2 itself ignores out
+    (NumPy 2.x) and allocates a complex intermediate."""
     np.fft.ifft(fhat, axis=-2, norm="forward", out=fhat)
     return np.fft.irfft(fhat, n=fhat.shape[-2], axis=-1, norm="forward", out=out)
 
@@ -243,7 +261,11 @@ def dealias(f: ScalarField) -> ScalarField:
 
 
 def dealias_values(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    return to_physical(to_spectral(values) * grid.dealias_mask)
+    """dealias(f).values: the forward onto the band, its rows cut zeroed."""
+    fhat = to_spectral(values, out=np.empty((grid.n_points, grid.band_c), complex),
+                       scratch=np.empty(grid.kg2.shape, complex))
+    fhat[grid.band_cut] = 0.0
+    return _to_physical_into(fhat)
 
 
 def norm(f: ScalarField | VectorField, p: float = 2.0) -> float:

@@ -73,3 +73,21 @@ def fft_counts(monkeypatch):
             if name.startswith("qnslab") and getattr(module, attr, None) is helper:
                 monkeypatch.setattr(module, attr, wrapped)
     return counts
+
+
+@pytest.fixture()
+def fft_shapes(monkeypatch):
+    """Input shapes of every numpy.fft call, by function name: a dict
+    {name: [shape, ...]}, filled as the calls are made."""
+    shapes = {name: [] for name in _FORWARD + _INVERSE}
+
+    def recording(fn, name):
+        def wrapped(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name), name))
+    return shapes

@@ -440,7 +440,10 @@ def test_cli_numerical_abort_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case, named", [("nan", "'n1_0'"), ("non_utf8_name", "byte 16")], ids=["nan", "non_utf8_name"]
+    "case, named",
+    [("nan", "'n1_0'"), ("non_utf8_name", "byte 16"), ("trailing", "TRAILING: 700 bytes"),
+     ("duplicate_name", "DUPLICATE_NAME: field 'u0_x'")],
+    ids=["nan", "non_utf8_name", "trailing", "duplicate_name"],
 )
 def test_cli_non_finite_snapshot_is_io_error(tmp_path, grid32, capsys, case, named):
     zero = np.zeros((32, 32))
@@ -449,10 +452,17 @@ def test_cli_non_finite_snapshot_is_io_error(tmp_path, grid32, capsys, case, nam
     if case == "nan":
         n1[0, 0] = np.nan
         write_snapshot({"n1_0": n1, "u0_x": zero, "u0_y": zero}, snap)
-    else:
+    elif case == "non_utf8_name":
         # the first field name, read at byte 16, becomes b"n1_\xff0"
         write_snapshot({"n1_?0": n1, "u0_x": zero, "u0_y": zero}, snap)
         snap.write_bytes(snap.read_bytes().replace(b"n1_?0", b"n1_\xff0", 1))
+    elif case == "trailing":
+        write_snapshot({"n1_0": n1, "u0_x": zero, "u0_y": zero}, snap)
+        snap.write_bytes(snap.read_bytes() + b"\x00" * 700)
+    else:
+        # the third field name becomes the second's
+        write_snapshot({"n1_0": n1, "u0_x": zero, "u0_y": zero}, snap)
+        snap.write_bytes(snap.read_bytes().replace(b"u0_y", b"u0_x", 1))
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(
         "epsilon = 0.1\nt_end = 0.02\ngrid_n = 32\n"

@@ -337,9 +337,13 @@ def test_fused_explicit_stage_matches_unfused(grid32):
     mx = random_band_limited(grid32, 6, rng).values
     my = random_band_limited(grid32, 6, rng).values
 
-    # the fused remainder plus the linear stage's part is the whole force
+    # the fused remainder plus the linear stage's part is the whole force;
+    # the stage takes and gives band spectra
+    c = grid32.band_c
     f, w = qns._spectra(grid32, 2), qns._Work(grid32)
-    qns._viscous_hats(grid32, params.epsilon, to_spectral(mx), to_spectral(my), f, w)
+    flow = qns._linear_flow(grid32, params, 0.01)
+    qns._viscous_hats(grid32, params.epsilon, flow, to_spectral(mx)[:, :c],
+                      to_spectral(my)[:, :c], f, w)
     fxh, fyh = qns._stress_hats(grid32, params, n, mx, my, f, w)
     lx, ly = _linear_forces(grid32, n, mx, my, params)
     fx, fy = to_physical(fxh) + lx, to_physical(fyh) + ly
@@ -350,9 +354,18 @@ def test_fused_explicit_stage_matches_unfused(grid32):
 
 
 def _random_spectra(grid, seed):
+    """Three random band spectra, zero outside the mask as a state's are."""
     rng = np.random.default_rng(seed)
-    shape = grid.k2.shape
-    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)]
+    shape = (grid.n_points, grid.band_c)
+    spectra = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)]
+    for a in spectra:
+        a[grid.band_cut] = 0.0
+    return spectra
+
+
+def _band_tables(g):
+    """kg2, kgx, kgy and the mask of the half plane, on the band's columns."""
+    return (a[:, :g.band_c] for a in (g.kg2, g.kgx, g.kgy, g.dealias_mask))
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5])
@@ -367,12 +380,13 @@ def test_linear_stage_is_per_mode_matrix_exponential(grid32, eps):
         g, qns._linear_flow(g, params, t), nh, mxh, myh, qns._spectra(g, 3), qns._spectra(g, 3)
     )
 
-    kabs = np.sqrt(g.kg2)
+    kg2, kgx, kgy, mask = _band_tables(g)
+    kabs = np.sqrt(kg2)
     safe = np.where(kabs > 0, kabs, 1.0)
-    ex, ey = g.kgx / safe, g.kgy / safe
-    c2 = 2.0 / eps ** 2 + eps ** 2 * g.kg2 * g.dealias_mask
-    nu = eps * g.kg2 * g.dealias_mask
-    gen = np.zeros(g.k2.shape + (2, 2))
+    ex, ey = kgx / safe, kgy / safe
+    c2 = 2.0 / eps ** 2 + eps ** 2 * kg2 * mask
+    nu = eps * kg2 * mask
+    gen = np.zeros(kabs.shape + (2, 2))
     gen[..., 0, 1] = -kabs
     gen[..., 1, 0] = kabs * c2
     gen[..., 1, 1] = -2.0 * nu
@@ -410,17 +424,19 @@ def test_linear_stage_semigroup(grid32):
 def test_linear_stage_rotates_at_acoustic_frequency(grid32):
     # with both terms on, w_k^2 = |k|^2 c_k^2 - nu^2 = p'(1)|k|^2/eps^2
     # exactly inside the mask, and half the trace of the per-mode flow
-    # matrix on (n_hat, e . m_hat) is e^{-nu t} cos(w_k t)
+    # matrix on (n_hat, e . m_hat) is e^{-nu t} cos(w_k t); the flow is
+    # that of the kept modes, and takes the rest to zero
     params = LimitParams(0.1, 3.0)
     g = grid32
-    kabs = np.sqrt(g.kg2)
+    kg2, kgx, kgy, mask = _band_tables(g)
+    kabs = np.sqrt(kg2)
     safe = np.where(kabs > 0, kabs, 1.0)
-    ex, ey = g.kgx / safe, g.kgy / safe
-    one = np.ones(g.k2.shape, dtype=complex)
-    zero = np.zeros(g.k2.shape, dtype=complex)
+    ex, ey = kgx / safe, kgy / safe
+    one = mask.astype(complex)
+    zero = np.zeros(kabs.shape, dtype=complex)
     omega = np.sqrt(3.0) * kabs / params.epsilon
-    nu = params.epsilon * g.kg2 * g.dealias_mask
-    active = g.kg2 > 0
+    nu = params.epsilon * kg2 * mask
+    active = (kg2 > 0) & mask
     for t in (1e-3, 0.0125, 0.05):
         flow = qns._linear_flow(g, params, t)
         tmp = qns._spectra(g, 3)
@@ -429,6 +445,9 @@ def test_linear_stage_rotates_at_acoustic_frequency(grid32):
         p22 = ex * mx + ey * my
         want = np.exp(-nu * t) * np.cos(omega * t)
         assert np.abs(0.5 * (p11 + p22) - want)[active].max() <= 1e-12
+        full = np.ones(kabs.shape, dtype=complex)
+        for a in qns._linear_stage(g, flow, full, full, full, qns._spectra(g, 3), tmp):
+            assert not a[~mask].any()
 
 
 def test_fft_budget_per_step_and_record(grid32, fft_counts):
@@ -486,6 +505,22 @@ def test_fft_budget_per_step_and_record(grid32, fft_counts):
         fwd = 31 * steps + 3 + 3 * reports + 2 * (reports - 1) + 5
         inv = 40 * steps + 5 + 6 * reports + 2 * (reports - 1) + 4
         assert (counts["fwd"], counts["inv"]) == (fwd, inv), (eps, counts)
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_qns_step_y_passes_run_on_the_band(n, fft_shapes):
+    # every fft along y of a step, forward and inverse, sees the c
+    # columns kx < N/3 of the dealiased band (16 of 25 at N = 48, 22 of
+    # 33 at N = 64): one per transform call, 21 in all
+    s = _tg_sine_state(Grid2D(n))
+    dt = cfl_dt(s)
+    for shapes in fft_shapes.values():
+        shapes.clear()
+    qns_step(s, dt)
+    c = int(np.count_nonzero(s.grid.dealias_mask[0]))
+    assert c == {48: 16, 64: 22}[n]
+    y_passes = fft_shapes["fft"] + fft_shapes["ifft"]
+    assert len(y_passes) == 21 and {shape[-1] for shape in y_passes} == {c}, y_passes
 
 
 def _tg_sine_state(grid):

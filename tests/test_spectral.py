@@ -15,7 +15,7 @@ from qnslab import (
     random_band_limited,
     vector_field,
 )
-from qnslab.spectral import _to_physical_into, to_physical, to_spectral
+from qnslab.spectral import _to_physical_into, dealias_values, to_physical, to_spectral
 
 
 def test_grid_rejects_odd_and_small():
@@ -298,3 +298,15 @@ def test_band_transforms_match_the_full_half_plane_bit_for_bit(n):
     scratch = np.empty((2,) + g.kg2.shape, complex)
     assert to_spectral(planes, out=out, scratch=scratch) is out
     assert np.array_equal(out, to_spectral(planes)[..., :c])
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 256])
+def test_dealias_values_on_the_band_matches_the_full_plane(n):
+    # the band path (forward onto c columns, rows |ky| >= N/3 zeroed,
+    # inverse from the band) is the full-plane mask multiply, bit for bit
+    g = Grid2D(n)
+    values = np.random.default_rng(n).standard_normal((n, n))
+    want = to_physical(to_spectral(values) * g.dealias_mask)
+    assert np.array_equal(dealias_values(g, values), want)
+    keep = g.dealias_mask[:, :g.band_c]
+    assert keep.all(axis=1).sum() == 2 * g.band_c - 1 and not keep[g.band_cut].any()
