@@ -56,33 +56,40 @@ def _check_alignment(s: QnsState, ref: EulerReference, ac: AcousticState):
         )
 
 
-def _reference_density(s: QnsState, ac: AcousticState) -> np.ndarray:
-    b = 1.0 + s.params.epsilon * ac.sigma.values
-    _require_positive(b, "reference density 1 + eps*sigma", time=s.time)
-    return b
-
-
 def relative_entropy(s: QnsState, ref: EulerReference, ac: AcousticState) -> EntropyReport:
     """Modulated energy between the state and the corrected reference
-    (v + grad Psi, 1 + eps sigma): kinetic + quantum + internal parts.
-    The state, ac and an unsteady ref must agree in time to TIME_TOL.
+    (v + grad Psi, b = 1 + eps sigma): kinetic + quantum + internal parts,
+    and in the same pass the convergence estimate's squared norms
+    ||sqrt(n)(u - v - grad Psi)||^2, ||(n - b)/eps||^2 and
+    eps^2 ||grad(sqrt(n) - sqrt(b))||^2: the gradients of Psi and of
+    sqrt(n) - sqrt(b), 2 forward / 4 inverse transforms.  The state, ac
+    and an unsteady ref must agree in time to TIME_TOL, and n and b must
+    be positive (VacuumError).
 
     The internal part is the Bregman gap of the free energy, hence
     nonnegative; the whole functional vanishes iff the state sits
     exactly on the corrected reference.
     """
-    thm = theorem_lhs(s, ref, ac)
-    vel, _, grad = thm
-    eps = s.params.epsilon
-    gamma = s.params.gamma
+    _check_alignment(s, ref, ac)
+    g = s.grid
+    eps, gamma = s.params.epsilon, s.params.gamma
     n = s.n.values
-    b = _reference_density(s, ac)
+    b = 1.0 + eps * ac.sigma.values
+    _require_positive(n, "relative_entropy state density", time=s.time)
+    _require_positive(b, "reference density 1 + eps*sigma", time=s.time)
+    gp = gradient(ac.psi)
+    wx = s.m.x.values / n - ref.v.x.values - gp.x.values
+    wy = s.m.y.values / n - ref.v.y.values - gp.y.values
+    vel = integrate(ScalarField(g, n * (wx * wx + wy * wy)))
+    dens = integrate(ScalarField(g, ((n - b) / eps) ** 2))
+    gd = gradient(ScalarField(g, np.sqrt(n) - np.sqrt(b)))
+    grad = eps * eps * integrate(ScalarField(g, gd.x.values ** 2 + gd.y.values ** 2))
     bregman = (
         _free_energy_values(n, gamma, 0)
         - _free_energy_values(b, gamma, 1) * (n - b)
         - _free_energy_values(b, gamma, 0)
     )
-    internal = integrate(ScalarField(s.grid, bregman)) / (eps * eps)
+    internal = integrate(ScalarField(g, bregman)) / (eps * eps)
 
     # the kinetic and quantum parts are the theorem's velocity and
     # gradient norms scaled by 1/2 and 2: exact in binary floating point
@@ -94,34 +101,14 @@ def relative_entropy(s: QnsState, ref: EulerReference, ac: AcousticState) -> Ent
         kinetic_part=kinetic,
         quantum_part=quantum,
         internal_part=internal,
-        theorem_lhs=thm,
+        theorem_lhs=(vel, dens, grad),
     )
 
 
 def theorem_lhs(s: QnsState, ref: EulerReference, ac: AcousticState) -> tuple[float, float, float]:
-    """The three squared norms of the convergence estimate:
-    ||sqrt(n)(u - v - grad Psi)||^2, ||(n - 1 - eps sigma)/eps||^2,
-    eps^2 ||grad sqrt(n) - grad sqrt(1 + eps sigma)||^2, at one time
-    (TIME_TOL, as for relative_entropy)."""
-    _check_alignment(s, ref, ac)
-    g = s.grid
-    eps = s.params.epsilon
-    n = s.n.values
-    b = _reference_density(s, ac)
-
-    gp = gradient(ac.psi)
-    wx = s.m.x.values / n - ref.v.x.values - gp.x.values
-    wy = s.m.y.values / n - ref.v.y.values - gp.y.values
-    vel = integrate(ScalarField(g, n * (wx * wx + wy * wy)))
-
-    dens = integrate(ScalarField(g, ((n - b) / eps) ** 2))
-
-    gs = gradient(ScalarField(g, np.sqrt(n)))
-    gb = gradient(ScalarField(g, np.sqrt(b)))
-    grad = eps * eps * integrate(
-        ScalarField(g, (gs.x.values - gb.x.values) ** 2 + (gs.y.values - gb.y.values) ** 2)
-    )
-    return (vel, dens, grad)
+    """The three squared norms of the convergence estimate, as the
+    relative_entropy report of the same arguments gives them."""
+    return relative_entropy(s, ref, ac).theorem_lhs
 
 
 def corollary_lhs(s: QnsState, ref: EulerReference) -> tuple[float, float, float]:

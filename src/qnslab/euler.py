@@ -14,6 +14,9 @@ N = 64), as in qns.qns_step, so every fft along y runs on those
 columns.  No kept mode of a product aliases, so the flux form equals
 the convective one v.grad w up to round-off.  euler_solve allocates the
 working arrays once.  README's numerical notes give the step times.
+pressure_recover and euler_residual take the velocity equation's
+nonlinearity in the same flux form, from one stacked band forward of
+(vx^2, vx vy, vy^2).
 """
 
 from __future__ import annotations
@@ -130,22 +133,25 @@ def _vorticity_rhs(grid: Grid2D, w_hat: np.ndarray, out: np.ndarray, work: _Work
     return np.add(fluxes[0], fluxes[1], out=out)
 
 
-def _advection_hats(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """Dealiased spectra of the components of (v.grad)v, each velocity
-    component transformed once: 4 forward / 4 inverse transforms."""
+def _flux_hats(v: VectorField) -> np.ndarray:
+    """Band spectra of (vx^2, vx vy, vy^2), 3 forward transforms in one
+    call; its rows |ky| >= N/3 are left for band_d to zero."""
     g = v.grid
     vx, vy = v.x.values, v.y.values
-    gx, gy = gradient(v.x), gradient(v.y)
-    return (to_spectral(vx * gx.x.values + vy * gx.y.values) * g.dealias_mask,
-            to_spectral(vx * gy.x.values + vy * gy.y.values) * g.dealias_mask)
+    return to_spectral(np.stack((vx * vx, vx * vy, vy * vy)),
+                       out=np.empty((3, g.n_points, g.band_c), complex),
+                       scratch=np.empty((3,) + g.kg2.shape, complex))
 
 
 def pressure_recover(v: VectorField) -> ScalarField:
-    """Mean-free Pi with -lap Pi = div((v.grad)v), for solenoidal v."""
+    """Mean-free Pi with -lap Pi = d_i d_j (v_i v_j), which is
+    div((v.grad)v) for solenoidal v, dealiased: the flux stack and one
+    inverse on the band, 3 forward / 1 inverse transforms."""
     g = v.grid
-    adv_xh, adv_yh = _advection_hats(v)
-    div_hat = adv_xh * (1j * g.kgx) + adv_yh * (1j * g.kgy)
-    return ScalarField(g, to_physical(div_hat * g.inv_kg2))
+    ddx, ddy = g.band_d
+    fxx, fxy, fyy = _flux_hats(v)
+    pi_hat = (ddx * ddx * fxx + 2.0 * ddx * ddy * fxy + ddy * ddy * fyy) * g.inv_kg2[:, :g.band_c]
+    return ScalarField(g, _to_physical_into(pi_hat))
 
 
 def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float,
@@ -256,16 +262,20 @@ def euler_solve(
 
 
 def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
-    """L2 norm of d_t v + (v.grad)v + grad Pi.
+    """L2 norm of d_t v + (v.grad)v + grad Pi, the advection in the
+    divergence form d_j(v_i v_j), dealiased, which equals (v.grad)v for
+    solenoidal v: the flux stack and one inverse call of 2 transforms.
 
     dt_probe = 0 treats the reference as steady; dt_probe > 0 estimates
     d_t v by a central difference of two solver micro-steps.
     """
     g = ref.v.grid
-    adv_xh, adv_yh = _advection_hats(ref.v)
+    ddx, ddy = g.band_d
+    fxx, fxy, fyy = _flux_hats(ref.v)
+    res_x, res_y = _to_physical_into(np.stack((ddx * fxx + ddy * fxy, ddx * fxy + ddy * fyy)))
     gp = gradient(ref.pi)
-    res_x = to_physical(adv_xh) + gp.x.values
-    res_y = to_physical(adv_yh) + gp.y.values
+    res_x += gp.x.values
+    res_y += gp.y.values
     if dt_probe > 0.0:
         w_hat = to_spectral(curl(ref.v).values)
         w_fwd = _rk4_vorticity_step(g, w_hat, dt_probe)[0]

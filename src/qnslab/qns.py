@@ -351,8 +351,8 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
 
     where N, the nonlinear remainder, moves the momentum only.  The state
     stays a spectrum between the stages, and every stage density - the
-    input state's included - is checked.  Aborts on vacuum or
-    non-finite values.
+    input state's included, before its step bound - is checked.  Aborts
+    on vacuum or non-finite values.
 
     With a ledger, the entry of s is read from the fields stage 1 forms
     for s anyway, and appended before a later stage can abort.
@@ -364,6 +364,8 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
     is not finite and positive is refused before any transform."""
     if not 0.0 < dt < np.inf:
         raise CflViolation(f"dt must be finite and > 0, got {dt!r}")
+    n, mx, my = s.n.values, s.m.x.values, s.m.y.values
+    _check_state(n, mx, my, s.time)
     limit = cfl_dt(s)
     if dt > limit * (1.0 + 1e-9):
         raise CflViolation(f"dt = {dt:g} exceeds the stability bound {limit:g} at t = {s.time:g}")
@@ -383,8 +385,6 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
         _check_state(*_to_physical_into(spectra, phys), t)
         _stress_hats(g, params, *phys, f, w)
 
-    n, mx, my = s.n.values, s.m.x.values, s.m.y.values
-    _check_state(n, mx, my, s.time)
     to_spectral(np.stack((n, mx, my), out=w.x), out=u, scratch=w.half3)
     energy = None if ledger is None else _StageEnergy(s, phys)
     _viscous_hats(g, params.epsilon, half, u[1], u[2], f, w)  # k1

@@ -116,6 +116,26 @@ def test_report_parts_are_scaled_theorem_norms(grid64, rng):
     assert rep.kinetic_part > 0 and rep.quantum_part > 0
 
 
+def test_theorem_gradient_norm_matches_two_gradient_form(grid64, rng):
+    # oracle: eps^2 ||grad sqrt(n) - grad sqrt(b)||^2 from two gradients,
+    # the form the report replaced by one gradient of sqrt(n) - sqrt(b)
+    eps = PARAMS.epsilon
+    for _ in range(5):
+        s, ref, ac = _exact_reference_state(grid64, rng)
+        off = QnsState(
+            n=ScalarField(grid64, s.n.values + 0.05 * random_band_limited(grid64, 6, rng).values),
+            m=s.m, time=0.0, params=PARAMS,
+        )
+        gs = gradient(ScalarField(grid64, np.sqrt(off.n.values)))
+        gb = gradient(ScalarField(grid64, np.sqrt(1.0 + eps * ac.sigma.values)))
+        oracle = eps * eps * grid64.spacing ** 2 * float(
+            ((gs.x.values - gb.x.values) ** 2 + (gs.y.values - gb.y.values) ** 2).sum())
+        rep = relative_entropy(off, ref, ac)
+        assert rep.theorem_lhs[2] == pytest.approx(oracle, rel=1e-12)
+        assert rep.theorem_lhs[2] > 0
+        assert theorem_lhs(off, ref, ac) == rep.theorem_lhs
+
+
 def test_entropy_positive_off_reference(grid64, rng):
     s, ref, ac = _exact_reference_state(grid64, rng)
     bumped = QnsState(
