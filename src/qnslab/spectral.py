@@ -5,20 +5,32 @@ fastest).  Spectra are the real-to-complex half plane of shape
 (N, N/2 + 1): ky runs over {-N/2+1, ..., N/2}, kx over {0, ..., N/2},
 and Hermitian symmetry supplies the other half, so every inverse
 transform is real by construction.  The forward transform is normalized
-by 1/N^2 so the zero mode equals the field mean.  Odd-order derivative
-multipliers zero the Nyquist mode, which is the exact derivative of the
-real trigonometric interpolant at the grid points.
+by 1/N^2 so the zero mode equals the field mean.  Both directions run
+on pocketfft (numpy.fft) but for one pass: the inverse along x of a
+band spectrum on a grid with N <= TABLE_MAX_N is one np.matmul (BLAS)
+with a cached cos/sin table, faster there than the zero-padded irfft.
+Odd-order derivative multipliers zero the Nyquist mode, which is the
+exact derivative of the real trigonometric interpolant at the grid
+points.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# Largest N whose band inverse takes its pass along x as one table
+# product (_inverse_table).  With one BLAS thread on 4 planes, the whole
+# band inverse took 0.56 to 0.92 of the zero-padded irfft's time at
+# N = 48 to 96, 0.66 to 0.97 at N = 128, and 1.16 to 1.92 times at
+# N = 160 and 256 (BENCH_band_inverse_table.json).  N = 128 stays on the
+# irfft, so every grid above 96 keeps its bits.
+TABLE_MAX_N = 96
 
 
 class SpectralError(ValueError):
@@ -153,11 +165,36 @@ def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.nda
     """to_physical(fhat), written into out (by default a fresh array),
     for a stack as for to_spectral.  fhat is overwritten by its inverse
     along y, so nothing else is allocated, and may hold only the first
-    columns of a spectrum that vanishes beyond them (the band): irfft
-    zero-pads the rest.  irfft2 bit for bit; irfft2 itself ignores out
-    (NumPy 2.x) and allocates a complex intermediate."""
+    c columns of a spectrum that vanishes beyond them (the band).
+
+    Along x, a band spectrum on a grid with N <= TABLE_MAX_N takes one
+    matrix product of its float view (..., N, 2c) with _inverse_table(N, c),
+    which reads the c kept columns alone; it is within 4e-15 of max|field|
+    of irfft2, and a mean-only spectrum inverts to an exactly constant
+    field.  Otherwise an irfft, zero-padding a band: irfft2 bit for bit
+    (irfft2 itself ignores out in NumPy 2.x and allocates a complex
+    intermediate)."""
     np.fft.ifft(fhat, axis=-2, norm="forward", out=fhat)
-    return np.fft.irfft(fhat, n=fhat.shape[-2], axis=-1, norm="forward", out=out)
+    n, c = fhat.shape[-2:]
+    if c > n // 2 or n > TABLE_MAX_N:
+        return np.fft.irfft(fhat, n=n, axis=-1, norm="forward", out=out)
+    return np.matmul(fhat.view(float), _inverse_table(n, c), out=out)
+
+
+@lru_cache(maxsize=16)
+def _inverse_table(n: int, c: int) -> np.ndarray:
+    """Read-only (2c, N) table of the real inverse along x of c columns
+    kx = 0 .. c-1 held as interleaved (re, im) pairs: rows w_k cos and
+    -w_k sin of 2 pi (j k mod N) / N, w_0 = 1 and w_k = 2 otherwise (the
+    Hermitian partner), so the k = 0 sine row is exactly zero."""
+    k = np.arange(c)
+    angle = (TWO_PI / n) * (np.outer(k, np.arange(n)) % n)
+    weight = np.where(k == 0, 1.0, 2.0)[:, None]
+    table = np.empty((2 * c, n))
+    np.multiply(weight, np.cos(angle), out=table[0::2])
+    np.multiply(-weight, np.sin(angle), out=table[1::2])
+    table.setflags(write=False)
+    return table
 
 
 @dataclass

@@ -122,6 +122,57 @@ def test_euler_residual_of_solver_output(grid64, rng):
     assert euler_residual(traj[-1], dt_probe=1e-4) < 1e-6
 
 
+def _residual_four_calls(ref, dt_probe):
+    # euler_residual with the probe's two velocities inverted one
+    # component at a time, four calls, and differenced in physical space
+    from qnslab import curl, euler, gradient
+    from qnslab.spectral import _to_physical_into, to_physical, to_spectral
+
+    g = ref.v.grid
+    ddx, ddy = g.band_d
+    fxx, fxy, fyy = euler._flux_hats(ref.v)
+    res_x, res_y = _to_physical_into(np.stack((ddx * fxx + ddy * fxy, ddx * fxy + ddy * fyy)))
+    gp = gradient(ref.pi)
+    res_x += gp.x.values
+    res_y += gp.y.values
+    w_hat = to_spectral(curl(ref.v).values)
+    fx_h, fy_h = euler._multipliers(g)[0] * euler._rk4_vorticity_step(g, w_hat, dt_probe)[0]
+    bx_h, by_h = euler._multipliers(g)[0] * euler._rk4_vorticity_step(g, w_hat, -dt_probe)[0]
+    res_x = res_x + (to_physical(fx_h) - to_physical(bx_h)) / (2.0 * dt_probe)
+    res_y = res_y + (to_physical(fy_h) - to_physical(by_h)) / (2.0 * dt_probe)
+    return norm(vector_field(g, res_x, res_y), 2)
+
+
+@pytest.mark.parametrize("flow", ["taylor_green", "random"])
+def test_euler_residual_probe_inverts_its_difference_once(grid64, rng, monkeypatch, fft_counts,
+                                                          flow):
+    from qnslab import euler
+
+    v = taylor_green(grid64).v if flow == "taylor_green" else _random_solenoidal(grid64, rng, 4)
+    # without its pressure the residual is O(1); with it, the residual is
+    # round-off, and the four-call form's round-off over 2 dt_probe sets it
+    ref = EulerReference(v=v, pi=ScalarField(grid64, np.zeros((64, 64))))
+    want = _residual_four_calls(ref, 1e-3)
+    assert want > 0.1
+    assert euler_residual(ref, dt_probe=1e-3) == pytest.approx(want, rel=1e-12, abs=0.0)
+    if flow == "taylor_green":
+        tg = taylor_green(grid64)
+        assert euler_residual(tg, dt_probe=1e-4) <= 2.0 * euler_residual(tg)
+
+    # after the second micro-step, the velocity difference: 2 inverse
+    # transforms in 1 call (4 in 4 with one call per component)
+    step = euler._rk4_vorticity_step
+
+    def step_then_reset(*args):
+        out = step(*args)
+        fft_counts.update(fwd=0, inv=0, calls=0)
+        return out
+
+    monkeypatch.setattr(euler, "_rk4_vorticity_step", step_then_reset)
+    euler_residual(ref, dt_probe=1e-3)
+    assert fft_counts == {"fwd": 0, "inv": 2, "calls": 1}, fft_counts
+
+
 def _random_solenoidal(grid, rng, kmax):
     from qnslab import helmholtz_project, random_band_limited
 

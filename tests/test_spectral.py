@@ -15,7 +15,14 @@ from qnslab import (
     random_band_limited,
     vector_field,
 )
-from qnslab.spectral import _to_physical_into, dealias_values, to_physical, to_spectral
+from qnslab.spectral import (
+    TABLE_MAX_N,
+    _inverse_table,
+    _to_physical_into,
+    dealias_values,
+    to_physical,
+    to_spectral,
+)
 
 
 def test_grid_rejects_odd_and_small():
@@ -279,11 +286,22 @@ def test_in_place_transforms_match_bit_for_bit(n):
         assert np.array_equal(got, want)
 
 
+def _assert_band_inverse_matches(got, want):
+    # the band inverse against irfft2 of the zero-padded half plane: bit
+    # for bit above TABLE_MAX_N (irfft along x), within 4e-15 of max|want|
+    # at or below it (the table product)
+    if got.shape[-1] > TABLE_MAX_N:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("n", [48, 64, 256])
-def test_band_transforms_match_the_full_half_plane_bit_for_bit(n):
+def test_band_transforms_match_the_full_half_plane(n):
     # a spectrum that vanishes outside the mask held on its c kept
-    # columns: the inverse zero-pads it, and the forward with a
-    # full-width scratch gives exactly the kept columns of the full one
+    # columns: the inverse matches that of the full half plane, and the
+    # forward with a full-width scratch gives exactly the kept columns
+    # of the full one
     g = Grid2D(n)
     c = int(np.count_nonzero(g.dealias_mask[0]))
     rng = np.random.default_rng(n)
@@ -292,7 +310,7 @@ def test_band_transforms_match_the_full_half_plane_bit_for_bit(n):
     band = np.ascontiguousarray(full[:, :c])
     field = np.empty((n, n))
     assert _to_physical_into(band, field) is field
-    assert np.array_equal(field, to_physical(full))
+    _assert_band_inverse_matches(field, to_physical(full))
     planes = rng.standard_normal((2, n, n))
     out = np.empty((2, n, c), complex)
     scratch = np.empty((2,) + g.kg2.shape, complex)
@@ -303,10 +321,64 @@ def test_band_transforms_match_the_full_half_plane_bit_for_bit(n):
 @pytest.mark.parametrize("n", [32, 48, 64, 256])
 def test_dealias_values_on_the_band_matches_the_full_plane(n):
     # the band path (forward onto c columns, rows |ky| >= N/3 zeroed,
-    # inverse from the band) is the full-plane mask multiply, bit for bit
+    # inverse from the band) is the full-plane mask multiply
     g = Grid2D(n)
     values = np.random.default_rng(n).standard_normal((n, n))
     want = to_physical(to_spectral(values) * g.dealias_mask)
-    assert np.array_equal(dealias_values(g, values), want)
+    _assert_band_inverse_matches(dealias_values(g, values), want)
     keep = g.dealias_mask[:, :g.band_c]
     assert keep.all(axis=1).sum() == 2 * g.band_c - 1 and not keep[g.band_cut].any()
+
+
+def _padded_irfft2(band, n):
+    full = np.zeros(band.shape[:-1] + (n // 2 + 1,), complex)
+    full[..., :band.shape[-1]] = band
+    return np.fft.irfft2(full, s=(n, n), norm="forward")
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 96, 128, 256])
+def test_band_inverse_against_irfft2_of_the_zero_padded_half_plane(n):
+    # at or below TABLE_MAX_N the x-pass is the table product: a mean-only
+    # spectrum gives an exactly constant field (the k = 0 sine row is
+    # zero, so the imaginary part is dropped as irfft drops it)
+    g = Grid2D(n)
+    c = g.band_c
+    rng = np.random.default_rng(n)
+    band = rng.standard_normal((2, n, c)) + 1j * rng.standard_normal((2, n, c))
+    want = _padded_irfft2(band, n)
+    _assert_band_inverse_matches(_to_physical_into(band.copy()), want)
+    if n > TABLE_MAX_N:
+        return
+    mean = np.zeros((n, c), complex)
+    mean[0, 0] = 1.3 + 0.7j
+    assert (_to_physical_into(mean) == 1.3).all()
+
+
+def test_inverse_table_is_read_only_and_cached():
+    table = _inverse_table(64, 22)
+    assert table.shape == (44, 64) and not table.flags.writeable
+    assert _inverse_table(64, 22) is table and _inverse_table(64, 16) is not table
+    assert (table[0] == 1.0).all() and (table[1] == 0.0).all()
+    with pytest.raises(ValueError):
+        table[2, 0] = 0.0
+
+
+@pytest.mark.parametrize("n, irfft_calls", [(64, (0, 0)), (256, (12, 4))])
+def test_steps_take_their_x_passes_by_table_up_to_the_crossover(n, irfft_calls, fft_shapes):
+    # a QNS step inverts its 40 planes in 12 calls and an Euler step its 9
+    # in 4; at N = 64 none of them is an irfft, at N = 256 all of them are
+    from qnslab import (InitialData, LimitParams, cfl_dt, curl, euler, qns_init, qns_step,
+                        taylor_green)
+
+    g = Grid2D(n)
+    tg = taylor_green(g)
+    s = qns_init(LimitParams(0.1, 2.0),
+                 InitialData(n1_0=ScalarField(g, 0.5 * np.sin(g.x)), u_0=tg.v))
+    w_hat = to_spectral(curl(tg.v).values)
+    counts = []
+    for step in (lambda: qns_step(s, cfl_dt(s)),
+                 lambda: euler._rk4_vorticity_step(g, w_hat, 1e-3)):
+        fft_shapes["irfft"].clear()
+        step()
+        counts.append(len(fft_shapes["irfft"]))
+    assert tuple(counts) == irfft_calls
