@@ -97,7 +97,8 @@ class _Work:
     alone, every spectrum on the dealiased band (N, c): the
     stacked stage spectra, whose third plane carries w itself at stage 1
     (for the blow-up guard); the full half-plane scratch of the forward
-    transforms; the fields vx, vy, w and the two products; the RK4 sum
+    transforms, written only above spectral.TABLE_MAX_N; the fields vx,
+    vy, w and the two products; the RK4 sum
     acc, the stage input s, which each stage overwrites with its k, and
     a scratch spectrum t.  They live no longer than that call."""
 
@@ -222,8 +223,7 @@ def euler_solve(
     w_hat = ddx * vy_h[:, :c] - ddy * vx_h[:, :c]
 
     def snapshot(w_hat, t):
-        vx_h, vy_h = _multipliers(g)[0] * w_hat
-        v = vector_field(g, to_physical(vx_h), to_physical(vy_h))
+        v = vector_field(g, *_to_physical_into(_multipliers(g)[0] * w_hat))
         return EulerReference(v=v, pi=pressure_recover(v), time=t)
 
     def accept(step, w_hat, w_inf):

@@ -19,7 +19,8 @@ A step allocates its working arrays once, at its top, and every stage
 operation writes into them through out= arguments; the last stage's
 physical fields become the new state's arrays.  Every spectrum it holds
 lives on the dealiased band of Grid2D (22 of 33 columns at N = 64), so
-every fft along y runs on those columns, and every table it multiplies
+every fft along y runs on those columns, every pass along x is a table
+product for N <= 96 (spectral.TABLE_MAX_N), and every table it multiplies
 by is complex with the mask folded in.  Each stage makes two forward and
 two inverse stacked transform calls, each later stage one more inverse
 for its state: a step takes its 31 / 40 transforms in 21 calls.
@@ -48,6 +49,7 @@ from .constitutive import (
     p_prime_at_one,
 )
 from .spectral import (
+    TABLE_MAX_N,
     Grid2D,
     ScalarField,
     VectorField,
@@ -217,15 +219,20 @@ class _Work:
     """The scratch pool of one qns_step or energy entry: max(4 F + 4 H,
     3 B + 3 H + 3 F) reals (F, B, H: a field, band spectrum, half plane;
     B < F < H, 6 B <= 4 H).  These runs of planes lie in it, over each
-    other only where they are never live at once:
+    other only where they are never live at once; the half planes are
+    the rfft's scratch of a band forward, so only a grid above
+    TABLE_MAX_N writes them:
 
         q      6 band spectra  at 0: a stage's state, then its gradients
         half3  3 half planes   after q0-2: the forward scratch of x
-        x      3 fields        after half3: mx/n, my/n, sqrt n, or a state
+        x      3 fields        after half3: mx/n, my/n, sqrt n - 1, or a state
         half4  4 half planes   at 0: the forward scratch of a1-4
         t      1 field         before a: a stage's scratch field
         a      5 fields        at the end: pressure, gradients, stress
-        s      4 band spectra  over a1-4: the stress's spectra
+        s      4 band spectra  the stress's spectra: over a1-4 above
+                               TABLE_MAX_N, where the rfft has read a1-4
+                               into half4, and at 0 at or below it, where
+                               the table product reads a1-4 as it writes s
     """
 
     def __init__(self, g: Grid2D):
@@ -240,7 +247,7 @@ class _Work:
         self.q, self.half3 = planes(0, 6, 2 * c), planes(3 * b, 3, n + 2)
         self.x, self.half4 = planes(3 * b + 3 * h, 3, n, float), planes(0, 4, n + 2)
         self.t, self.a = planes(size - 6 * f, 1, n, float)[0], planes(size - 5 * f, 5, n, float)
-        self.s = planes(size - 4 * f, 4, 2 * c)
+        self.s = planes(0 if n <= TABLE_MAX_N else size - 4 * f, 4, 2 * c)
 
 
 def _viscous_hats(g: Grid2D, eps: float, flow, mxh, myh, f, w: _Work):
@@ -262,14 +269,19 @@ def _viscous_hats(g: Grid2D, eps: float, flow, mxh, myh, f, w: _Work):
 
 def _gradients(g: Grid2D, n, mx, my, w: _Work):
     """The first transforms of a stage, for the physical state (n, mx, my):
-    forward x (mx/n, my/n, sqrt n) -> q0-2 and inverse q2-5 -> a1-4,
+    forward x (mx/n, my/n, sqrt n - 1) -> q0-2 and inverse q2-5 -> a1-4,
     the returned fields (ddx s, ddy s, dxx, dyy).  The dealiased velocity
     spectra stay in q0-1, and the spectrum of the strain's
-    dxy = (ddy ux + ddx uy)/2 is left in q2, with q5 as scratch."""
+    dxy = (ddy ux + ddx uy)/2 is left in q2, with q5 as scratch.  Only
+    ddx and ddy of s = sqrt n are read, so s - 1 is transformed: a
+    constant density then has an exactly zero gradient, which the band
+    forward of s itself misses by round-off below TABLE_MAX_N.  The
+    forward writes its scratch half3 only above TABLE_MAX_N."""
     q, x, (ddx, ddy) = w.q, w.x, g.band_d
     np.divide(mx, n, out=x[0])
     np.divide(my, n, out=x[1])
     np.sqrt(n, out=x[2])
+    x[2] -= 1.0
     uxh, uyh, sh = to_spectral(x, out=q[:3], scratch=w.half3)
     q[:2, g.band_cut] = 0.0
     np.multiply(ddy, sh, out=q[3])
@@ -292,7 +304,7 @@ def _stress_hats(g: Grid2D, params: LimitParams, n, mx, my, f, w: _Work, energy=
     four components transformed once: 7 forward / 7 inverse transforms
     in four stacked calls, the first two _gradients, with t as scratch:
 
-        forward  x (mx/n, my/n, sqrt n)        -> q0-2 (ux, uy, s)
+        forward  x (mx/n, my/n, sqrt n - 1)    -> q0-2 (ux, uy, s - 1)
         inverse  q2-5 (ddx s, ddy s, dxx, dyy) -> a1-4, then dxy in q2,
                  the pressure in a0, Bohm xy in t, S_xx, S_yy in a3-4
         inverse  q0-2 (ux, uy, dxy)            -> a0-2, then S_xy in a2
@@ -361,7 +373,13 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
     (then E u), of the RK4 sum and of a stage's forces, a _Work, and
     three fields for each stage's physical state, which the last stage
     hands on as the new state's arrays.  s is not modified.  A dt that
-    is not finite and positive is refused before any transform."""
+    is not finite and positive is refused before any transform.
+
+    The step's first forward transforms (n - 1, mx, my), n - 1 exact for
+    n in [0.5, 2], and adds 1 to the mean mode: the band forward of a
+    constant leaves round-off in kx >= 1 below TABLE_MAX_N, and the rest
+    state would not be an exact fixed point.  Every band forward of the
+    step writes its half-plane scratch only above TABLE_MAX_N."""
     if not 0.0 < dt < np.inf:
         raise CflViolation(f"dt must be finite and > 0, got {dt!r}")
     n, mx, my = s.n.values, s.m.x.values, s.m.y.values
@@ -385,7 +403,10 @@ def qns_step(s: QnsState, dt: float, ledger: EnergyLedger | None = None) -> QnsS
         _check_state(*_to_physical_into(spectra, phys), t)
         _stress_hats(g, params, *phys, f, w)
 
-    to_spectral(np.stack((n, mx, my), out=w.x), out=u, scratch=w.half3)
+    x = np.stack((n, mx, my), out=w.x)
+    x[0] -= 1.0
+    to_spectral(x, out=u, scratch=w.half3)
+    u[0, 0, 0] += 1.0
     energy = None if ledger is None else _StageEnergy(s, phys)
     _viscous_hats(g, params.epsilon, half, u[1], u[2], f, w)  # k1
     _stress_hats(g, params, n, mx, my, f, w, energy)

@@ -6,9 +6,10 @@ fastest).  Spectra are the real-to-complex half plane of shape
 and Hermitian symmetry supplies the other half, so every inverse
 transform is real by construction.  The forward transform is normalized
 by 1/N^2 so the zero mode equals the field mean.  Both directions run
-on pocketfft (numpy.fft) but for one pass: the inverse along x of a
-band spectrum on a grid with N <= TABLE_MAX_N is one np.matmul (BLAS)
-with a cached cos/sin table, faster there than the zero-padded irfft.
+on pocketfft (numpy.fft) but for the x pass of a band transform on a
+grid with N <= TABLE_MAX_N: forward onto the band or inverse from it,
+that pass is one np.matmul (BLAS) with a cached cos/sin table, faster
+there than the rfft or the zero-padded irfft.
 Odd-order derivative multipliers zero the Nyquist mode, which is the
 exact derivative of the real trigonometric interpolant at the grid
 points.
@@ -24,12 +25,16 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Largest N whose band inverse takes its pass along x as one table
-# product (_inverse_table).  With one BLAS thread on 4 planes, the whole
-# band inverse took 0.56 to 0.92 of the zero-padded irfft's time at
-# N = 48 to 96, 0.66 to 0.97 at N = 128, and 1.16 to 1.92 times at
-# N = 160 and 256 (BENCH_band_inverse_table.json).  N = 128 stays on the
-# irfft, so every grid above 96 keeps its bits.
+# Largest N whose band transforms take their pass along x as one table
+# product (_forward_table, _inverse_table).  With one BLAS thread on 4
+# planes, the whole band inverse took 0.56 to 0.92 of the zero-padded
+# irfft's time at N = 48 to 96, 0.66 to 0.97 at N = 128, and 1.16 to
+# 1.92 times at N = 160 and 256 (BENCH_band_inverse_table.json).  The
+# whole band forward took 0.46 to 0.71 of the rfft's time at N = 48 and
+# 64, 0.86 to 1.12 at N = 96 (where the Euler step still gains 8 %) and
+# 1.14 to 1.76 times at N = 128 to 256 (BENCH_band_forward_table.json).
+# N = 128 stays on the rfft and the irfft, so every grid above 96 keeps
+# its bits.
 TABLE_MAX_N = 96
 
 
@@ -143,16 +148,28 @@ def to_spectral(values: np.ndarray, out: np.ndarray | None = None,
                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Half-plane forward transform, normalized so that fhat[0, 0] =
     mean(values), written into out when given; a stack of fields
-    (..., N, N) becomes the stack of their spectra in one call.  It is
-    rfft2 bit for bit: an rfft along x into out, then an fft along y in
-    place.  With scratch, a half-plane stack the caller keeps, out may
-    hold only the first columns kx < out.shape[-1] (the band): the rfft
-    goes into scratch and the fft along y takes those columns alone."""
-    if scratch is None:
+    (..., N, N) becomes the stack of their spectra in one call.  out may
+    hold only the first columns kx < c = out.shape[-1] (the band), and
+    the fft along y then runs in place on those columns alone.
+
+    Along x, a band (c <= N/2) on a grid with N <= TABLE_MAX_N takes one
+    matrix product of values with _forward_table(N, c) into the float
+    view of out: within 4e-15 of max|fhat| of rfft2's kept columns.  A
+    zero plane goes to an exact zero spectrum; a constant plane does not,
+    as it leaves round-off of about 2e-16 of the constant in kx >= 1,
+    which the rfft cancels exactly, so a caller that needs a constant
+    exactly transforms its deviation.  Otherwise an rfft: into out, which
+    is rfft2 bit for bit, or for a band into scratch, a half-plane stack
+    the caller keeps, giving the kept columns of rfft2 bit for bit."""
+    n = values.shape[-1]
+    if out is not None and out.shape[-1] <= n // 2 and n <= TABLE_MAX_N:
+        np.matmul(values, _forward_table(n, out.shape[-1]), out=out.view(float))
+    elif scratch is None:
         out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
-        return np.fft.fft(out, axis=-2, norm="forward", out=out)
-    np.fft.rfft(values, axis=-1, norm="forward", out=scratch)
-    return np.fft.fft(scratch[..., :out.shape[-1]], axis=-2, norm="forward", out=out)
+    else:
+        np.fft.rfft(values, axis=-1, norm="forward", out=scratch)
+        return np.fft.fft(scratch[..., :out.shape[-1]], axis=-2, norm="forward", out=out)
+    return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
 def to_physical(fhat: np.ndarray) -> np.ndarray:
@@ -179,6 +196,19 @@ def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.nda
     if c > n // 2 or n > TABLE_MAX_N:
         return np.fft.irfft(fhat, n=n, axis=-1, norm="forward", out=out)
     return np.matmul(fhat.view(float), _inverse_table(n, c), out=out)
+
+
+@lru_cache(maxsize=16)
+def _forward_table(n: int, c: int) -> np.ndarray:
+    """Read-only (N, 2c) table of the forward along x onto c columns
+    kx = 0 .. c-1, held as interleaved (re, im) pairs: columns cos / N
+    and -sin / N of 2 pi (j k mod N) / N."""
+    angle = (TWO_PI / n) * (np.outer(np.arange(n), np.arange(c)) % n)
+    table = np.empty((n, 2 * c))
+    np.divide(np.cos(angle), n, out=table[:, 0::2])
+    np.divide(-np.sin(angle), n, out=table[:, 1::2])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=16)
@@ -254,9 +284,10 @@ def differentiate(f: ScalarField, order: tuple[int, int]) -> ScalarField:
 
 
 def gradient(f: ScalarField) -> VectorField:
+    """grad f: one forward transform, and both components inverted in one call."""
     g = f.grid
     fhat = to_spectral(f.values)
-    return vector_field(g, to_physical(1j * g.kgx * fhat), to_physical(1j * g.kgy * fhat))
+    return vector_field(g, *_to_physical_into(np.stack((1j * g.kgx * fhat, 1j * g.kgy * fhat))))
 
 
 def divergence(w: VectorField) -> ScalarField:
@@ -298,9 +329,13 @@ def dealias(f: ScalarField) -> ScalarField:
 
 
 def dealias_values(grid: Grid2D, values: np.ndarray) -> np.ndarray:
-    """dealias(f).values: the forward onto the band, its rows cut zeroed."""
-    fhat = to_spectral(values, out=np.empty((grid.n_points, grid.band_c), complex),
-                       scratch=np.empty(grid.kg2.shape, complex))
+    """dealias(f).values: the band columns of the full-plane forward, its
+    rows cut zeroed, inverted from the band.  That forward is rfft2 at
+    every N, so a constant plane has its mean mode alone and inverts to
+    a constant field (the rest density 1 to exactly 1), where the band
+    forward would leave round-off in kx >= 1 below TABLE_MAX_N; a zero
+    plane stays exactly zero either way."""
+    fhat = to_spectral(values)[:, :grid.band_c]
     fhat[grid.band_cut] = 0.0
     return _to_physical_into(fhat)
 

@@ -45,8 +45,9 @@ def _zero_data(grid):
     )
 
 
-def test_qns_init_rest(grid64):
-    s = qns_init(PARAMS, _zero_data(grid64))
+@pytest.mark.parametrize("n", [48, 64, 96, 128])
+def test_qns_init_rest(n):
+    s = qns_init(PARAMS, _zero_data(Grid2D(n)))
     assert np.abs(s.n.values - 1.0).max() < 1e-15
     assert np.abs(s.m.x.values).max() == 0.0
     assert s.time == 0.0
@@ -72,8 +73,9 @@ def test_qns_init_refuses_vacuum_proximity(grid64):
         qns_init(PARAMS, data)
 
 
-def test_rest_state_is_exact_fixed_point(grid64):
-    s = qns_init(PARAMS, _zero_data(grid64))
+@pytest.mark.parametrize("n", [48, 64, 96, 128])
+def test_rest_state_is_exact_fixed_point(n):
+    s = qns_init(PARAMS, _zero_data(Grid2D(n)))
     s1 = qns_step(s, 1e-3)
     assert np.array_equal(s1.n.values, s.n.values)
     assert np.array_equal(s1.m.x.values, s.m.x.values)

@@ -9,6 +9,7 @@ from qnslab import (
     dealias,
     differentiate,
     divergence,
+    gradient,
     helmholtz_project,
     integrate,
     norm,
@@ -17,6 +18,7 @@ from qnslab import (
 )
 from qnslab.spectral import (
     TABLE_MAX_N,
+    _forward_table,
     _inverse_table,
     _to_physical_into,
     dealias_values,
@@ -47,6 +49,19 @@ def test_derivative_of_constant_is_zero(grid64):
     f = ScalarField(grid64, np.full((64, 64), 3.7))
     for order in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 3)]:
         assert np.abs(differentiate(f, order).values).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_gradient_inverts_both_components_in_one_call(n, fft_counts):
+    # the same bits as one inverse per component, in 2 calls, not 3
+    g = Grid2D(n)
+    f = random_band_limited(g, 8, np.random.default_rng(n))
+    fhat = to_spectral(f.values)
+    want = (to_physical(1j * g.kgx * fhat), to_physical(1j * g.kgy * fhat))
+    fft_counts.update(fwd=0, inv=0, calls=0)
+    grad = gradient(f)
+    assert fft_counts == {"fwd": 1, "inv": 2, "calls": 2}, fft_counts
+    assert np.array_equal(grad.x.values, want[0]) and np.array_equal(grad.y.values, want[1])
 
 
 def _fd_stencil(values, axis, h, order):
@@ -287,10 +302,15 @@ def test_in_place_transforms_match_bit_for_bit(n):
 
 
 def _assert_band_inverse_matches(got, want):
-    # the band inverse against irfft2 of the zero-padded half plane: bit
-    # for bit above TABLE_MAX_N (irfft along x), within 4e-15 of max|want|
-    # at or below it (the table product)
-    if got.shape[-1] > TABLE_MAX_N:
+    # the band inverse against irfft2 of the zero-padded half plane
+    _assert_band_matches(got, want, got.shape[-1])
+
+
+def _assert_band_matches(got, want, n):
+    # a band transform against rfft2's kept columns or irfft2: bit for
+    # bit above TABLE_MAX_N (rfft / irfft along x), within 4e-15 of
+    # max|want| at or below it (the table product)
+    if n > TABLE_MAX_N:
         assert np.array_equal(got, want)
     else:
         assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
@@ -300,8 +320,7 @@ def _assert_band_inverse_matches(got, want):
 def test_band_transforms_match_the_full_half_plane(n):
     # a spectrum that vanishes outside the mask held on its c kept
     # columns: the inverse matches that of the full half plane, and the
-    # forward with a full-width scratch gives exactly the kept columns
-    # of the full one
+    # forward onto the band the kept columns of the full one
     g = Grid2D(n)
     c = int(np.count_nonzero(g.dealias_mask[0]))
     rng = np.random.default_rng(n)
@@ -315,7 +334,7 @@ def test_band_transforms_match_the_full_half_plane(n):
     out = np.empty((2, n, c), complex)
     scratch = np.empty((2,) + g.kg2.shape, complex)
     assert to_spectral(planes, out=out, scratch=scratch) is out
-    assert np.array_equal(out, to_spectral(planes)[..., :c])
+    _assert_band_matches(out, to_spectral(planes)[..., :c], n)
 
 
 @pytest.mark.parametrize("n", [32, 48, 64, 256])
@@ -354,6 +373,42 @@ def test_band_inverse_against_irfft2_of_the_zero_padded_half_plane(n):
     assert (_to_physical_into(mean) == 1.3).all()
 
 
+@pytest.mark.parametrize("n", [32, 48, 64, 96, 128, 256])
+def test_band_forward_against_rfft2(n):
+    # at or below TABLE_MAX_N the x pass is the table product, which
+    # leaves the scratch unread; above it the rfft goes into the scratch
+    g = Grid2D(n)
+    c = g.band_c
+    planes = np.random.default_rng(n).standard_normal((3, n, n))
+    want = np.fft.rfft2(planes, norm="forward")[..., :c]
+    out = np.empty((3, n, c), complex)
+    scratch = np.full((3,) + g.kg2.shape, np.nan, complex)
+    assert to_spectral(planes, out=out, scratch=scratch) is out
+    _assert_band_matches(out, want, n)
+    assert np.isnan(scratch).all() == (n <= TABLE_MAX_N)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 96])
+def test_band_forward_of_a_zero_plane_is_exact(n):
+    # a zero plane goes to exact zeros; a constant plane leaves round-off
+    # in kx >= 1, so the solvers transform deviations from a constant
+    c = Grid2D(n).band_c
+    zero = to_spectral(np.zeros((n, n)), out=np.full((n, c), np.nan, complex))
+    assert (zero == 0.0).all()
+    const = to_spectral(np.full((n, n), 1.3), out=np.empty((n, c), complex))
+    assert const[0, 0] == pytest.approx(1.3, rel=4e-15, abs=0.0)
+    assert np.abs(const[:, 1:]).max() <= 4e-15 * 1.3
+
+
+def test_forward_table_is_read_only_and_cached():
+    table = _forward_table(64, 22)
+    assert table.shape == (64, 44) and not table.flags.writeable
+    assert _forward_table(64, 22) is table and _forward_table(64, 16) is not table
+    assert (table[:, 0] == 1.0 / 64).all() and (table[:, 1] == 0.0).all()
+    with pytest.raises(ValueError):
+        table[0, 2] = 0.0
+
+
 def test_inverse_table_is_read_only_and_cached():
     table = _inverse_table(64, 22)
     assert table.shape == (44, 64) and not table.flags.writeable
@@ -363,10 +418,13 @@ def test_inverse_table_is_read_only_and_cached():
         table[2, 0] = 0.0
 
 
-@pytest.mark.parametrize("n, irfft_calls", [(64, (0, 0)), (256, (12, 4))])
-def test_steps_take_their_x_passes_by_table_up_to_the_crossover(n, irfft_calls, fft_shapes):
-    # a QNS step inverts its 40 planes in 12 calls and an Euler step its 9
-    # in 4; at N = 64 none of them is an irfft, at N = 256 all of them are
+@pytest.mark.parametrize("n, irfft_calls, rfft_calls", [(64, (0, 0), (0, 0)),
+                                                        (256, (12, 4), (9, 4))])
+def test_steps_take_their_x_passes_by_table_up_to_the_crossover(n, irfft_calls, rfft_calls,
+                                                                 fft_shapes):
+    # a QNS step inverts its 40 planes in 12 calls and forwards its 31 in
+    # 9, an Euler step its 9 in 4 and its 8 in 4; at N = 64 none of them
+    # is an irfft or an rfft, at N = 256 all of them are
     from qnslab import (InitialData, LimitParams, cfl_dt, curl, euler, qns_init, qns_step,
                         taylor_green)
 
@@ -375,10 +433,12 @@ def test_steps_take_their_x_passes_by_table_up_to_the_crossover(n, irfft_calls, 
     s = qns_init(LimitParams(0.1, 2.0),
                  InitialData(n1_0=ScalarField(g, 0.5 * np.sin(g.x)), u_0=tg.v))
     w_hat = to_spectral(curl(tg.v).values)
-    counts = []
+    counts = {"irfft": [], "rfft": []}
     for step in (lambda: qns_step(s, cfl_dt(s)),
                  lambda: euler._rk4_vorticity_step(g, w_hat, 1e-3)):
-        fft_shapes["irfft"].clear()
+        for name in counts:
+            fft_shapes[name].clear()
         step()
-        counts.append(len(fft_shapes["irfft"]))
-    assert tuple(counts) == irfft_calls
+        for name, calls in counts.items():
+            calls.append(len(fft_shapes[name]))
+    assert counts == {"irfft": list(irfft_calls), "rfft": list(rfft_calls)}
