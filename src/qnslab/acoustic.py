@@ -18,6 +18,7 @@ from .spectral import (
     Grid2D,
     ScalarField,
     VectorField,
+    _to_physical_into,
     gradient,
     integrate,
     to_physical,
@@ -77,11 +78,11 @@ def acoustic_init(data: InitialData, params: LimitParams) -> AcousticState:
     """Prepare (sigma, Psi) at t = 0: sigma is the mollified density
     perturbation, Psi = lap^{-1} div u (mean-free) for the mollified
     velocity u, so grad Psi is the gradient part of u."""
-    g = data.n1_0.grid
-    uxh = to_spectral(mollify(data.u_0.x, data.eta).values)
-    uyh = to_spectral(mollify(data.u_0.y, data.eta).values)
-    psi_hat = -1j * (g.kgx * uxh + g.kgy * uyh) * g.inv_kg2
-    return AcousticState(sigma=mollify(data.n1_0, data.eta),
+    g, (dx, dy), eta = data.n1_0.grid, data.n1_0.grid.d, data.eta
+    uxh, uyh = to_spectral(np.stack([mollify(u, eta).values for u in (data.u_0.x, data.u_0.y)]))
+    # lap^{-1} div u = (i k . u_hat) / -|k|^2
+    psi_hat = (dx * uxh + dy * uyh) * -g.inv_kg2
+    return AcousticState(sigma=mollify(data.n1_0, eta),
                          psi=ScalarField(g, to_physical(psi_hat)), time=0.0, params=params)
 
 
@@ -95,8 +96,7 @@ def acoustic_evolve(s: AcousticState, t: float) -> AcousticState:
     eps = s.params.epsilon
     c = np.sqrt(p_prime_at_one(s.params.gamma)) / eps
 
-    sig_h = to_spectral(s.sigma.values)
-    psi_h = to_spectral(s.psi.values)
+    sig_h, psi_h = to_spectral(np.stack((s.sigma.values, s.psi.values)))
 
     kabs = np.sqrt(g.kg2)
     omega = c * kabs
@@ -107,9 +107,10 @@ def acoustic_evolve(s: AcousticState, t: float) -> AcousticState:
     # modes with kg2 = 0 have cw = 1 and sw = 0, so they stay put
     sig_new = sig_h * cw + (kabs / (c * eps)) * psi_h * sw
     psi_new = psi_h * cw - (c * eps) * np.sqrt(g.inv_kg2) * sig_h * sw
+    sigma, psi = _to_physical_into(np.stack((sig_new, psi_new)))
     return AcousticState(
-        sigma=ScalarField(g, to_physical(sig_new)),
-        psi=ScalarField(g, to_physical(psi_new)),
+        sigma=ScalarField(g, sigma),
+        psi=ScalarField(g, psi),
         time=s.time + t,
         params=s.params,
     )

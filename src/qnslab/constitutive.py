@@ -15,7 +15,6 @@ from .spectral import (
     dealias,
     differentiate,
     gradient,
-    to_physical,
     to_spectral,
     vector_field,
 )
@@ -113,8 +112,7 @@ def bohm_force(n: ScalarField, form: str = DIVERGENCE) -> VectorField:
     _require_positive(vals, "bohm_force", N_FLOOR)
     g = n.grid
     if form == DIVERGENCE:
-        fx_hat, fy_hat = _bohm_divergence_hats(g, vals)
-        return vector_field(g, to_physical(fx_hat), to_physical(fy_hat))
+        return vector_field(g, *_to_physical_into(_bohm_divergence_hats(g, vals)))
     if form == POTENTIAL:
         s = dealias(ScalarField(g, np.sqrt(vals)))
         lap_s = ScalarField(g, differentiate(s, (2, 0)).values + differentiate(s, (0, 2)).values)
@@ -128,26 +126,27 @@ def bohm_force(n: ScalarField, form: str = DIVERGENCE) -> VectorField:
     raise ValueError(f"unknown bohm force form {form!r} (use POTENTIAL or DIVERGENCE)")
 
 
-def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dealiased spectra of the divergence-form quantum force
-    grad(lap n) - 4 div(grad s x grad s), s = sqrt(n) dealiased, for a
-    density already checked against the vacuum floor."""
-    lap_nh = -g.k2 * to_spectral(vals)
-    txx, txy, tyy = _bohm_stress(g, vals)
-    txy = to_spectral(txy)
-    qx = g.ddx * to_spectral(txx) + g.ddy * txy
-    qy = g.ddx * txy + g.ddy * to_spectral(tyy)
-    del txx, txy, tyy
-    return g.ddx * lap_nh + qx, g.ddy * lap_nh + qy
+def _bohm_divergence_hats(g: Grid2D, vals: np.ndarray) -> np.ndarray:
+    """Band spectra (2, N, c) of the dealiased divergence-form quantum
+    force grad(lap n) - 4 div(grad s x grad s), s = sqrt(n) dealiased,
+    for a density already checked against the vacuum floor: the band
+    columns of full-plane forwards (rfft2's bits) times Grid2D.band_d,
+    as in dealias_values; n and the stress stack go in separate calls."""
+    c, (dx, dy) = g.band_c, g.band_d
+    lap_nh = -g.k2[:, :c] * to_spectral(vals)[:, :c]
+    txx, txy, tyy = to_spectral(_bohm_stress(g, vals))[..., :c]
+    return np.stack((dx * lap_nh + (dx * txx + dy * txy), dy * lap_nh + (dx * txy + dy * tyy)))
 
 
-def _bohm_stress(g: Grid2D, vals: np.ndarray):
-    """Physical components (xx, xy, yy) of the Bohm stress
+def _bohm_stress(g: Grid2D, vals: np.ndarray) -> np.ndarray:
+    """Physical components (xx, xy, yy), stacked, of the Bohm stress
     -4 grad s x grad s, s = sqrt(n) dealiased, whose divergence is the
     quantum force less its linear part grad(lap n)."""
-    sh = to_spectral(np.sqrt(vals))
-    sx, sy = _to_physical_into(np.stack((g.ddx * sh, g.ddy * sh)))
-    return _stress_of_gradient(sx, sy, -4.0, np.empty_like(sx))
+    sh = to_spectral(np.sqrt(vals))[:, :g.band_c]
+    t = np.empty((3,) + vals.shape)
+    _to_physical_into(g.band_d * sh, t[::2])
+    _stress_of_gradient(t[0], t[2], -4.0, t[1])
+    return t
 
 
 def _stress_of_gradient(sx: np.ndarray, sy: np.ndarray, coeff: float, txy: np.ndarray):

@@ -96,16 +96,15 @@ class _Work:
     """Working arrays of one euler_solve call, or of one step taken
     alone, every spectrum on the dealiased band (N, c): the
     stacked stage spectra, whose third plane carries w itself at stage 1
-    (for the blow-up guard); the full half-plane scratch of the forward
-    transforms, written only above spectral.TABLE_MAX_N; the fields vx,
-    vy, w and the two products; the RK4 sum
-    acc, the stage input s, which each stage overwrites with its k, and
-    a scratch spectrum t.  They live no longer than that call."""
+    (for the blow-up guard); the fields vx, vy, w and the two products;
+    the RK4 sum acc, the stage input s, which each stage overwrites with
+    its k, and a scratch spectrum t.  They live no longer than that call.
+    The band forward of the products allocates its own rfft scratch
+    above spectral.TABLE_MAX_N and needs none at or below it."""
 
     def __init__(self, g: Grid2D):
         band = (g.n_points, g.band_c)
         self.spec = np.empty((3,) + band, complex)
-        self.half = np.empty((2,) + g.kg2.shape, complex)
         self.phys = np.empty((5, g.n_points, g.n_points))
         self.acc, self.s, self.t = (np.empty(band, complex) for _ in range(3))
 
@@ -129,7 +128,7 @@ def _vorticity_rhs(grid: Grid2D, w_hat: np.ndarray, out: np.ndarray, work: _Work
     np.square(vy, out=prod[0])
     prod[0] -= np.square(vx, out=prod[1])
     np.multiply(vx, vy, out=prod[1])
-    fluxes = to_spectral(prod, out=spec[:2], scratch=work.half)
+    fluxes = to_spectral(prod, out=spec[:2])
     fluxes *= flux
     return np.add(fluxes[0], fluxes[1], out=out)
 
@@ -140,8 +139,7 @@ def _flux_hats(v: VectorField) -> np.ndarray:
     g = v.grid
     vx, vy = v.x.values, v.y.values
     return to_spectral(np.stack((vx * vx, vx * vy, vy * vy)),
-                       out=np.empty((3, g.n_points, g.band_c), complex),
-                       scratch=np.empty((3,) + g.kg2.shape, complex))
+                       out=np.empty((3, g.n_points, g.band_c), complex))
 
 
 def pressure_recover(v: VectorField) -> ScalarField:
@@ -210,8 +208,8 @@ def euler_solve(
         raise EulerSolverError(f"t_end={t_end!r} is not a whole number of steps dt={dt!r}")
     g = v0.grid
     # the divergence, the cutoff check and w_hat from one pair of spectra
-    vx_h, vy_h = to_spectral(v0.x.values), to_spectral(v0.y.values)
-    div_norm = norm(ScalarField(g, to_physical(1j * (g.kgx * vx_h + g.kgy * vy_h))), 2)
+    (dx, dy), vx_h, vy_h = g.d, to_spectral(v0.x.values), to_spectral(v0.y.values)
+    div_norm = norm(ScalarField(g, _to_physical_into(dx * vx_h + dy * vy_h)), 2)
     v_norm = norm(v0, 2)
     if div_norm > 1e-10 * max(v_norm, 1e-30):
         raise EulerSolverError(f"initial velocity is not solenoidal: ||div v0|| = {div_norm:.3e}")

@@ -12,7 +12,9 @@ that pass is one np.matmul (BLAS) with a cached cos/sin table, faster
 there than the rfft or the zero-padded irfft.
 Odd-order derivative multipliers zero the Nyquist mode, which is the
 exact derivative of the real trigonometric interpolant at the grid
-points.
+points.  The first-derivative symbol i k is built here alone, as
+Grid2D.d on the full half plane and Grid2D.band_d on the band, and every
+module takes its derivatives from these two.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ TWO_PI = 2.0 * np.pi
 # its bits.
 TABLE_MAX_N = 96
 
+# A run's peak in N x N float64 fields, rounded up: a run of the
+# benchmark's highres_n256 size (N = 256) peaks at 36.8 traced fields
+# (tracemalloc), of which Grid2D holds 4.3.
+RUN_FIELDS = 40
+
 
 class SpectralError(ValueError):
     pass
@@ -44,8 +51,9 @@ class SpectralError(ValueError):
 
 def check_grid_size(n_points, what: str = "grid size") -> int:
     """The one grid-size rule: N, returned, is an even integer >= 8 whose
-    N x N float64 field fits in physical memory, where os.sysconf reports
-    it, so an oversized grid is refused before anything is allocated."""
+    run, RUN_FIELDS N x N float64 fields, fits in physical memory, where
+    os.sysconf reports it, so an oversized grid is refused before
+    anything is allocated."""
     n = int(n_points)
     if n != n_points or n < 8 or n % 2 != 0:
         raise SpectralError(f"{what} must be an even integer >= 8, got {n_points}")
@@ -53,19 +61,11 @@ def check_grid_size(n_points, what: str = "grid size") -> int:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         memory = 0
-    if 0 < memory < 8 * n * n:
-        raise SpectralError(f"{what} = {n} needs {8 * n * n / 2**30:.1f} GiB for one field, "
-                            f"more than the {memory / 2**30:.1f} GiB of physical memory")
+    need = RUN_FIELDS * 8 * n * n
+    if 0 < memory < need:
+        raise SpectralError(f"{what} = {n} needs {need / 2**30:.1f} GiB for a run of {RUN_FIELDS} "
+                            f"fields, more than the {memory / 2**30:.1f} GiB of physical memory")
     return n
-
-
-def _lazy(make):
-    """A read-only grid table built on first use: a grid that never needs it does not hold it."""
-    def table(grid):
-        a = make(grid)
-        a.setflags(write=False)
-        return a
-    return cached_property(table)
 
 
 class Grid2D:
@@ -81,15 +81,16 @@ class Grid2D:
     plain ``kx``, ``ky``, ``k2`` carry the +N/2 Nyquist label and are
     only ever used with even powers.  ``inv_kg2`` is 1/kg2, and 0 where
     kg2 == 0 (the mean and the Nyquist corners): the one inverse
-    Laplacian, mean-free.  ``ddx`` and ``ddy`` are the first-derivative
-    multipliers i*kgx, i*kgy with the 2/3-rule mask folded in, so one
-    multiply dealiases and differentiates.
+    Laplacian, mean-free.  ``d`` is the one first-derivative symbol of
+    the half plane, (i kgx, i kgy) as a complex row (1, N/2 + 1) and
+    column (N, 1) that broadcast against a spectrum.
 
     Both solvers keep their spectra on the dealiased band: the ``band_c``
     columns kx < N/3 outside which the mask is zero, its rows |ky| >= N/3
     the slice ``band_cut``.  ``band_d`` is the contiguous (2, N, c) stack
-    of its columns of ddx and ddy (complex times complex multiplies are
-    faster than times float); it, ddx and ddy are built on first use.
+    of the band's columns of d with the 2/3-rule mask folded in, so one
+    multiply dealiases and differentiates (complex times complex
+    multiplies are faster than times float); it is built on first use.
     All arrays are read-only, so a grid may be shared across threads.
     """
 
@@ -105,12 +106,14 @@ class Grid2D:
         kx1 = np.arange(n // 2 + 1)
         kgy1 = np.where(ky1 == n // 2, 0, ky1)
         kgx1 = np.where(kx1 == n // 2, 0, kx1)
-        self.kx, self.ky = np.meshgrid(kx1, ky1)
-        self.kgx, self.kgy = np.meshgrid(kgx1, kgy1)
+        # broadcast views of the 1-D wavenumbers, which hold no plane of their own
+        self.kx, self.ky = np.meshgrid(kx1, ky1, copy=False)
+        self.kgx, self.kgy = np.meshgrid(kgx1, kgy1, copy=False)
         self.k2 = (self.kx ** 2 + self.ky ** 2).astype(float)
         self.kg2 = (self.kgx ** 2 + self.kgy ** 2).astype(float)
         self.inv_kg2 = np.divide(1.0, self.kg2, out=np.zeros(self.kg2.shape),
                                  where=self.kg2 != 0.0)
+        self.d = (1j * self.kgx[:1], 1j * self.kgy[:, :1])
 
         # strict: with |k| <= N/3 kept, a grid that 3 divides would alias
         # the products at 2N/3 onto the kept modes |k| = N/3
@@ -120,18 +123,16 @@ class Grid2D:
         self.band_cut = slice(c, n - c + 1)
 
         for arr in (self.coords, self.x, self.y, self.kx, self.ky, self.kgx, self.kgy,
-                    self.k2, self.kg2, self.inv_kg2, self.dealias_mask):
+                    self.k2, self.kg2, self.inv_kg2, self.dealias_mask, *self.d):
             arr.setflags(write=False)
 
-    ddx = _lazy(lambda g: 1j * g.kgx * g.dealias_mask)
-    ddy = _lazy(lambda g: 1j * g.kgy * g.dealias_mask)
-
-    @_lazy
+    @cached_property
     def band_d(self):
         c = self.band_c
         d = np.zeros((2, self.n_points, c), complex)
         for k, d_im in zip((self.kgx, self.kgy), d.imag):
             np.multiply(k[:, :c], self.dealias_mask[:, :c], out=d_im)
+        d.setflags(write=False)
         return d
 
     def __eq__(self, other):
@@ -159,16 +160,18 @@ def to_spectral(values: np.ndarray, out: np.ndarray | None = None,
     as it leaves round-off of about 2e-16 of the constant in kx >= 1,
     which the rfft cancels exactly, so a caller that needs a constant
     exactly transforms its deviation.  Otherwise an rfft: into out, which
-    is rfft2 bit for bit, or for a band into scratch, a half-plane stack
-    the caller keeps, giving the kept columns of rfft2 bit for bit."""
+    is rfft2 bit for bit, or for a band into a half-plane stack, giving
+    the kept columns of rfft2 bit for bit.  That stack is scratch when
+    given (a caller whose peak memory it sets keeps one) and allocated
+    here otherwise; it is read only on this path."""
     n = values.shape[-1]
-    if out is not None and out.shape[-1] <= n // 2 and n <= TABLE_MAX_N:
-        np.matmul(values, _forward_table(n, out.shape[-1]), out=out.view(float))
-    elif scratch is None:
+    if out is None or out.shape[-1] > n // 2:
         out = np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    elif n <= TABLE_MAX_N:
+        np.matmul(values, _forward_table(n, out.shape[-1]), out=out.view(float))
     else:
-        np.fft.rfft(values, axis=-1, norm="forward", out=scratch)
-        return np.fft.fft(scratch[..., :out.shape[-1]], axis=-2, norm="forward", out=out)
+        half = np.fft.rfft(values, axis=-1, norm="forward", out=scratch)
+        return np.fft.fft(half[..., :out.shape[-1]], axis=-2, norm="forward", out=out)
     return np.fft.fft(out, axis=-2, norm="forward", out=out)
 
 
@@ -202,11 +205,11 @@ def _to_physical_into(fhat: np.ndarray, out: np.ndarray | None = None) -> np.nda
 def _forward_table(n: int, c: int) -> np.ndarray:
     """Read-only (N, 2c) table of the forward along x onto c columns
     kx = 0 .. c-1, held as interleaved (re, im) pairs: columns cos / N
-    and -sin / N of 2 pi (j k mod N) / N."""
-    angle = (TWO_PI / n) * (np.outer(np.arange(n), np.arange(c)) % n)
-    table = np.empty((n, 2 * c))
-    np.divide(np.cos(angle), n, out=table[:, 0::2])
-    np.divide(-np.sin(angle), n, out=table[:, 1::2])
+    and -sin / N of 2 pi (j k mod N) / N.  It is the transpose of
+    _inverse_table(n, c) divided by w_k N, which gives those bits, as
+    w_k is 1 or 2."""
+    weight = np.repeat(np.where(np.arange(c) == 0, n, 2 * n), 2)
+    table = np.divide(_inverse_table(n, c).T, weight, order="C")
     table.setflags(write=False)
     return table
 
@@ -276,32 +279,27 @@ def differentiate(f: ScalarField, order: tuple[int, int]) -> ScalarField:
         raise SpectralError(f"derivative order {order} unsupported (need a,b >= 0, a+b <= 3)")
     if a == 0 and b == 0:
         return f.copy()
-    g = f.grid
-    kx = g.kgx if a % 2 else g.kx
-    ky = g.kgy if b % 2 else g.ky
-    mult = (1j * kx) ** a * (1j * ky) ** b
-    return ScalarField(g, to_physical(mult * to_spectral(f.values)))
+    g, (dx, dy) = f.grid, f.grid.d
+    mult = (dx if a % 2 else 1j * g.kx[:1]) ** a * (dy if b % 2 else 1j * g.ky[:, :1]) ** b
+    return ScalarField(g, _to_physical_into(mult * to_spectral(f.values)))
 
 
 def gradient(f: ScalarField) -> VectorField:
     """grad f: one forward transform, and both components inverted in one call."""
-    g = f.grid
-    fhat = to_spectral(f.values)
-    return vector_field(g, *_to_physical_into(np.stack((1j * g.kgx * fhat, 1j * g.kgy * fhat))))
+    (dx, dy), fhat = f.grid.d, to_spectral(f.values)
+    return vector_field(f.grid, *_to_physical_into(np.stack((dx * fhat, dy * fhat))))
 
 
 def divergence(w: VectorField) -> ScalarField:
-    dx = differentiate(w.x, (1, 0))
-    dy = differentiate(w.y, (0, 1))
-    return ScalarField(w.grid, dx.values + dy.values)
+    """div w: both components forward in one call, one inverse."""
+    (dx, dy), (wxh, wyh) = w.grid.d, to_spectral(np.stack((w.x.values, w.y.values)))
+    return ScalarField(w.grid, _to_physical_into(dx * wxh + dy * wyh))
 
 
 def curl(w: VectorField) -> ScalarField:
-    """Scalar curl d(wy)/dx - d(wx)/dy."""
-    return ScalarField(
-        w.grid,
-        differentiate(w.y, (1, 0)).values - differentiate(w.x, (0, 1)).values,
-    )
+    """Scalar curl d(wy)/dx - d(wx)/dy: one forward call, one inverse."""
+    (dx, dy), (wxh, wyh) = w.grid.d, to_spectral(np.stack((w.x.values, w.y.values)))
+    return ScalarField(w.grid, _to_physical_into(dx * wyh - dy * wxh))
 
 
 def helmholtz_project(w: VectorField) -> tuple[VectorField, VectorField]:
@@ -310,17 +308,19 @@ def helmholtz_project(w: VectorField) -> tuple[VectorField, VectorField]:
     Per mode, q_hat = k (k . w_hat) / |k|^2 with the first-derivative
     wavenumbers, so div(q) = div(w) and curl(q) = 0 hold exactly under
     the same derivative convention.  The mean (and the degenerate
-    Nyquist corners) go entirely to the divergence-free part.
+    Nyquist corners) go entirely to the divergence-free part.  Both
+    components go forward in one call, and p and q come back in one.
     """
-    g = w.grid
-    wxh = to_spectral(w.x.values)
-    wyh = to_spectral(w.y.values)
-    proj = (g.kgx * wxh + g.kgy * wyh) * g.inv_kg2
-    qxh = g.kgx * proj
-    qyh = g.kgy * proj
-    q = vector_field(g, to_physical(qxh), to_physical(qyh))
-    p = vector_field(g, to_physical(wxh - qxh), to_physical(wyh - qyh))
-    return p, q
+    g, (dx, dy) = w.grid, w.grid.d
+    pq = np.empty((4,) + g.kg2.shape, complex)  # the spectra of p, then of q
+    wh = to_spectral(np.stack((w.x.values, w.y.values)), out=pq[:2])
+    # i k (i k . w_hat) = -k (k . w_hat)
+    proj = (dx * wh[0] + dy * wh[1]) * -g.inv_kg2
+    np.multiply(dx, proj, out=pq[2])
+    np.multiply(dy, proj, out=pq[3])
+    wh -= pq[2:]
+    px, py, qx, qy = _to_physical_into(pq)
+    return vector_field(g, px, py), vector_field(g, qx, qy)
 
 
 def dealias(f: ScalarField) -> ScalarField:

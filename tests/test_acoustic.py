@@ -233,3 +233,11 @@ def test_single_mode_oracle_against_dop853_and_closed_form(eps):
     z = sol.y[:, -1]
     assert abs(sig - complex(z[0], z[1])) <= 1e-11
     assert abs(psi - complex(z[2], z[3])) <= 1e-11
+
+
+def test_evolve_takes_one_call_each_way(grid64, rng, fft_counts):
+    s = _state(grid64, random_band_limited(grid64, 6, rng, 0.5).values,
+               random_band_limited(grid64, 6, rng, 0.3).values)
+    fft_counts.update(fwd=0, inv=0, calls=0)
+    acoustic_evolve(s, 0.3)
+    assert fft_counts == {"fwd": 2, "inv": 2, "calls": 2}, fft_counts

@@ -162,3 +162,12 @@ def test_lions_two_sided_bounds(grid32, rng):
         c1, c2 = min(ratios), max(ratios)
         assert 0 < c1 <= c2 < np.inf
         assert c1 >= 1e-3
+
+
+def test_divergence_form_takes_five_calls(grid64, rng, fft_counts):
+    # forward sqrt(n), inverse grad s, forward n, forward the three stress
+    # components in one stack, inverse the force: 5 / 4 transforms
+    n = ScalarField(grid64, 1.0 + random_band_limited(grid64, 4, rng, 0.3).values)
+    fft_counts.update(fwd=0, inv=0, calls=0)
+    bohm_force(n, DIVERGENCE)
+    assert fft_counts == {"fwd": 5, "inv": 4, "calls": 5}, fft_counts

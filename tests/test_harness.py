@@ -904,3 +904,16 @@ def test_cli_bad_input_reaches_documented_exit_code(tmp_path, capsys, argv, file
     assert "PASS" not in captured.out
     if files is not None and argv[0] == "rate-fit":
         assert str(path) in captured.err
+
+
+def test_grid_that_a_run_cannot_fit_is_a_config_error(monkeypatch, capsys):
+    # with 1 MiB of physical memory, one N = 64 field fits and its run does
+    # not: the config and the bohm-check flag are refused (exit 2) before
+    # any grid is built
+    import os
+
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+    with pytest.raises(ConfigError, match="grid_n = 64"):
+        RunConfig(grid_n=64, epsilon=0.1)
+    assert cli_main(["bohm-check", "--grid-n", "64", "--fields", "1"]) == 2
+    assert "--grid-n = 64" in capsys.readouterr().err

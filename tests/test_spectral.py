@@ -442,3 +442,107 @@ def test_steps_take_their_x_passes_by_table_up_to_the_crossover(n, irfft_calls, 
         for name, calls in counts.items():
             calls.append(len(fft_shapes[name]))
     assert counts == {"irfft": list(irfft_calls), "rfft": list(rfft_calls)}
+
+
+def test_band_forward_above_the_table_allocates_its_own_scratch():
+    # a band forward above TABLE_MAX_N without scratch takes its rfft into
+    # a half plane of its own: the same bits as with a caller's scratch
+    g = Grid2D(256)
+    planes = np.random.default_rng(5).standard_normal((2, 256, 256))
+    mine = to_spectral(planes, out=np.empty((2, 256, g.band_c), complex))
+    theirs = to_spectral(planes, out=np.empty((2, 256, g.band_c), complex),
+                         scratch=np.empty((2,) + g.kg2.shape, complex))
+    assert np.array_equal(mine, theirs)
+
+
+def test_forward_table_has_the_bits_of_its_own_formula():
+    # the forward table is the inverse table transposed and divided by
+    # w_k N; with w_k = 1 or 2 that is cos / N and -sin / N exactly
+    for n in range(8, TABLE_MAX_N + 1, 2):
+        for c in {Grid2D(n).band_c, n // 2}:
+            angle = (2.0 * np.pi / n) * (np.outer(np.arange(n), np.arange(c)) % n)
+            want = np.empty((n, 2 * c))
+            want[:, 0::2], want[:, 1::2] = np.cos(angle) / n, -np.sin(angle) / n
+            table = _forward_table(n, c)
+            assert table.flags.c_contiguous and np.array_equal(table, want), (n, c)
+
+
+def test_one_derivative_symbol_for_every_module():
+    # i k is built in spectral.py alone (Grid2D.d and Grid2D.band_d);
+    # every other module takes its derivatives from those
+    import re
+    from pathlib import Path
+
+    import qnslab
+
+    for path in sorted(Path(qnslab.__file__).parent.glob("*.py")):
+        if path.name != "spectral.py":
+            hits = re.findall(r"\.(?:kgx|kgy|ddx|ddy)\b", path.read_text(encoding="utf-8"))
+            assert not hits, (path.name, hits)
+    assert not hasattr(Grid2D(8), "ddx") and not hasattr(Grid2D(8), "ddy")
+
+
+def test_derivative_symbol_is_a_read_only_row_and_column(grid64):
+    dx, dy = grid64.d
+    assert dx.shape == (1, 33) and dy.shape == (64, 1)
+    assert np.array_equal(np.broadcast_to(dx, (64, 33)), 1j * grid64.kgx)
+    assert np.array_equal(np.broadcast_to(dy, (64, 33)), 1j * grid64.kgy)
+    assert not dx.flags.writeable and not dy.flags.writeable
+    c = grid64.band_c
+    assert np.array_equal(grid64.band_d[0], (dx * grid64.dealias_mask)[:, :c])
+    assert np.array_equal(grid64.band_d[1], (dy * grid64.dealias_mask)[:, :c])
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("divergence", {"fwd": 2, "inv": 1, "calls": 2}),
+    ("curl", {"fwd": 2, "inv": 1, "calls": 2}),
+    ("helmholtz_project", {"fwd": 2, "inv": 4, "calls": 2}),
+])
+def test_vector_operators_take_one_call_each_way(grid64, rng, fft_counts, name, counts):
+    import qnslab
+
+    op = getattr(qnslab, name)
+    w = vector_field(grid64, random_band_limited(grid64, 6, rng).values,
+                     random_band_limited(grid64, 6, rng).values)
+    fft_counts.update(fwd=0, inv=0, calls=0)
+    op(w)
+    assert fft_counts == counts, fft_counts
+
+
+def test_stacked_operators_match_their_one_component_forms(grid64, rng):
+    # divergence and curl against differentiate, p and q against the
+    # per-mode formula with the real wavenumbers
+    from qnslab import curl
+
+    w = vector_field(grid64, random_band_limited(grid64, 10, rng).values,
+                     random_band_limited(grid64, 10, rng).values)
+    d = {o: differentiate(f, o).values for f, o in ((w.x, (1, 0)), (w.y, (0, 1)))}
+    scale = max(np.abs(v).max() for v in d.values())
+    assert np.abs(divergence(w).values - d[1, 0] - d[0, 1]).max() <= 1e-14 * scale
+    cw = differentiate(w.y, (1, 0)).values - differentiate(w.x, (0, 1)).values
+    assert np.abs(curl(w).values - cw).max() <= 1e-14 * np.abs(cw).max()
+    g = grid64
+    wxh, wyh = to_spectral(w.x.values), to_spectral(w.y.values)
+    proj = (g.kgx * wxh + g.kgy * wyh) * g.inv_kg2
+    p, q = helmholtz_project(w)
+    assert np.array_equal(q.x.values, to_physical(g.kgx * proj))
+    assert np.array_equal(q.y.values, to_physical(g.kgy * proj))
+    assert np.array_equal(p.x.values, to_physical(wxh - g.kgx * proj))
+    assert np.array_equal(p.y.values, to_physical(wyh - g.kgy * proj))
+
+
+def test_grid_size_rule_covers_a_run(monkeypatch):
+    # 1 MiB of physical memory holds one N = 64 field (32 KiB) but not a
+    # run of RUN_FIELDS of them; an N = 32 run (320 KiB) fits.  Only the
+    # rule runs: no grid of the refused size is built.
+    import os
+
+    from qnslab.spectral import RUN_FIELDS, check_grid_size
+
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+    assert RUN_FIELDS * 8 * 32 * 32 < 2**20 < RUN_FIELDS * 8 * 64 * 64
+    assert check_grid_size(32) == 32
+    with pytest.raises(SpectralError, match="for a run of"):
+        check_grid_size(64)
+    with pytest.raises(SpectralError):
+        Grid2D(64)
