@@ -26,7 +26,6 @@ from .diagnostics import (
     density_deviation_norms,
     rate_fit,
     relative_entropy,
-    theorem_lhs,
 )
 from .euler import (
     EulerReference,
@@ -40,6 +39,8 @@ from .harness import (
     ConfigError,
     RunConfig,
     RunResult,
+    RunSteps,
+    Step,
     SweepResult,
     build_initial_data,
     parse_config,

@@ -105,12 +105,6 @@ def relative_entropy(s: QnsState, ref: EulerReference, ac: AcousticState) -> Ent
     )
 
 
-def theorem_lhs(s: QnsState, ref: EulerReference, ac: AcousticState) -> tuple[float, float, float]:
-    """The three squared norms of the convergence estimate, as the
-    relative_entropy report of the same arguments gives them."""
-    return relative_entropy(s, ref, ac).theorem_lhs
-
-
 def corollary_lhs(s: QnsState, ref: EulerReference) -> tuple[float, float, float]:
     """||P(sqrt(n) u) - v||^2, ||(n-1)/eps||^2, eps^2 ||grad sqrt(n)||^2."""
     if s.grid != ref.v.grid:

@@ -1,4 +1,4 @@
-"""Run configuration, single-run orchestration, and epsilon sweeps."""
+"""Run configuration, the one run loop (RunSteps) and its fold, and epsilon sweeps."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import math
 import numbers
 import re
 import time as _time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .qns import (
     CflViolation,
     EnergyLedger,
     NumericalAbort,
+    QnsState,
     cfl_bounds,
     qns_init,
     qns_step,
@@ -282,16 +284,6 @@ class RunResult:
         return ", ".join(f"{name} {n}" for name, n in self.dt_limits.items())
 
 
-def _csv_rows(reports: list[EntropyReport], ledger: EnergyLedger):
-    by_t = {format_sig17(e.t): e for e in ledger.entries}
-    rows = []
-    for r in reports:
-        e = by_t[format_sig17(r.t)]
-        rows.append((r.t, r.rel_entropy, r.kinetic_part, r.quantum_part, r.internal_part,
-                     *r.theorem_lhs, e.e_total, e.d_cumulative))
-    return rows
-
-
 def _next_dt(cfg: RunConfig, state, eps: float) -> tuple[float, str]:
     """The next step and the limit in DT_LIMITS that set it."""
     if cfg.dt_fixed is not None:
@@ -307,60 +299,90 @@ def _next_dt(cfg: RunConfig, state, eps: float) -> tuple[float, str]:
     return dt, limit
 
 
-def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> RunResult:
-    """One run of the solver against its exact acoustic companion and
-    steady Euler reference.
+@dataclass
+class Step:
+    """One state of a run, the dt and DT_LIMITS entry of the step that
+    reached it (0.0 and None at t = 0), and its report when one is due."""
 
-    Records an entropy report every record_every steps (plus t=0 and the
-    final step) and the energy ledger at every state: each step appends
-    the entry of the state it starts from, and the state the run ends on
-    - the final one, or the last one before an abort - is recorded on
-    its own.  Diagnostics go to csv_path when given, with an ABORTED
-    sentinel row appended after a numerical abort (the partial series is
-    still flushed)."""
+    state: QnsState
+    dt: float
+    limit: str | None
+    report: EntropyReport | None
+
+
+class RunSteps:
+    """The steps of one run from data, against its exact acoustic
+    companion and the Euler reference ref: the Step at t = 0, then one
+    per step to t_end, with a report at t = 0, every record_every steps
+    and at t_end.  Entry i of the ledger is the state after i steps:
+    each step appends the entry of the state it starts from, and the
+    last state, also after an abort, is recorded on its own.  A
+    numerical abort ends the iteration with its reason in aborted.  Its
+    steps are yielded once, as by any iterator."""
+
+    def __init__(self, cfg: RunConfig, eps: float, data: InitialData, ref: EulerReference):
+        self.ledger = EnergyLedger()
+        self.aborted: str | None = None
+        self._steps = self._run(cfg, eps, data, ref)
+
+    def __iter__(self) -> Iterator[Step]:
+        return self._steps
+
+    def _run(self, cfg, eps, data, ref) -> Iterator[Step]:
+        ledger, state = self.ledger, None
+        try:
+            state = qns_init(cfg.params(eps), data)
+            ac0 = acoustic_init(data, state.params)
+            yield Step(state, 0.0, None, relative_entropy(state, ref, ac0))
+            step = 0
+            while state.time < cfg.t_end - 1e-12:
+                dt, limit = _next_dt(cfg, state, eps)
+                state = qns_step(state, dt, ledger)
+                step += 1
+                report = None
+                if step % cfg.record_every == 0 or state.time >= cfg.t_end - 1e-12:
+                    report = relative_entropy(state, ref, acoustic_evolve(ac0, state.time))
+                yield Step(state, dt, limit, report)
+        except (VacuumError, NumericalAbort, CflViolation, SpectralError) as exc:
+            self.aborted = f"{type(exc).__name__}: {exc}"
+        if state is not None and (not ledger.entries or ledger.entries[-1].t != state.time):
+            ledger.record(state)
+
+
+def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> RunResult:
+    """One run of cfg's initial profile: the fold over RunSteps that
+    keeps the reports, dt_max, the steps per dt limit and the last state.
+    Diagnostics go to csv_path when given, one row per report with the
+    ledger entry of its state, and an ABORTED sentinel row after a
+    numerical abort (the partial series is still flushed); a finished
+    run also writes its last state beside them as a .qnsf snapshot."""
     eps = epsilon if epsilon is not None else cfg.epsilon
     if eps is None:
         raise ConfigError("run_single needs a single epsilon")
     t0 = _time.perf_counter()
-    params = cfg.params(eps)
-    grid = Grid2D(cfg.grid_n)
-    data, ref = build_initial_data(cfg, grid)
-
-    ledger = EnergyLedger()
+    run = RunSteps(cfg, eps, *build_initial_data(cfg, Grid2D(cfg.grid_n)))
     dt_max = 0.0
     dt_limits = dict.fromkeys(DT_LIMITS, 0)
-    reports = []
-    aborted = None
-    terminal_norms = None
-    state = None
-    step = 0
-    try:
-        state = qns_init(params, data)
-        ac0 = acoustic_init(data, params)
-        reports.append(relative_entropy(state, ref, ac0))
-        while state.time < cfg.t_end - 1e-12:
-            dt, limit = _next_dt(cfg, state, eps)
-            state = qns_step(state, dt, ledger)
-            dt_limits[limit] += 1
-            dt_max = max(dt_max, dt)
-            step += 1
-            final = state.time >= cfg.t_end - 1e-12
-            if step % cfg.record_every == 0 or final:
-                ac_t = acoustic_evolve(ac0, state.time)
-                reports.append(relative_entropy(state, ref, ac_t))
-        terminal_norms = density_deviation_norms(state)
-    except (VacuumError, NumericalAbort, CflViolation, SpectralError) as exc:
-        aborted = f"{type(exc).__name__}: {exc}"
-    if state is not None and (not ledger.entries or ledger.entries[-1].t != state.time):
-        ledger.record(state)
+    reports = []  # (i, report of the state after i steps)
+    for i, step in enumerate(run):
+        dt_max = max(dt_max, step.dt)
+        if step.limit is not None:
+            dt_limits[step.limit] += 1
+        if step.report is not None:
+            reports.append((i, step.report))
+    # a run that did not abort ended on step.state
 
     if csv_path is not None:
+        entries = run.ledger.entries
         csv_path = Path(csv_path)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(_csv_rows(reports, ledger), csv_path, aborted=aborted)
-        if aborted is None:
+        write_csv([(r.t, r.rel_entropy, r.kinetic_part, r.quantum_part, r.internal_part,
+                    *r.theorem_lhs, entries[i].e_total, entries[i].d_cumulative)
+                   for i, r in reports], csv_path, aborted=run.aborted)
+        if run.aborted is None:
             # terminal state in the initial-data layout, so a finished
             # run can seed a FROM_SNAPSHOT profile
+            state = step.state
             write_snapshot(
                 {
                     "n1_0": (state.n.values - 1.0) / eps,
@@ -371,11 +393,11 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
             )
     return RunResult(
         epsilon=eps,
-        reports=reports,
-        ledger=ledger,
+        reports=[r for _, r in reports],
+        ledger=run.ledger,
         dt_max=dt_max,
-        terminal_density_norms=terminal_norms,
-        aborted=aborted,
+        terminal_density_norms=None if run.aborted else density_deviation_norms(step.state),
+        aborted=run.aborted,
         wall_seconds=_time.perf_counter() - t0,
         dt_limits=dt_limits,
     )

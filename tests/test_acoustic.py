@@ -241,3 +241,21 @@ def test_evolve_takes_one_call_each_way(grid64, rng, fft_counts):
     fft_counts.update(fwd=0, inv=0, calls=0)
     acoustic_evolve(s, 0.3)
     assert fft_counts == {"fwd": 2, "inv": 2, "calls": 2}, fft_counts
+
+
+def test_acoustic_init_mollifies_the_spectra_it_takes(grid64, rng, fft_counts):
+    # with a mollifier, Psi comes from the mollified velocity spectra:
+    # one forward / inverse pair for sigma and 2 / 1 for Psi, no
+    # separate pass per velocity component
+    u0 = vector_field(grid64, random_band_limited(grid64, 8, rng, 0.5).values,
+                      random_band_limited(grid64, 8, rng, 0.5).values)
+    data = InitialData(n1_0=random_band_limited(grid64, 8, rng, 0.5), u_0=u0, eta=0.3)
+    fft_counts.update(fwd=0, inv=0, calls=0)
+    s = acoustic_init(data, PARAMS)
+    assert (fft_counts["fwd"], fft_counts["inv"]) == (3, 2), fft_counts
+    smooth = InitialData(n1_0=mollify(data.n1_0, 0.3),
+                         u_0=vector_field(grid64, mollify(u0.x, 0.3).values,
+                                          mollify(u0.y, 0.3).values))
+    want = acoustic_init(smooth, PARAMS)
+    assert np.array_equal(s.sigma.values, want.sigma.values)
+    assert np.abs(s.psi.values - want.psi.values).max() <= 1e-14 * np.abs(want.psi.values).max()

@@ -16,7 +16,6 @@ from qnslab import (
     random_band_limited,
     relative_entropy,
     taylor_green,
-    theorem_lhs,
     vector_field,
 )
 
@@ -109,7 +108,7 @@ def test_report_parts_are_scaled_theorem_norms(grid64, rng):
         params=PARAMS,
     )
     rep = relative_entropy(off, ref, ac)
-    vel, dens, grad = theorem_lhs(off, ref, ac)
+    vel, dens, grad = relative_entropy(off, ref, ac).theorem_lhs
     assert rep.theorem_lhs == (vel, dens, grad)
     assert rep.kinetic_part == 0.5 * vel
     assert rep.quantum_part == 2 * grad
@@ -133,7 +132,7 @@ def test_theorem_gradient_norm_matches_two_gradient_form(grid64, rng):
         rep = relative_entropy(off, ref, ac)
         assert rep.theorem_lhs[2] == pytest.approx(oracle, rel=1e-12)
         assert rep.theorem_lhs[2] > 0
-        assert theorem_lhs(off, ref, ac) == rep.theorem_lhs
+        assert relative_entropy(off, ref, ac).theorem_lhs == rep.theorem_lhs
 
 
 def test_entropy_positive_off_reference(grid64, rng):
@@ -166,7 +165,7 @@ def test_theorem_lhs_constant_velocity_shift(grid64, rng):
         time=0.0,
         params=PARAMS,
     )
-    vel, dens, grad = theorem_lhs(shifted, ref, ac)
+    vel, dens, grad = relative_entropy(shifted, ref, ac).theorem_lhs
     # first entry = delta^2 * integral(n) = delta^2 * 4 pi^2 (mean-free sigma)
     assert vel == pytest.approx(delta ** 2 * 4 * np.pi ** 2, rel=1e-12)
     assert dens < 1e-12
@@ -181,7 +180,7 @@ def test_theorem_lhs_density_entry(grid64):
         time=0.0,
         params=PARAMS,
     )
-    _, dens, _ = theorem_lhs(s, _zero_ref(grid64), _zero_ac(grid64))
+    _, dens, _ = relative_entropy(s, _zero_ref(grid64), _zero_ac(grid64)).theorem_lhs
     assert dens == pytest.approx(2 * np.pi ** 2, rel=1e-12)
 
 
@@ -223,8 +222,8 @@ def test_theorem_velocity_entry_scales_quadratically(scale, seed):
         time=0.0,
         params=PARAMS,
     )
-    v1 = theorem_lhs(base, ref, ac)[0]
-    v2 = theorem_lhs(scaled, ref, ac)[0]
+    v1 = relative_entropy(base, ref, ac).theorem_lhs[0]
+    v2 = relative_entropy(scaled, ref, ac).theorem_lhs[0]
     assert v2 == pytest.approx(scale ** 2 * v1, rel=1e-9)
 
 

@@ -7,7 +7,10 @@ import pytest
 from qnslab import (
     BadMagic,
     ConfigError,
+    Grid2D,
+    InitialData,
     RunConfig,
+    RunSteps,
     Truncated,
     VersionMismatch,
     parse_config,
@@ -15,6 +18,7 @@ from qnslab import (
     read_snapshot,
     run_single,
     run_sweep,
+    vector_field,
     write_csv,
     write_snapshot,
 )
@@ -494,6 +498,70 @@ def test_run_counts_the_limit_that_set_each_step(tmp_path):
                      profile_amplitude=2.0, output_dir=str(tmp_path))
     counts = run_single(fast).dt_limits
     assert (counts["advective"], counts["t_end"]) == (2, 1)
+
+
+def _run_steps(cfg):
+    return RunSteps(cfg, cfg.epsilon, *build_initial_data(cfg, Grid2D(cfg.grid_n)))
+
+
+def test_run_steps_takes_the_callers_initial_data():
+    # tg_plus_gradient(0) data plus the solenoidal w = delta (sin 3y,
+    # cos 2x), against the unperturbed vortex: Psi stays 0, so E(0) is
+    # the kinetic part (1/2) ||w||^2 = 2 pi^2 delta^2
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.05, initial_profile="tg_plus_gradient")
+    g, delta = Grid2D(cfg.grid_n), 0.01
+    data, ref = build_initial_data(cfg, g)
+    u0 = vector_field(g, data.u_0.x.values + delta * np.sin(3 * g.y),
+                      data.u_0.y.values + delta * np.cos(2 * g.x))
+    first = next(iter(RunSteps(cfg, cfg.epsilon, InitialData(n1_0=data.n1_0, u_0=u0), ref)))
+    assert (first.state.time, first.dt, first.limit) == (0.0, 0.0, None)
+    assert first.report.rel_entropy == pytest.approx(2 * np.pi ** 2 * delta ** 2, rel=1e-12)
+
+
+def test_run_steps_ends_an_abort_without_raising():
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.1, dt_fixed=1.0,
+                    initial_profile="sine_density", profile_amplitude=0.5)
+    run = _run_steps(cfg)
+    steps = list(run)
+    assert len(steps) == 1 and steps[0].report is not None
+    assert run.aborted.startswith("CflViolation")
+    assert len(run.ledger.entries) == 1 and run.ledger.entries[0].t == 0.0
+
+
+def test_run_steps_yields_every_step_with_its_limit():
+    from collections import Counter
+
+    cfg = RunConfig(grid_n=32, epsilon=0.05, t_end=0.06, record_every=2,
+                    initial_profile="sine_density", profile_amplitude=0.5)
+    run = _run_steps(cfg)
+    steps = list(run)
+    assert run.aborted is None
+    want = {name: n for name, n in run_single(cfg).dt_limits.items() if n}
+    assert Counter(step.limit for step in steps[1:]) == want
+    assert steps[-1].state.time == cfg.t_end
+    # reports at t = 0, every second step and at t_end
+    assert [i for i, step in enumerate(steps) if step.report] == [0, 2, 3]
+    assert [e.t for e in run.ledger.entries] == [step.state.time for step in steps]
+    # the steps of one run are yielded once
+    assert list(run) == [] and len(run.ledger.entries) == len(steps)
+
+
+def test_one_run_loop_for_every_module():
+    # the step loop is RunSteps alone: besides harness.py, no package
+    # module and no script calls qns_step
+    import ast
+    from pathlib import Path
+
+    import qnslab
+
+    package = Path(qnslab.__file__).parent
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for path in sorted(package.glob("*.py")) + sorted(scripts.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and "qns_step" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+        assert bool(calls) == (path.name == "harness.py"), (path.name, calls)
 
 
 def test_auto_step_matches_a_dt_converged_run(tmp_path):
