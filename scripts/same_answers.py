@@ -10,8 +10,11 @@ run of the benchmark's highres_n256 size (N = 256, eps = 0.05, six
 steps) and the bohm-check, acoustic-test and euler-test batteries.  It
 prints, per CSV column, max |change - parent| / max |parent|, and says
 whether the CSV files, the .qnsf snapshots and the battery report lines
-are byte-identical.  It exits 1 when a job fails, a CSV or a column is on
-one side only, or a column's ratio is above TOL, and 0 otherwise.
+are byte-identical.  It also runs the FAILURES, inputs that must fail,
+each in a directory of its own, and compares their exit codes, stderr
+and CSV bytes.  It exits 1 when a job fails, a CSV or a column is on one
+side only, a column's ratio is above TOL, or a failure differs, and 0
+otherwise.
 """
 
 import csv
@@ -34,10 +37,27 @@ record_every = 1000
 
 BATTERIES = ("bohm-check", "acoustic-test", "euler-test")
 
+# Inputs that fail at a documented exit code: the qnslab.cli arguments,
+# and the text of failure.cfg when they read it.
+FAILURES = {
+    "unknown-key": (("run", "--config", "failure.cfg"), "epsilon = 0.1\nmach = 3\n"),
+    "missing-snapshot": (("run", "--config", "failure.cfg"),
+                         "epsilon = 0.1\ngrid_n = 32\n"
+                         "initial_profile = from_snapshot(missing.qnsf)\n"),
+    "cfl-abort": (("run", "--config", "failure.cfg"),
+                  "epsilon = 0.1\nt_end = 0.1\ngrid_n = 32\ndt_policy = fixed(1.0)\n"
+                  "initial_profile = sine_density(0.5)\n"),
+    "bohm-grid-n": (("bohm-check", "--grid-n", "7"), None),
+}
+
+
+def _env(tree: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+
 
 def run_tree(tree: Path, out: Path) -> dict:
     """Run every job of tree into out; the battery stdouts, by name."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = _env(tree)
 
     def job(*args):
         done = subprocess.run([sys.executable, *args], env=env, cwd=out,
@@ -52,6 +72,30 @@ def run_tree(tree: Path, out: Path) -> dict:
     (out / "highres.cfg").write_text(HIGHRES_CONFIG, encoding="utf-8")
     job("-m", "qnslab.cli", "run", "--config", "highres.cfg", "--output", "highres_n256")
     return {name: job("-m", "qnslab.cli", name) for name in BATTERIES}
+
+
+def run_failures(tree: Path, out: Path) -> dict:
+    """Run the FAILURES of tree, each in out/<name>: by name, the exit
+    code, the stderr and the bytes of each CSV it wrote, by path."""
+    results = {}
+    for name, (args, config) in FAILURES.items():
+        cwd = out / name
+        cwd.mkdir(parents=True)
+        if config is not None:
+            (cwd / "failure.cfg").write_text(config, encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "qnslab.cli", *args], env=_env(tree),
+                              cwd=cwd, capture_output=True, text=True)
+        csvs = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*.csv"))}
+        results[name] = (done.returncode, done.stderr, csvs)
+    return results
+
+
+def failure_differences(want: dict, got: dict) -> dict:
+    """Per failure, by name, what got does differently from want: a list
+    of "exit code", "stderr" and "CSV bytes", empty when they agree."""
+    return {name: [what for what, a, b in zip(("exit code", "stderr", "CSV bytes"),
+                                              want[name], got[name]) if a != b]
+            for name in want}
 
 
 def read_columns(path: Path) -> dict:
@@ -105,6 +149,13 @@ def main() -> int:
             same = stdouts[0][name] == stdouts[1][name]
             print(f"{name} report lines: {'byte-identical' if same else 'DIFFER'}")
         print(f"every column within {TOL:g} of its max |value|: {'yes' if ok else 'NO'}")
+        failures = [run_failures(tree, out.with_name(f"{out.name}-failures"))
+                    for tree, out in zip((parent, change), outs)]
+        for name, diff in failure_differences(*failures).items():
+            code = failures[0][name][0]
+            print(f"failure {name} (parent exit {code}): "
+                  + (f"DIFFER in {', '.join(diff)}" if diff else "the same"))
+            ok &= not diff
         return 0 if ok else 1
 
 

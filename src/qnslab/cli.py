@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands map onto the verification surfaces: run, sweep, bohm-check,
-acoustic-test, euler-test, rate-fit.  Exit codes: 0 success, 2 config
-error, 3 numerical abort or a FAIL verdict, 4 IO error.
+acoustic-test, euler-test, rate-fit.  Each subparser names its handler
+(set_defaults(handler=...)), and main calls it inside the one map from
+exception to exit code: 0 success, 2 config error, 3 numerical abort or
+a FAIL verdict, 4 IO error.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ def _load_config(args):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    if cfg.epsilon is None:
-        raise ConfigError("run needs a single epsilon (use sweep for a ladder)")
     out = Path(cfg.output_dir)
     res = run_single(cfg, csv_path=out / "diagnostics.csv")
     if res.aborted:
@@ -73,6 +73,18 @@ def _print_battery(name, passed, lines) -> int:
         print(line)
     print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_NUMERICAL
+
+
+def _cmd_bohm_check(args) -> int:
+    if args.fields < 1 or args.seed < 0:
+        raise ConfigError(f"bohm-check needs --fields >= 1, an even --grid-n >= 8 and "
+                          f"--seed >= 0, got {args.fields}, {args.grid_n}, {args.seed}")
+    try:
+        check_grid_size(args.grid_n, "--grid-n")
+    except SpectralError as exc:
+        raise ConfigError(str(exc)) from exc
+    passed, lines = bohm_form_check(n_fields=args.fields, grid_n=args.grid_n, seed=args.seed)
+    return _print_battery("bohm-check", passed, lines)
 
 
 def _cmd_rate_fit(args) -> int:
@@ -115,61 +127,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single run with diagnostics CSV")
     add_common(p_run)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="epsilon-ladder rate study")
     add_common(p_sweep)
     p_sweep.add_argument("--synthetic", action="store_true",
                          help="bypass the solver; exercise fit/report plumbing")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_bohm = sub.add_parser("bohm-check", help="quantum-force form equivalence battery")
     p_bohm.add_argument("--fields", type=int, default=20)
     p_bohm.add_argument("--grid-n", type=int, default=128)
     p_bohm.add_argument("--seed", type=int, default=0)
+    p_bohm.set_defaults(handler=_cmd_bohm_check)
 
-    sub.add_parser("acoustic-test", help="acoustic conservation and oracle battery")
-    sub.add_parser("euler-test", help="Euler reference validity battery")
+    sub.add_parser("acoustic-test", help="acoustic conservation and oracle battery").set_defaults(
+        handler=lambda args: _print_battery("acoustic-test", *acoustic_check()))
+    sub.add_parser("euler-test", help="Euler reference validity battery").set_defaults(
+        handler=lambda args: _print_battery("euler-test", *euler_check()))
 
     p_fit = sub.add_parser("rate-fit", help="log-log slopes of a sweep summary CSV")
     p_fit.add_argument("csv", help="CSV whose first column is epsilon")
+    p_fit.set_defaults(handler=_cmd_rate_fit)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "bohm-check":
-            if args.fields < 1 or args.seed < 0:
-                raise ConfigError(f"bohm-check needs --fields >= 1, an even --grid-n >= 8 and "
-                                  f"--seed >= 0, got {args.fields}, {args.grid_n}, {args.seed}")
-            try:
-                check_grid_size(args.grid_n, "--grid-n")
-            except SpectralError as exc:
-                raise ConfigError(str(exc)) from exc
-            passed, lines = bohm_form_check(
-                n_fields=args.fields, grid_n=args.grid_n, seed=args.seed
-            )
-            return _print_battery("bohm-check", passed, lines)
-        if args.command == "acoustic-test":
-            passed, lines = acoustic_check()
-            return _print_battery("acoustic-test", passed, lines)
-        if args.command == "euler-test":
-            passed, lines = euler_check()
-            return _print_battery("euler-test", passed, lines)
-        if args.command == "rate-fit":
-            return _cmd_rate_fit(args)
-        parser.error(f"unknown command {args.command}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SnapshotError, IOError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -60,10 +60,8 @@ ACOUSTIC_RESOLVE = 0.5
 # to t_end, or the fixed policy.
 DT_LIMITS = ("advective", "bohm", "viscous", "acoustic", "t_end", "fixed")
 
-_KNOWN_KEYS = {
-    "grid_n", "gamma", "epsilon", "epsilon_ladder", "t_end", "dt_policy",
-    "initial_profile", "eta", "output_dir", "seed", "record_every",
-}
+# What ends a run early, with its reason in RunSteps.aborted.
+_ABORTS = (VacuumError, NumericalAbort, CflViolation, SpectralError)
 
 
 class ConfigError(ValueError):
@@ -123,97 +121,80 @@ class RunConfig:
         return LimitParams(epsilon=eps, gamma=self.gamma)
 
 
-def _parse_profile(raw: str, line_no: int) -> tuple[str, float, str | None]:
-    stripped = raw.strip()
-    lowered = stripped.lower()
-    if lowered == "rest":
-        return "rest", 0.0, None
-    m = re.fullmatch(r"(sine_density|tg_plus_gradient)\(([^)]+)\)", lowered)
-    if m:
-        try:
-            return m.group(1), float(m.group(2)), None
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: bad profile amplitude {m.group(2)!r}") from exc
-    m = re.fullmatch(r"from_snapshot\((.+)\)", stripped, flags=re.IGNORECASE)
-    if m:
-        return "from_snapshot", 0.0, m.group(1)
-    raise ConfigError(f"line {line_no}: cannot parse initial_profile {raw!r}")
+def _parse_int(raw: str) -> int:
+    if not re.fullmatch(r"[+-]?\d+", raw):
+        raise ValueError(raw)
+    return int(raw)
+
+
+def _parse_dt_policy(raw: str) -> dict:
+    m = re.fullmatch(r"auto|fixed\(([^)]+)\)", raw.lower())
+    if m is None:
+        raise ValueError(raw)
+    return {"dt_fixed": None if m.group(1) is None else float(m.group(1))}
+
+
+def _parse_profile(raw: str) -> dict:
+    if m := re.fullmatch(r"from_snapshot\((.+)\)", raw, flags=re.IGNORECASE):
+        name, amp, snap = "from_snapshot", 0.0, m.group(1)
+    elif m := re.fullmatch(r"rest|(sine_density|tg_plus_gradient)\(([^)]+)\)", raw.lower()):
+        name, amp, snap = m.group(1) or "rest", float(m.group(2) or 0.0), None
+    else:
+        raise ValueError(raw)
+    return {"initial_profile": name, "profile_amplitude": amp, "snapshot_path": snap}
+
+
+def _field(name: str, conv):
+    return lambda raw: {name: conv(raw)}
+
+
+# Each config key: the parser of its raw value into the RunConfig fields
+# it sets (ValueError when the value is malformed), and what it expects.
+_CONFIG_KEYS = {
+    "grid_n": (_field("grid_n", _parse_int), "an integer"),
+    "gamma": (_field("gamma", float), "a real number"),
+    "epsilon": (_field("epsilon", float), "a real number"),
+    "epsilon_ladder": (_field("epsilon_ladder", lambda raw: [
+        float(tok) for tok in raw.split(",") if tok.strip()]), "comma-separated reals"),
+    "t_end": (_field("t_end", float), "a real number"),
+    "dt_policy": (_parse_dt_policy, "auto or fixed(dt)"),
+    "initial_profile": (_parse_profile, "rest, sine_density(a), tg_plus_gradient(a) "
+                                        "or from_snapshot(path)"),
+    "eta": (_field("eta", float), "a real number"),
+    "output_dir": (_field("output_dir", str), "a path"),
+    "seed": (_field("seed", _parse_int), "an integer"),
+    "record_every": (_field("record_every", _parse_int), "an integer"),
+}
+_KNOWN_KEYS = set(_CONFIG_KEYS)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key = value lines (# comments) into a RunConfig.
-
-    Unknown and duplicate keys are rejected with their line number;
-    absent keys take RunConfig's field defaults.
-    """
+    """Parse key = value lines (# comments) into a RunConfig, each value
+    through its key's _CONFIG_KEYS parser.  The first line with an unknown
+    or duplicate key or a value its parser refuses is rejected with its
+    number; absent keys take RunConfig's field defaults."""
     seen: dict[str, int] = {}
-    values: dict[str, tuple[str, int]] = {}
+    kwargs: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
-        key, _, raw_val = line.partition("=")
-        key = key.strip().lower()
-        raw_val = raw_val.strip()
-        if key not in _KNOWN_KEYS:
+        key, _, raw = line.partition("=")
+        key, raw = key.strip().lower(), raw.strip()
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(
                 f"line {line_no}: duplicate key {key!r} (first set on line {seen[key]})"
             )
         seen[key] = line_no
-        values[key] = (raw_val, line_no)
-
-    kwargs: dict[str, object] = {}
-
-    def parse_int(raw):
-        if not re.fullmatch(r"[+-]?\d+", raw):
-            raise ValueError(raw)
-        return int(raw)
-
-    def take(key, conv, what):
-        if key not in values:
-            return
-        raw, line_no = values.pop(key)
+        parse, what = _CONFIG_KEYS[key]
         try:
-            kwargs[key] = conv(raw)
+            kwargs.update(parse(raw))
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: {key} expects {what}, got {raw!r}") from exc
-
-    take("grid_n", parse_int, "an integer")
-    take("gamma", float, "a real number")
-    take("epsilon", float, "a real number")
-    take("t_end", float, "a real number")
-    take("eta", float, "a real number")
-    take("seed", parse_int, "an integer")
-    take("record_every", parse_int, "an integer")
-    take("epsilon_ladder", lambda raw: [float(tok) for tok in raw.split(",") if tok.strip()],
-         "comma-separated reals")
-    take("output_dir", str, "a path")
-
-    if "dt_policy" in values:
-        raw, line_no = values.pop("dt_policy")
-        lowered = raw.strip().lower()
-        if lowered != "auto":
-            m = re.fullmatch(r"fixed\(([^)]+)\)", lowered)
-            if m is None:
-                raise ConfigError(
-                    f"line {line_no}: dt_policy expects auto or fixed(dt), got {raw!r}"
-                )
-            try:
-                kwargs["dt_fixed"] = float(m.group(1))
-            except ValueError as exc:
-                raise ConfigError(f"line {line_no}: bad fixed dt {m.group(1)!r}") from exc
-
-    if "initial_profile" in values:
-        raw, line_no = values.pop("initial_profile")
-        name, amp, snap = _parse_profile(raw, line_no)
-        kwargs["initial_profile"] = name
-        kwargs["profile_amplitude"] = amp
-        kwargs["snapshot_path"] = snap
-
     return RunConfig(**kwargs)
 
 
@@ -255,8 +236,11 @@ def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, Euler
             u0 = vector_field(grid, fields["u0_x"], fields["u0_y"])
         except KeyError as exc:
             raise ConfigError(f"snapshot is missing field {exc}") from exc
-        p_part, _ = helmholtz_project(u0)
-        ref = EulerReference(v=p_part, pi=pressure_recover(p_part), steady=True)
+        try:
+            p_part, _ = helmholtz_project(u0)
+            ref = EulerReference(v=p_part, pi=pressure_recover(p_part), steady=True)
+        except SpectralError as exc:
+            raise ConfigError(f"snapshot {cfg.snapshot_path}: no finite Euler reference") from exc
     else:
         raise ConfigError(f"unknown initial profile {cfg.initial_profile!r}")
     return InitialData(n1_0=n1, u_0=u0, eta=cfg.eta), ref
@@ -316,9 +300,10 @@ class RunSteps:
     per step to t_end, with a report at t = 0, every record_every steps
     and at t_end.  Entry i of the ledger is the state after i steps:
     each step appends the entry of the state it starts from, and the
-    last state, also after an abort, is recorded on its own.  A
-    numerical abort ends the iteration with its reason in aborted.  Its
-    steps are yielded once, as by any iterator."""
+    last state, also after an abort, is recorded on its own if no step
+    did.  A numerical abort (in a step, a report or that record) ends
+    the iteration with its first reason in aborted.  Its steps are
+    yielded once, as by any iterator."""
 
     def __init__(self, cfg: RunConfig, eps: float, data: InitialData, ref: EulerReference):
         self.ledger = EnergyLedger()
@@ -329,36 +314,38 @@ class RunSteps:
         return self._steps
 
     def _run(self, cfg, eps, data, ref) -> Iterator[Step]:
-        ledger, state = self.ledger, None
+        ledger, state, steps = self.ledger, None, 0
         try:
             state = qns_init(cfg.params(eps), data)
             ac0 = acoustic_init(data, state.params)
             yield Step(state, 0.0, None, relative_entropy(state, ref, ac0))
-            step = 0
             while state.time < cfg.t_end - 1e-12:
                 dt, limit = _next_dt(cfg, state, eps)
                 state = qns_step(state, dt, ledger)
-                step += 1
+                steps += 1
                 report = None
-                if step % cfg.record_every == 0 or state.time >= cfg.t_end - 1e-12:
+                if steps % cfg.record_every == 0 or state.time >= cfg.t_end - 1e-12:
                     report = relative_entropy(state, ref, acoustic_evolve(ac0, state.time))
                 yield Step(state, dt, limit, report)
-        except (VacuumError, NumericalAbort, CflViolation, SpectralError) as exc:
+        except _ABORTS as exc:
             self.aborted = f"{type(exc).__name__}: {exc}"
-        if state is not None and (not ledger.entries or ledger.entries[-1].t != state.time):
-            ledger.record(state)
+        if state is not None and len(ledger.entries) == steps:
+            try:
+                ledger.record(state)
+            except _ABORTS as exc:
+                self.aborted = self.aborted or f"{type(exc).__name__}: {exc}"
 
 
 def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> RunResult:
     """One run of cfg's initial profile: the fold over RunSteps that
     keeps the reports, dt_max, the steps per dt limit and the last state.
-    Diagnostics go to csv_path when given, one row per report with the
-    ledger entry of its state, and an ABORTED sentinel row after a
-    numerical abort (the partial series is still flushed); a finished
-    run also writes its last state beside them as a .qnsf snapshot."""
+    Diagnostics go to csv_path when given, one row per report whose state
+    has its ledger entry, and an ABORTED sentinel row after a numerical
+    abort (the partial series is still flushed); a finished run also
+    writes its last state beside them as a .qnsf snapshot."""
     eps = epsilon if epsilon is not None else cfg.epsilon
     if eps is None:
-        raise ConfigError("run_single needs a single epsilon")
+        raise ConfigError("run needs a single epsilon (use sweep for a ladder)")
     t0 = _time.perf_counter()
     run = RunSteps(cfg, eps, *build_initial_data(cfg, Grid2D(cfg.grid_n)))
     dt_max = 0.0
@@ -378,7 +365,7 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_csv([(r.t, r.rel_entropy, r.kinetic_part, r.quantum_part, r.internal_part,
                     *r.theorem_lhs, entries[i].e_total, entries[i].d_cumulative)
-                   for i, r in reports], csv_path, aborted=run.aborted)
+                   for i, r in reports if i < len(entries)], csv_path, aborted=run.aborted)
         if run.aborted is None:
             # terminal state in the initial-data layout, so a finished
             # run can seed a FROM_SNAPSHOT profile

@@ -35,6 +35,21 @@ def test_initial_data_bound_check(grid64, rng):
         InitialData(n1_0=n1, u_0=u0, eta=-0.1)
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [("grids", "initial data fields must share one grid"),
+     ("mollify-eta", "mollification width must be >= 0, got -0.1")],
+)
+def test_initial_data_and_mollify_refusals(grid64, grid32, case, message):
+    zero = np.zeros_like(grid64.x)
+    with pytest.raises(ValueError, match=message):
+        if case == "grids":
+            InitialData(n1_0=ScalarField(grid32, np.zeros_like(grid32.x)),
+                        u_0=vector_field(grid64, zero, zero))
+        else:
+            mollify(ScalarField(grid64, zero), -0.1)
+
+
 def test_acoustic_init_divergence_free_velocity(grid64):
     # solenoidal u0 has no gradient part, so Psi vanishes
     u0 = vector_field(

@@ -132,6 +132,12 @@ def test_bohm_force_has_zero_mean(grid64, rng):
         assert abs(integrate(f.y)) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("order", [-1, 3])
+def test_free_energy_refuses_an_order_outside_0_to_2(order):
+    with pytest.raises(ValueError, match=f"order must be 0, 1 or 2, got {order}"):
+        _free_energy_values(np.ones(4), 2.0, order)
+
+
 def test_bohm_rejects_unknown_form(grid64):
     n = ScalarField(grid64, np.ones((64, 64)))
     with pytest.raises(ValueError):

@@ -339,6 +339,26 @@ def test_time_alignment_guard(grid64, rng):
         relative_entropy(s, ref, late)
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [("ref-grid", "state, reference and acoustic state must share one grid"),
+     ("acoustic-grid", "state, reference and acoustic state must share one grid"),
+     ("unsteady-ref-time", "state and reference times differ: 0 vs 0.5"),
+     ("corollary-grid", "state and reference must share one grid")],
+)
+def test_misaligned_inputs_are_refused(grid64, grid32, rng, case, message):
+    s, ref, ac = _exact_reference_state(grid64, rng)
+    with pytest.raises(ValueError, match=message):
+        if case == "ref-grid":
+            relative_entropy(s, _zero_ref(grid32), ac)
+        elif case == "acoustic-grid":
+            relative_entropy(s, ref, _zero_ac(grid32))
+        elif case == "unsteady-ref-time":
+            relative_entropy(s, EulerReference(v=ref.v, pi=ref.pi, time=0.5), ac)
+        else:
+            corollary_lhs(s, _zero_ref(grid32))
+
+
 def test_reference_vacuum_guard(grid64):
     params = LimitParams(0.5, 2.0)
     sigma = ScalarField(grid64, -3.0 * np.abs(np.sin(grid64.x)) - 0.1)

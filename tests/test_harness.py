@@ -11,6 +11,7 @@ from qnslab import (
     InitialData,
     RunConfig,
     RunSteps,
+    SnapshotError,
     Truncated,
     VersionMismatch,
     parse_config,
@@ -112,6 +113,49 @@ def test_parse_profiles_and_dt_policy(tmp_path):
         parse_config("epsilon = 0.1\ninitial_profile = whirl(2)\n")
 
 
+@pytest.mark.parametrize(
+    "raw, want",
+    [("rest", ("rest", 0.0, None)), ("REST", ("rest", 0.0, None)),
+     ("tg_plus_gradient(2)", ("tg_plus_gradient", 2.0, None)),
+     ("From_Snapshot(Runs/Init.qnsf)", ("from_snapshot", 0.0, "Runs/Init.qnsf"))],
+    ids=["rest", "rest-upper", "tg_plus_gradient", "from_snapshot-keeps-case"],
+)
+def test_parse_initial_profile_sets_its_three_fields(raw, want):
+    cfg = parse_config(f"epsilon = 0.1\ninitial_profile = {raw}\n")
+    assert (cfg.initial_profile, cfg.profile_amplitude, cfg.snapshot_path) == want
+
+
+_PROFILE_FORMS = "rest, sine_density(a), tg_plus_gradient(a) or from_snapshot(path)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("epsilon = 0.1\nmach = 3\n", "line 2: unknown key 'mach'"),
+        ("epsilon = 0.1\nEpsilon = 0.2\n",
+         "line 2: duplicate key 'epsilon' (first set on line 1)"),
+        ("epsilon = 0.1\ngrid_n 32  # no sign\n",
+         "line 2: expected 'key = value', got 'grid_n 32  # no sign'"),
+        ("epsilon = 0.1\nt_end = 0\n", "t_end must be positive, got 0.0"),
+        ("epsilon = 0.1\nt_end = -0.5\n", "t_end must be positive, got -0.5"),
+        ("epsilon = 0.1\ninitial_profile = sine_density(abc)\n",
+         f"line 2: initial_profile expects {_PROFILE_FORMS}, got 'sine_density(abc)'"),
+        ("epsilon = 0.1\ninitial_profile = whirl(2)\n",
+         f"line 2: initial_profile expects {_PROFILE_FORMS}, got 'whirl(2)'"),
+        ("epsilon = 0.1\ndt_policy = fixed(abc)\n",
+         "line 2: dt_policy expects auto or fixed(dt), got 'fixed(abc)'"),
+        ("epsilon = 0.1\ndt_policy = fixed(0)\n", "dt_policy fixed needs a positive dt"),
+        ("seed = 1.5\nmach = 3\n", "line 1: seed expects an integer, got '1.5'"),
+    ],
+    ids=["unknown-key", "duplicate-key", "no-equals", "t_end-zero", "t_end-negative",
+         "bad-amplitude", "unknown-profile", "bad-fixed-dt", "fixed-dt-zero", "first-fault"],
+)
+def test_parse_config_refuses_each_fault_with_its_message(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
 def test_fixed_dt_alone_sets_the_step_policy():
     # at rest the AUTO policy would take one step of 0.5 eps = t_end
     res = run_single(RunConfig(grid_n=32, epsilon=0.1, t_end=0.05, dt_fixed=1e-3))
@@ -145,6 +189,11 @@ def test_every_config_key_sets_a_field_and_is_documented():
     block = readme.split("Config files are", 1)[1].split("```")[1]
     for key in _KNOWN_KEYS:
         assert re.search(rf"\b{key}\s*=", block), key
+
+
+def test_build_initial_data_refuses_an_unknown_profile(grid32):
+    with pytest.raises(ConfigError, match="unknown initial profile 'whirl'"):
+        build_initial_data(RunConfig(grid_n=32, epsilon=0.1, initial_profile="whirl"), grid32)
 
 
 def test_profile_reference_is_consistent(grid32):
@@ -239,6 +288,31 @@ def test_snapshot_truncated(tmp_path, rng):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [({}, "at least one field"),
+     ({"a": np.zeros((8, 8)), "b": np.zeros((16, 16))}, "must share one shape"),
+     ({"a": np.zeros((8, 16))}, "must be square, got 8x16")],
+    ids=["no-fields", "shapes-differ", "not-square"],
+)
+def test_write_snapshot_refuses(tmp_path, fields, message):
+    path = tmp_path / "refused.qnsf"
+    with pytest.raises(SnapshotError, match=message):
+        write_snapshot(fields, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("keep, message", [(10, "header needs 14 bytes, file has 10"),
+                                           (15, "field name length missing at byte 14")],
+                         ids=["header", "name-length"])
+def test_snapshot_short_file_is_truncated(tmp_path, rng, keep, message):
+    path = tmp_path / "short.qnsf"
+    write_snapshot({"f": rng.standard_normal((8, 8))}, path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(Truncated, match=message):
+        read_snapshot(path)
+
+
 # ---------------------------------------------------------------- CSV
 
 
@@ -251,6 +325,12 @@ def test_csv_empty_and_single_row(tmp_path):
     write_csv([row], tmp_path / "one.csv")
     lines = (tmp_path / "one.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("width", [9, 11])
+def test_csv_refuses_a_row_of_the_wrong_length(tmp_path, width):
+    with pytest.raises(ValueError, match=f"needs 10 values, got {width}"):
+        write_csv([(0.0,) * width], tmp_path / "bad.csv")
 
 
 def test_csv_round_trip_full_precision(tmp_path, rng):
@@ -433,6 +513,64 @@ def test_cfl_abort_at_a_later_step_keeps_the_last_state_entry(tmp_path):
                           _step_and_record_entries(cfg, steps=3))
 
 
+_OVERFLOWS = {
+    "tg-amplitude": dict(initial_profile="tg_plus_gradient", profile_amplitude=1e200),
+    "gamma": dict(gamma=1e300, initial_profile="sine_density", profile_amplitude=0.5),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("case", list(_OVERFLOWS))
+def test_overflow_at_t0_aborts_the_run(tmp_path, capsys, case):
+    # the t = 0 report overflows, and so does the record of that state:
+    # both end in the abort, and the CSV holds the sentinel alone
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.02, **_OVERFLOWS[case])
+    res = run_single(cfg, csv_path=tmp_path / "d.csv")
+    assert res.aborted.startswith("SpectralError")
+    assert res.reports == [] and res.ledger.entries == []
+    keys = {"gamma": cfg.gamma, "grid_n": 32, "t_end": 0.02,
+            "initial_profile": f"{cfg.initial_profile}({cfg.profile_amplitude})"}
+    cfgfile = tmp_path / "overflow.cfg"
+    for command, eps in (("run", "epsilon = 0.1"), ("sweep", "epsilon_ladder = 0.1,0.05,0.025")):
+        out = tmp_path / command
+        cfgfile.write_text(f"{eps}\noutput_dir = {out}\n"
+                           + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert cli_main([command, "--config", str(cfgfile)]) == 3
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        for csv_path in [out / "diagnostics.csv"] if command == "run" else \
+                sorted(out.glob("run_eps_*.csv")):
+            lines = csv_path.read_text().splitlines()
+            assert lines[1:] == ["ABORTED,SpectralError: field contains non-finite values"
+                                 + "," * 8]
+
+
+def test_failed_last_record_keeps_the_first_reason_and_drops_its_row(tmp_path, monkeypatch):
+    # the step is refused; recording the state it started from then fails
+    # too: the t = 0 report has no ledger entry, so the CSV has no row for it
+    from qnslab import SpectralError
+
+    def failing_record(self, state):
+        raise SpectralError("injected")
+
+    monkeypatch.setattr("qnslab.qns.EnergyLedger.record", failing_record)
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.1, dt_fixed=1.0,
+                    initial_profile="sine_density", profile_amplitude=0.5)
+    res = run_single(cfg, csv_path=tmp_path / "d.csv")
+    assert res.aborted.startswith("CflViolation")
+    assert len(res.reports) == 1 and res.ledger.entries == []
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER and lines[1].startswith("ABORTED,CflViolation")
+    assert len(lines) == 2
+
+
+def test_run_single_needs_a_single_epsilon():
+    cfg = RunConfig(grid_n=32, epsilon_ladder=[0.2, 0.1, 0.05])
+    with pytest.raises(ConfigError, match=r"run needs a single epsilon \(use sweep for a ladder\)"):
+        run_single(cfg)
+    assert run_single(cfg, epsilon=0.1).aborted is None
+
+
 def test_cli_numerical_abort_exit_code(tmp_path):
     cfgfile = tmp_path / "abort.cfg"
     cfgfile.write_text(
@@ -477,6 +615,44 @@ def test_cli_non_finite_snapshot_is_io_error(tmp_path, grid32, capsys, case, nam
     err = capsys.readouterr().err
     assert err.startswith("io error:") and named in err
     assert "Traceback" not in err
+
+
+def _overflowing_snapshot(path, grid_n):
+    # a finite velocity whose Euler reference overflows
+    zero = np.zeros((grid_n, grid_n))
+    write_snapshot({"n1_0": zero, "u0_x": 1e200 * np.sin(Grid2D(grid_n).y), "u0_y": zero},
+                   path)
+
+
+_UNFIT_SNAPSHOTS = {
+    "grid": (lambda path: write_snapshot({n: np.zeros((16, 16)) for n in
+                                          ("n1_0", "u0_x", "u0_y")}, path),
+             "snapshot grid 16 does not match configured grid_n 32"),
+    "fields": (lambda path: write_snapshot({"n1_0": np.zeros((32, 32)),
+                                            "u0_x": np.zeros((32, 32))}, path),
+               "snapshot is missing field 'u0_y'"),
+    "overflow": (lambda path: _overflowing_snapshot(path, 32),
+                 "snapshot {path}: no finite Euler reference"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("case", list(_UNFIT_SNAPSHOTS))
+def test_cli_snapshot_that_cannot_seed_the_run_is_a_config_error(tmp_path, capsys, case):
+    write, message = _UNFIT_SNAPSHOTS[case]
+    snap = tmp_path / "init.qnsf"
+    write(snap)
+    cfgfile = tmp_path / "snap.cfg"
+    cfgfile.write_text(
+        "epsilon = 0.1\nt_end = 0.02\ngrid_n = 32\n"
+        f"initial_profile = from_snapshot({snap})\n"
+        f"output_dir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["run", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message.format(path=snap)}\n"
+    assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_counts_the_limit_that_set_each_step(tmp_path):
@@ -932,6 +1108,13 @@ def test_cli_bohm_check_small(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("battery", ["acoustic-test", "euler-test"])
+def test_cli_battery_without_arguments_passes(capsys, battery):
+    assert cli_main([battery]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{battery}:\n") and out.endswith(f"{battery}: PASS\n")
+
+
 _SUMMARY_HEADER = "epsilon,rel_entropy\n"
 
 
@@ -953,10 +1136,15 @@ _SUMMARY_HEADER = "epsilon,rel_entropy\n"
         # one N x N field of N = 2**20 takes 8 TiB, refused before it is allocated
         (["bohm-check", "--grid-n", str(2**20)], None, 2, "config error:"),
         (["run", "--config", "{f}"], f"epsilon = 0.1\ngrid_n = {2**20}\n", 2, "config error:"),
+        (["run"], None, 2, "config error: missing --config"),
+        (["run", "--config", "{f}"], "epsilon_ladder = 0.2,0.1,0.05\n", 2,
+         "config error: run needs a single epsilon (use sweep for a ladder)"),
+        (["rate-fit", "{f}"], "eta,rel_entropy\n0.2,1\n0.1,2\n0.05,4\n", 2, "config error:"),
     ],
     ids=["eps-ascending", "eps-repeated", "eps-zero", "eps-nan", "non-numeric-cell",
          "empty-csv", "bohm-grid-n", "bohm-seed", "bohm-fields", "run-not-utf8",
-         "sweep-not-utf8", "bohm-grid-n-oversized", "run-grid-n-oversized"],
+         "sweep-not-utf8", "bohm-grid-n-oversized", "run-grid-n-oversized", "run-no-config",
+         "run-ladder-only", "first-column-not-epsilon"],
 )
 def test_cli_bad_input_reaches_documented_exit_code(tmp_path, capsys, argv, files, code,
                                                      prefix):

@@ -73,6 +73,17 @@ def test_qns_init_refuses_vacuum_proximity(grid64):
         qns_init(PARAMS, data)
 
 
+def test_qns_init_refuses_vacuum_proximity_after_dealiasing(grid64):
+    # eps * ||n1_0||_inf = 0.45 passes the first check, but the Gibbs
+    # overshoot of the dealiased square wave takes min n below 0.5
+    data = InitialData(
+        n1_0=ScalarField(grid64, np.sign(np.sin(grid64.x))),
+        u_0=vector_field(grid64, np.zeros_like(grid64.x), np.zeros_like(grid64.x)),
+    )
+    with pytest.raises(VacuumError, match="initial vacuum proximity refused: min n = 0.4"):
+        qns_init(LimitParams(0.45, 2.0), data)
+
+
 @pytest.mark.parametrize("n", [48, 64, 96, 128])
 def test_rest_state_is_exact_fixed_point(n):
     s = qns_init(PARAMS, _zero_data(Grid2D(n)))

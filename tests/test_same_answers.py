@@ -1,5 +1,6 @@
 """scripts/same_answers.py, the same-answers check of a refactor: its
-per-column comparison, column_ratio."""
+per-column comparison, column_ratio, and its comparison of the inputs
+that must fail, failure_differences."""
 
 import importlib.util
 import math
@@ -46,3 +47,30 @@ def test_round_off_reads_below_tol(same_answers):
     ratio = same_answers.column_ratio(want, got)
     assert ratio == pytest.approx(1e-12, rel=1e-3)
     assert ratio < same_answers.TOL
+
+
+_ABORT_CSV = {"qns_out/diagnostics.csv": b"t,rel_entropy\n0,1\nABORTED,CflViolation: dt\n"}
+_FAILED = {"unknown-key": (2, "config error: line 2: unknown key 'mach'\n", {}),
+           "cfl-abort": (3, "", _ABORT_CSV)}
+
+
+def test_failures_that_agree_show_no_difference(same_answers):
+    got = {name: (code, err, dict(csvs)) for name, (code, err, csvs) in _FAILED.items()}
+    assert same_answers.failure_differences(_FAILED, got) == {"unknown-key": [],
+                                                              "cfl-abort": []}
+
+
+@pytest.mark.parametrize(
+    "name, got, want",
+    [("unknown-key", (1, "Traceback ...\n", {}), ["exit code", "stderr"]),
+     ("unknown-key", (2, "config error: line 2: unknown key 'Mach'\n", {}), ["stderr"]),
+     ("cfl-abort", (3, "", {"qns_out/diagnostics.csv": b"t,rel_entropy\n0,1\n"}),
+      ["CSV bytes"]),
+     ("cfl-abort", (3, "", {}), ["CSV bytes"])],
+    ids=["exit-and-stderr", "stderr", "csv-bytes", "csv-missing"],
+)
+def test_each_failure_difference_is_named(same_answers, name, got, want):
+    change = dict(_FAILED, **{name: got})
+    diffs = same_answers.failure_differences(_FAILED, change)
+    assert diffs[name] == want
+    assert all(not diff for other, diff in diffs.items() if other != name)

@@ -6,6 +6,7 @@ from qnslab import (
     Grid2D,
     ScalarField,
     SpectralError,
+    VectorField,
     dealias,
     differentiate,
     divergence,
@@ -32,6 +33,26 @@ def test_grid_rejects_odd_and_small():
         Grid2D(7)
     with pytest.raises(SpectralError):
         Grid2D(6)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("shape", r"field shape \(32, 64\) does not match grid 64x64"),
+     ("nan", "field contains non-finite values"),
+     ("inf", "field contains non-finite values"),
+     ("vector-grids", "vector field components must share one grid")],
+)
+def test_fields_refuse_what_they_cannot_hold(grid64, grid32, case, message):
+    # the non-finite refusal is what turns an overflow in a run into its abort
+    values = np.zeros((64, 64))
+    with pytest.raises(SpectralError, match=message):
+        if case == "shape":
+            ScalarField(grid64, np.zeros((32, 64)))
+        elif case in ("nan", "inf"):
+            values[3, 5] = np.nan if case == "nan" else -np.inf
+            ScalarField(grid64, values)
+        else:
+            VectorField(ScalarField(grid64, values), ScalarField(grid32, np.zeros((32, 32))))
 
 
 def test_grid_spacing_covers_torus(grid64):
