@@ -80,7 +80,8 @@ def acoustic_init(data: InitialData, params: LimitParams) -> AcousticState:
     velocity u, so grad Psi is the gradient part of u."""
     g, (dx, dy), eta = data.n1_0.grid, data.n1_0.grid.d, data.eta
     uh = to_spectral(np.stack((data.u_0.x.values, data.u_0.y.values)))
-    uh *= np.exp(-0.5 * eta * eta * g.k2)  # mollify's multiplier, exactly 1.0 at eta = 0
+    if eta > 0.0:
+        uh *= np.exp(-0.5 * eta * eta * g.k2)  # mollify's multiplier
     # lap^{-1} div u = (i k . u_hat) / -|k|^2
     psi_hat = (dx * uh[0] + dy * uh[1]) * -g.inv_kg2
     return AcousticState(sigma=mollify(data.n1_0, eta),

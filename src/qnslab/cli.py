@@ -4,7 +4,8 @@ Subcommands map onto the verification surfaces: run, sweep, bohm-check,
 acoustic-test, euler-test, rate-fit.  Each subparser names its handler
 (set_defaults(handler=...)), and main calls it inside the one map from
 exception to exit code: 0 success, 2 config error, 3 numerical abort or
-a FAIL verdict, 4 IO error.
+a FAIL verdict, 4 IO error.  Handlers run with NumPy's floating-point
+warnings off, so an abort prints its reason and nothing else.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .checks import acoustic_check, bohm_form_check, euler_check
 from .diagnostics import rate_fit
@@ -155,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # the finiteness guards end a run whose data overflows with its
+        # reason; NumPy's warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

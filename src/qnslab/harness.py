@@ -63,9 +63,16 @@ DT_LIMITS = ("advective", "bohm", "viscous", "acoustic", "t_end", "fixed")
 # What ends a run early, with its reason in RunSteps.aborted.
 _ABORTS = (VacuumError, NumericalAbort, CflViolation, SpectralError)
 
+# The initial profiles build_initial_data builds, by RunConfig.initial_profile.
+INITIAL_PROFILES = ("rest", "sine_density", "tg_plus_gradient", "from_snapshot")
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _unknown_profile(name: str) -> ConfigError:
+    return ConfigError(f"unknown initial profile {name!r} (known: {', '.join(INITIAL_PROFILES)})")
 
 
 @dataclass
@@ -97,6 +104,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.t_end <= 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if self.initial_profile not in INITIAL_PROFILES:
+            raise _unknown_profile(self.initial_profile)
         if self.epsilon is None and self.epsilon_ladder is None:
             raise ConfigError("missing required epsilon or epsilon_ladder")
         if self.epsilon_ladder is not None:
@@ -203,7 +212,7 @@ def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, Euler
     reference: the solenoidal part of u_0, steady for every profile
     (zero for rest; the stationary vortex otherwise; the projected
     snapshot velocity for from_snapshot)."""
-    zero = np.zeros_like(grid.x)
+    zero = np.zeros((grid.n_points, grid.n_points))
     a = cfg.profile_amplitude
     if cfg.initial_profile == "rest":
         n1 = ScalarField(grid, zero)
@@ -242,7 +251,7 @@ def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, Euler
         except SpectralError as exc:
             raise ConfigError(f"snapshot {cfg.snapshot_path}: no finite Euler reference") from exc
     else:
-        raise ConfigError(f"unknown initial profile {cfg.initial_profile!r}")
+        raise _unknown_profile(cfg.initial_profile)
     return InitialData(n1_0=n1, u_0=u0, eta=cfg.eta), ref
 
 
@@ -303,7 +312,8 @@ class RunSteps:
     last state, also after an abort, is recorded on its own if no step
     did.  A numerical abort (in a step, a report or that record) ends
     the iteration with its first reason in aborted.  Its steps are
-    yielded once, as by any iterator."""
+    yielded once, as by any iterator.  The run drops its reference to
+    data once the initial states are built from it."""
 
     def __init__(self, cfg: RunConfig, eps: float, data: InitialData, ref: EulerReference):
         self.ledger = EnergyLedger()
@@ -318,6 +328,7 @@ class RunSteps:
         try:
             state = qns_init(cfg.params(eps), data)
             ac0 = acoustic_init(data, state.params)
+            del data  # nothing reads the initial data again
             yield Step(state, 0.0, None, relative_entropy(state, ref, ac0))
             while state.time < cfg.t_end - 1e-12:
                 dt, limit = _next_dt(cfg, state, eps)

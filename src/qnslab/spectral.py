@@ -39,9 +39,11 @@ TWO_PI = 2.0 * np.pi
 # its bits.
 TABLE_MAX_N = 96
 
-# A run's peak in N x N float64 fields, rounded up: a run of the
-# benchmark's highres_n256 size (N = 256) peaks at 36.8 traced fields
-# (tracemalloc), of which Grid2D holds 4.3.
+# A bound on a run's peak in N x N float64 fields: a run of the
+# benchmark's highres_n256 size (N = 256) peaks at 31.3 traced fields
+# (tracemalloc) in its first step, of which Grid2D holds 1.1.  It was
+# set at 40 when that peak was 36.8, and a lower bound would admit
+# larger grids than it does.
 RUN_FIELDS = 40
 
 
@@ -68,6 +70,11 @@ def check_grid_size(n_points, what: str = "grid size") -> int:
     return n
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class Grid2D:
     """Uniform even-N periodic grid with precomputed half-plane
     wavenumber arrays of shape (N, N/2 + 1).
@@ -83,15 +90,20 @@ class Grid2D:
     kg2 == 0 (the mean and the Nyquist corners): the one inverse
     Laplacian, mean-free.  ``d`` is the one first-derivative symbol of
     the half plane, (i kgx, i kgy) as a complex row (1, N/2 + 1) and
-    column (N, 1) that broadcast against a spectrum.
+    column (N, 1) that broadcast against a spectrum.  ``kx``, ``ky``,
+    ``kgx`` and ``kgy`` are broadcast views of 1-D wavenumbers, so the
+    planes a grid holds from the start are ``kg2``, ``inv_kg2`` and the
+    boolean ``dealias_mask``, about 1.1 N x N fields.
 
     Both solvers keep their spectra on the dealiased band: the ``band_c``
     columns kx < N/3 outside which the mask is zero, its rows |ky| >= N/3
     the slice ``band_cut``.  ``band_d`` is the contiguous (2, N, c) stack
     of the band's columns of d with the 2/3-rule mask folded in, so one
     multiply dealiases and differentiates (complex times complex
-    multiplies are faster than times float); it is built on first use.
-    All arrays are read-only, so a grid may be shared across threads.
+    multiplies are faster than times float).  ``x``, ``y``, ``k2`` and
+    ``band_d`` are built on first use, so a run at eta = 0, which reads
+    none of the first three, never holds them.  All arrays are
+    read-only, so a grid may be shared across threads.
     """
 
     def __init__(self, n_points: int):
@@ -99,7 +111,6 @@ class Grid2D:
         self.spacing = TWO_PI / n
 
         self.coords = np.arange(n) * self.spacing
-        self.x, self.y = np.meshgrid(self.coords, self.coords)
 
         ky1 = np.fft.fftfreq(n, 1.0 / n).astype(int)
         ky1[n // 2] = n // 2  # relabel Nyquist as +N/2
@@ -109,8 +120,7 @@ class Grid2D:
         # broadcast views of the 1-D wavenumbers, which hold no plane of their own
         self.kx, self.ky = np.meshgrid(kx1, ky1, copy=False)
         self.kgx, self.kgy = np.meshgrid(kgx1, kgy1, copy=False)
-        self.k2 = (self.kx ** 2 + self.ky ** 2).astype(float)
-        self.kg2 = (self.kgx ** 2 + self.kgy ** 2).astype(float)
+        self.kg2 = np.add.outer(kgy1 ** 2, kgx1 ** 2).astype(float)
         self.inv_kg2 = np.divide(1.0, self.kg2, out=np.zeros(self.kg2.shape),
                                  where=self.kg2 != 0.0)
         self.d = (1j * self.kgx[:1], 1j * self.kgy[:, :1])
@@ -118,13 +128,25 @@ class Grid2D:
         # strict: with |k| <= N/3 kept, a grid that 3 divides would alias
         # the products at 2N/3 onto the kept modes |k| = N/3
         cutoff = n / 3.0
-        self.dealias_mask = (np.abs(self.kx) < cutoff) & (np.abs(self.ky) < cutoff)
+        self.dealias_mask = np.logical_and.outer(np.abs(ky1) < cutoff, kx1 < cutoff)
         self.band_c = c = int(np.count_nonzero(self.dealias_mask[0]))
         self.band_cut = slice(c, n - c + 1)
 
-        for arr in (self.coords, self.x, self.y, self.kx, self.ky, self.kgx, self.kgy,
-                    self.k2, self.kg2, self.inv_kg2, self.dealias_mask, *self.d):
+        for arr in (self.coords, self.kx, self.ky, self.kgx, self.kgy, self.kg2,
+                    self.inv_kg2, self.dealias_mask, *self.d):
             arr.setflags(write=False)
+
+    @cached_property
+    def x(self):
+        return _read_only(np.tile(self.coords, (self.n_points, 1)))
+
+    @cached_property
+    def y(self):
+        return _read_only(np.repeat(self.coords[:, None], self.n_points, axis=1))
+
+    @cached_property
+    def k2(self):
+        return _read_only(np.add.outer(self.ky[:, 0] ** 2, self.kx[0] ** 2).astype(float))
 
     @cached_property
     def band_d(self):
@@ -132,8 +154,7 @@ class Grid2D:
         d = np.zeros((2, self.n_points, c), complex)
         for k, d_im in zip((self.kgx, self.kgy), d.imag):
             np.multiply(k[:, :c], self.dealias_mask[:, :c], out=d_im)
-        d.setflags(write=False)
-        return d
+        return _read_only(d)
 
     def __eq__(self, other):
         return isinstance(other, Grid2D) and other.n_points == self.n_points

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,25 @@ def grid32():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def traced_fields():
+    """traced_fields(call, n=256): call() and the peak of its traced
+    allocations (tracemalloc) above their level at entry, in N x N
+    float64 fields."""
+
+    def measure(call, n=256):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, (peak - entry) / (n * n * 8)
+
+    return measure
 
 
 _FORWARD = ("fft", "rfft", "fft2", "rfft2", "fftn", "rfftn")

@@ -411,19 +411,11 @@ def test_euler_solve_setup_takes_one_spectral_pass(grid64, fft_counts):
     assert np.abs(traj[0].v.x.values - tg.v.x.values).max() < 1e-14
 
 
-def test_pressure_recover_allocates_no_unused_scratch(grid64):
+def test_pressure_recover_allocates_no_unused_scratch(grid64, traced_fields):
     # at N = 64 the band forward of the flux stack is a table product and
     # needs no rfft scratch: measured 6.0 N x N fields above entry, and
     # 8.2 with three unwritten half planes of scratch (101 KB) beside it
-    import tracemalloc
-
     tg = taylor_green(grid64)
     pressure_recover(tg.v)  # the tables are cached before the measured call
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        pressure_recover(tg.v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - entry) / (64 * 64 * 8) <= 7.0
+    _, fields = traced_fields(lambda: pressure_recover(tg.v), n=64)
+    assert fields <= 7.0

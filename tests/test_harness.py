@@ -196,6 +196,16 @@ def test_build_initial_data_refuses_an_unknown_profile(grid32):
         build_initial_data(RunConfig(grid_n=32, epsilon=0.1, initial_profile="whirl"), grid32)
 
 
+def test_run_config_refuses_an_unknown_profile(grid32):
+    # refused where the config is built, before any run starts
+    with pytest.raises(ConfigError, match="unknown initial profile 'whirl' "):
+        RunConfig(grid_n=32, epsilon=0.1, initial_profile="whirl")
+    cfg = RunConfig(grid_n=32, epsilon=0.1)
+    cfg.initial_profile = "whirl"  # set after the check
+    with pytest.raises(ConfigError, match="unknown initial profile 'whirl' "):
+        build_initial_data(cfg, grid32)
+
+
 def test_profile_reference_is_consistent(grid32):
     from qnslab import helmholtz_project, norm, vector_field
 
@@ -545,6 +555,32 @@ def test_overflow_at_t0_aborts_the_run(tmp_path, capsys, case):
                                  + "," * 8]
 
 
+@pytest.mark.parametrize("case", list(_OVERFLOWS))
+def test_cli_overflow_prints_the_abort_reason_alone(tmp_path, case):
+    # a process of its own, as outside the suite NumPy's overflow
+    # warnings would reach stderr (with the source lines that raised them)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qnslab
+
+    cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.02, **_OVERFLOWS[case])
+    (tmp_path / "overflow.cfg").write_text(
+        f"epsilon = 0.1\ngrid_n = 32\nt_end = 0.02\ngamma = {cfg.gamma}\n"
+        f"initial_profile = {cfg.initial_profile}({cfg.profile_amplitude})\n")
+    src = str(Path(qnslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "qnslab.cli", "run", "--config", "overflow.cfg"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "ABORTED: SpectralError: field contains non-finite values",
+        f"partial diagnostics in {Path('qns_out') / 'diagnostics.csv'}"]
+
+
 def test_failed_last_record_keeps_the_first_reason_and_drops_its_row(tmp_path, monkeypatch):
     # the step is refused; recording the state it started from then fails
     # too: the t = 0 report has no ledger entry, so the CSV has no row for it
@@ -569,6 +605,28 @@ def test_run_single_needs_a_single_epsilon():
     with pytest.raises(ConfigError, match=r"run needs a single epsilon \(use sweep for a ladder\)"):
         run_single(cfg)
     assert run_single(cfg, epsilon=0.1).aborted is None
+
+
+def test_run_memory_peak_n256(traced_fields):
+    # a grid builds x, y and k2 on first use: measured 1.14 fields at
+    # its peak and 1.10 held (4.30 and 3.61 built eagerly); the grid
+    # before it sets up what NumPy builds on a first call
+    Grid2D(8)
+    grid, fields = traced_fields(lambda: Grid2D(256))
+    assert fields <= 1.2
+    assert not {"x", "y", "k2"} & set(vars(grid))
+    # a run of the benchmark's highres_n256 size drops its initial data
+    # once its states are built, and at eta = 0 never reads x, y or k2:
+    # measured 31.3 fields (31.5 as a process's first run), the peak of
+    # its first step; 36.8 holding both
+    from qnslab import qns
+
+    cfg = RunConfig(grid_n=256, gamma=2.0, epsilon=0.05, t_end=0.0125,
+                    initial_profile="sine_density", profile_amplitude=0.5, record_every=1000)
+    qns._linear_flow.cache_clear()  # the flow is built inside the measured run
+    res, fields = traced_fields(lambda: run_single(cfg))
+    assert res.aborted is None and res.reports[-1].t == cfg.t_end
+    assert fields <= 33.0
 
 
 def test_cli_numerical_abort_exit_code(tmp_path):

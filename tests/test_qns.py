@@ -592,35 +592,20 @@ def test_step_buffers_are_private_to_the_step(n):
             assert not np.shares_memory(a, b)
 
 
-def _traced_fields(call):
-    """call() and the peak of its traced allocations above their level
-    at entry, in N = 256 fields."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, (peak - entry) / (256 * 256 * 8)
-
-
-def test_step_memory_peak_n256():
+def test_step_memory_peak_n256(traced_fields):
     s = _tg_sine_state(Grid2D(256))
     dt = cfl_dt(s)
     qns._linear_flow.cache_clear()  # the flow is built inside the measured step
-    s1, fields = _traced_fields(lambda: qns_step(s, dt))
+    s1, fields = traced_fields(lambda: qns_step(s, dt))
     assert s1.time == dt
     # measured 23.9 fields; the per-operation step of earlier versions
     # peaked at 25.6
     assert fields <= 25.0
 
 
-def test_record_memory_peak_n256():
+def test_record_memory_peak_n256(traced_fields):
     s = _tg_sine_state(Grid2D(256))
-    _, fields = _traced_fields(lambda: EnergyLedger().record(s))
+    _, fields = traced_fields(lambda: EnergyLedger().record(s))
     # a pool of ten spectra and no stage forces: measured 10.3 fields
     # (12.35 when the record allocated a step's forces too)
     assert fields <= 10.4
