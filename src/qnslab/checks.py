@@ -31,10 +31,8 @@ def bohm_form_check(n_fields: int = 20, grid_n: int = 128, seed: int = 0):
         f_pot = bohm_force(n, POTENTIAL)
         f_div = bohm_force(n, DIVERGENCE)
         scale = max(norm(f_pot, np.inf), 1e-30)
-        err = max(
-            np.abs(f_pot.x.values - f_div.x.values).max(),
-            np.abs(f_pot.y.values - f_div.y.values).max(),
-        ) / scale
+        err = norm(vector_field(grid, f_pot.x.values - f_div.x.values,
+                                f_pot.y.values - f_div.y.values), np.inf) / scale
         worst = max(worst, err)
         lines.append(f"  field {i:2d}: min n = {n.values.min():.3f}, rel sup error = {err:.3e}")
     passed = worst < 1e-8

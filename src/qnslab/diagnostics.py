@@ -16,6 +16,7 @@ from .spectral import (
     gradient,
     helmholtz_project,
     integrate,
+    norm,
     vector_field,
 )
 
@@ -129,23 +130,16 @@ def corollary_lhs(s: QnsState, ref: EulerReference) -> tuple[float, float, float
 
 
 def density_deviation_norms(s: QnsState) -> dict[str, float]:
-    """Small/large indicator splits of n - 1 and the full L^gamma and
-    L^lambda norms (ties |n-1| = 1 go to the large part)."""
+    """spectral.norm of n - 1: in L^2 where |n-1| < 1, in L^gamma where
+    |n-1| >= 1 (ties go to this large part), and in full in L^gamma and L^lambda."""
     g = s.grid
-    h2 = g.spacing ** 2
-    gamma = s.params.gamma
-    lam = s.params.lam
     dev = s.n.values - 1.0
     small = np.abs(dev) < 1.0
-    small_l2 = float(np.sqrt((dev[small] ** 2).sum() * h2))
-    large_lg = float(((np.abs(dev[~small]) ** gamma).sum() * h2) ** (1.0 / gamma))
-    full_lg = float(((np.abs(dev) ** gamma).sum() * h2) ** (1.0 / gamma))
-    full_ll = float(((np.abs(dev) ** lam).sum() * h2) ** (1.0 / lam))
     return {
-        "small_part_L2": small_l2,
-        "large_part_Lgamma": large_lg,
-        "full_Lgamma": full_lg,
-        "full_Llambda": full_ll,
+        "small_part_L2": norm(ScalarField(g, np.where(small, dev, 0.0)), 2),
+        "large_part_Lgamma": norm(ScalarField(g, np.where(small, 0.0, dev)), s.params.gamma),
+        "full_Lgamma": norm(ScalarField(g, dev), s.params.gamma),
+        "full_Llambda": norm(ScalarField(g, dev), s.params.lam),
     }
 
 

@@ -33,7 +33,6 @@ from .spectral import (
     ScalarField,
     VectorField,
     _to_physical_into,
-    curl,
     gradient,
     norm,
     to_physical,
@@ -266,7 +265,9 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
 
     dt_probe = 0 treats the reference as steady; dt_probe > 0 estimates
     d_t v by a central difference of two solver micro-steps, taken on
-    the vorticity and inverted in one more call of 2 transforms.
+    the band vorticity, as euler_solve's set-up takes it, from one
+    forward call of the velocity, and inverted in one more call of 2
+    transforms.
     """
     g = ref.v.grid
     ddx, ddy = g.band_d
@@ -276,7 +277,9 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
     res[0] += gp.x.values
     res[1] += gp.y.values
     if dt_probe > 0.0:
-        w_hat = to_spectral(curl(ref.v).values)
+        vx_h, vy_h = to_spectral(np.stack((ref.v.x.values, ref.v.y.values)),
+                                 out=np.empty((2, g.n_points, g.band_c), complex))
+        w_hat = ddx * vy_h - ddy * vx_h
         w_fwd = _rk4_vorticity_step(g, w_hat, dt_probe)[0]
         w_bwd = _rk4_vorticity_step(g, w_hat, -dt_probe)[0]
         res += _to_physical_into(_multipliers(g)[0] * ((w_fwd - w_bwd) / (2.0 * dt_probe)))

@@ -106,6 +106,12 @@ class RunConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.initial_profile not in INITIAL_PROFILES:
             raise _unknown_profile(self.initial_profile)
+        if (self.snapshot_path is not None) != (self.initial_profile == "from_snapshot"):
+            raise ConfigError(f"initial_profile {self.initial_profile} with snapshot_path "
+                              f"{self.snapshot_path!r}: from_snapshot alone reads one, and needs it")
+        if self.initial_profile in ("rest", "from_snapshot") and self.profile_amplitude != 0:
+            raise ConfigError(f"initial_profile {self.initial_profile} takes no amplitude, "
+                              f"got {self.profile_amplitude}")
         if self.epsilon is None and self.epsilon_ladder is None:
             raise ConfigError("missing required epsilon or epsilon_ladder")
         if self.epsilon_ladder is not None:
@@ -405,7 +411,8 @@ TRACKED_QUANTITIES = ("rel_entropy", "thm_vel", "thm_dens", "thm_grad")
 
 
 def _terminal_values(res: RunResult) -> dict[str, float]:
-    if not res.reports:  # aborted during initialisation
+    """The last report's TRACKED_QUANTITIES, all NaN if the run aborted before t_end."""
+    if res.aborted:
         return {q: float("nan") for q in TRACKED_QUANTITIES}
     last = res.reports[-1]
     return dict(zip(TRACKED_QUANTITIES, (last.rel_entropy, *last.theorem_lhs)))
@@ -481,10 +488,10 @@ class SweepResult:
 
 
 def run_sweep(cfg: RunConfig, synthetic: bool = False) -> SweepResult:
-    """run_single per ladder entry, in order, then log-log rate fits on
-    the terminal tracked quantities and the density ratios; the result's
-    passed is the verdict.  Each run's CSV and snapshot, and
-    sweep_summary.csv, go to cfg.output_dir.
+    """run_single per ladder entry, in order, into one row per rung:
+    epsilon, its _terminal_values and its density ratio (NaN if it
+    aborted), written to cfg.output_dir as sweep_summary.csv beside each
+    run's CSV and snapshot and rate-fitted by tracked column; passed is the verdict.
 
     synthetic=True bypasses the solver and injects the exact power law
     eps**rate, exercising the fit/report plumbing alone.  An aborted run
@@ -499,33 +506,23 @@ def run_sweep(cfg: RunConfig, synthetic: bool = False) -> SweepResult:
     rate = cfg.params(ladder[0]).rate
     if synthetic:
         runs = []
-        per_quantity = {q: [e ** rate for e in ladder] for q in TRACKED_QUANTITIES}
-        density_ratios = [1.0 for _ in ladder]
+        rows = [(eps, *[eps ** rate] * len(TRACKED_QUANTITIES), 1.0) for eps in ladder]
     else:
         runs = [run_single(cfg, epsilon=eps, csv_path=out / f"run_eps_{eps:g}.csv")
                 for eps in ladder]
-        terminal = [_terminal_values(res) for res in runs]
-        per_quantity = {q: [t[q] for t in terminal] for q in TRACKED_QUANTITIES}
-        density_ratios = [float("nan") if res.terminal_density_norms is None
-                          else res.terminal_density_norms["full_Llambda"] / eps
-                          for eps, res in zip(ladder, runs)]
+        rows = [(eps, *_terminal_values(res).values(), float("nan") if res.aborted
+                 else res.terminal_density_norms["full_Llambda"] / eps)
+                for eps, res in zip(ladder, runs)]
 
-    _write_sweep_summary(out, ladder, per_quantity, density_ratios)
-    result = SweepResult(epsilons=ladder, runs=runs, rate_threshold=rate - RATE_SLOPE_MARGIN,
-                         density_ratios=density_ratios, synthetic=synthetic)
-    if not result.failed:
-        result.fits = {q: rate_fit(ladder, vals) for q, vals in per_quantity.items()
-                       if min(vals) > 0}
-    return result
-
-
-def _write_sweep_summary(out: Path, ladder, per_quantity, density_ratios) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    header = "epsilon," + ",".join(TRACKED_QUANTITIES) + ",density_ratio"
-    lines = [header]
-    for i, eps in enumerate(ladder):
-        cells = [format_sig17(eps)]
-        cells += [format_sig17(per_quantity[q][i]) for q in TRACKED_QUANTITIES]
-        cells.append(format_sig17(density_ratios[i]))
-        lines.append(",".join(cells))
-    (out / "sweep_summary.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    lines = [",".join(("epsilon", *TRACKED_QUANTITIES, "density_ratio"))]
+    lines += [",".join(format_sig17(x) for x in row) for row in rows]
+    (out / "sweep_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
+                                           newline="\n")
+    columns = list(zip(*rows))
+    result = SweepResult(epsilons=ladder, runs=runs, rate_threshold=rate - RATE_SLOPE_MARGIN,
+                         density_ratios=list(columns[-1]), synthetic=synthetic)
+    if not result.failed:
+        result.fits = {q: rate_fit(ladder, vals)
+                       for q, vals in zip(TRACKED_QUANTITIES, columns[1:-1]) if min(vals) > 0}
+    return result

@@ -159,17 +159,24 @@ def test_euler_residual_probe_inverts_its_difference_once(grid64, rng, monkeypat
         tg = taylor_green(grid64)
         assert euler_residual(tg, dt_probe=1e-4) <= 2.0 * euler_residual(tg)
 
-    # after the second micro-step, the velocity difference: 2 inverse
-    # transforms in 1 call (4 in 4 with one call per component)
+    # before the first micro-step, the flux stack, its inverse, grad Pi
+    # and the band vorticity from one forward call of the velocity: 6 / 4
+    # in 5 calls (7 / 5 in 7 through curl); after the second micro-step,
+    # the velocity difference: 2 inverse transforms in 1 call (4 in 4
+    # with one call per component)
     step = euler._rk4_vorticity_step
+    before = []
 
     def step_then_reset(*args):
+        before.append(dict(fft_counts))
         out = step(*args)
         fft_counts.update(fwd=0, inv=0, calls=0)
         return out
 
     monkeypatch.setattr(euler, "_rk4_vorticity_step", step_then_reset)
+    fft_counts.update(fwd=0, inv=0, calls=0)
     euler_residual(ref, dt_probe=1e-3)
+    assert before[0] == {"fwd": 6, "inv": 4, "calls": 5}, before
     assert fft_counts == {"fwd": 0, "inv": 2, "calls": 1}, fft_counts
 
 

@@ -206,6 +206,28 @@ def test_run_config_refuses_an_unknown_profile(grid32):
         build_initial_data(cfg, grid32)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"initial_profile": "from_snapshot"},
+         "initial_profile from_snapshot with snapshot_path None: "),
+        ({"initial_profile": "sine_density", "profile_amplitude": 0.5, "snapshot_path": "x.qnsf"},
+         "initial_profile sine_density with snapshot_path 'x.qnsf': "),
+        ({"initial_profile": "rest", "profile_amplitude": 0.5},
+         "initial_profile rest takes no amplitude, got 0.5"),
+        ({"initial_profile": "from_snapshot", "snapshot_path": "x.qnsf", "profile_amplitude": 1.0},
+         "initial_profile from_snapshot takes no amplitude, got 1.0"),
+    ],
+    ids=["snapshot-without-path", "path-without-snapshot", "rest-amplitude",
+         "snapshot-amplitude"],
+)
+def test_run_config_refuses_profile_arguments_no_profile_reads(kwargs, message):
+    # parse_config never builds these; a config built in code is refused
+    # before a run starts (from_snapshot without a path ended in a TypeError)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig(grid_n=32, epsilon=0.1, **kwargs)
+
+
 def test_profile_reference_is_consistent(grid32):
     from qnslab import helmholtz_project, norm, vector_field
 
@@ -931,7 +953,7 @@ def test_sweep_synthetic_result_and_summary_bytes(tmp_path):
     assert result.density_band_ok
 
 
-def test_sweep_with_aborted_runs_is_failed_but_reports(tmp_path):
+def test_sweep_with_aborted_runs_is_failed_but_reports(tmp_path, capsys):
     cfg = RunConfig(grid_n=32, epsilon_ladder=[0.2, 0.1, 0.05], t_end=0.1,
                     dt_fixed=1.0,  # refused at step one
                     initial_profile="sine_density", profile_amplitude=0.5,
@@ -940,10 +962,19 @@ def test_sweep_with_aborted_runs_is_failed_but_reports(tmp_path):
     assert result.failed
     assert result.fits == {}
     assert len(result.runs) == len(cfg.epsilon_ladder)
-    assert (tmp_path / "sweep_summary.csv").exists()
     for eps in cfg.epsilon_ladder:
         lines = (tmp_path / f"run_eps_{eps:g}.csv").read_text().splitlines()
         assert lines[-1].startswith("ABORTED,")
+    # each rung aborted after its t = 0 report, which is not a terminal
+    # value: its summary row is NaN past epsilon, and rate-fit fits nothing
+    summary = tmp_path / "sweep_summary.csv"
+    rows = summary.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "epsilon,rel_entropy,thm_vel,thm_dens,thm_grad,density_ratio"
+    assert [row.split(",", 1)[1] for row in rows[1:]] == ["nan,nan,nan,nan,nan"] * 3
+    assert cli_main(["rate-fit", str(summary)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("skipped") == 5
+    assert "no fittable columns" in captured.err
 
 
 def test_density_band_fails_on_non_finite_ratio():
@@ -1023,6 +1054,22 @@ def test_sweep_with_init_abort_is_failed_but_reports(tmp_path):
     assert all(r.aborted is None for r in result.runs[1:])
     summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()
     assert len(summary) == 1 + len(cfg.epsilon_ladder)
+
+
+@pytest.mark.parametrize("clause", [None, *_BROKEN_CLAUSES])
+def test_benchmark_gate_agrees_with_the_sweep_verdict(clause, tmp_path, monkeypatch):
+    # the benchmark's rate_study gate spells the sweep rule out check by
+    # check; on every clause it must reach SweepResult.passed
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import rate_study_gate
+
+    result = _healthy_sweep(tmp_path)
+    if clause is not None:
+        _BROKEN_CLAUSES[clause](result, monkeypatch)
+    assert all(ok for _, ok in rate_study_gate({2.0: result}, tmp_path)) == result.passed
+    assert result.passed == (clause is None)
 
 
 # ---------------------------------------------------------------- CLI
