@@ -6,8 +6,9 @@ Usage: python3 scripts/same_answers.py PARENT_TREE CHANGE_TREE
 
 In each tree, in a subprocess with PYTHONPATH=<tree>/src, it runs the
 headline rate study (<tree>/scripts/rate_study.py, gamma = 2 and 3), one
-run of the benchmark's highres_n256 size (N = 256, eps = 0.05, six
-steps) and the bohm-check, acoustic-test and euler-test batteries.  It
+run of the benchmark's highres_n256 size (N = 256, eps = 0.05, two
+steps: an advective one of 0.00878, then the clamp to t_end) and the
+bohm-check, acoustic-test and euler-test batteries.  It
 prints, per CSV column, max |change - parent| / max |parent|, and says
 whether the CSV files, the .qnsf snapshots and the battery report lines
 are byte-identical.  It also runs the FAILURES, inputs that must fail,

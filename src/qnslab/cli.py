@@ -11,14 +11,13 @@ warnings off, so an abort prints its reason and nothing else.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checks import acoustic_check, bohm_form_check, euler_check
-from .diagnostics import rate_fit
+from .diagnostics import rate_fits
 from .harness import ConfigError, parse_config, run_single, run_sweep
 from .qnsio import SnapshotError, read_csv_columns
 from .spectral import SpectralError, check_grid_size
@@ -91,28 +90,23 @@ def _cmd_bohm_check(args) -> int:
 
 
 def _cmd_rate_fit(args) -> int:
+    """Each column's slope by diagnostics.rate_fits, in header order, or that it is skipped."""
     try:
         header, cols = read_csv_columns(args.csv)
     except (OSError, ValueError) as exc:
         raise IOError(f"cannot read {args.csv}: {exc}") from exc
     if not header or "epsilon" not in header[0]:
         raise ConfigError(f"{args.csv}: first column must be epsilon, got {header[:1]}")
-    eps = cols[header[0]]
-    printed = False
+    try:
+        fits = rate_fits(cols[header[0]], {name: cols[name] for name in header[1:]})
+    except ValueError as exc:
+        raise ConfigError(f"{args.csv}: {exc}") from exc
     for name in header[1:]:
-        vals = cols[name]
-        if len(vals) != len(eps) or len(eps) < 3 or not all(
-                math.isfinite(v) and v > 0 for v in vals):
-            print(f"  {name:12s}: skipped (needs >= 3 finite positive values)")
-            continue
-        try:
-            fit = rate_fit(eps, vals)
-        except ValueError as exc:
-            raise ConfigError(f"{args.csv}: {exc}") from exc
-        print(f"  {name:12s}: slope = {fit.slope:+.4f}, intercept = {fit.intercept:+.4f}, "
+        fit = fits.get(name)
+        print(f"  {name:12s}: skipped (needs >= 3 finite positive values)" if fit is None else
+              f"  {name:12s}: slope = {fit.slope:+.4f}, intercept = {fit.intercept:+.4f}, "
               f"log-residual = {fit.residual:.3e}")
-        printed = True
-    if not printed:
+    if not fits:
         raise ConfigError(f"{args.csv}: no fittable columns")
     return EXIT_OK
 

@@ -39,7 +39,8 @@ class VacuumError(RuntimeError):
 
 @dataclass(frozen=True)
 class LimitParams:
-    """Mach number and adiabatic exponent, with the derived exponents."""
+    """Mach number and adiabatic exponent, with the derived exponents; an epsilon
+    outside (0, 1) or below about 7.5e-155, where 1/epsilon^2 overflows, is refused."""
 
     epsilon: float
     gamma: float
@@ -47,6 +48,8 @@ class LimitParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not 1.0 / self.epsilon / self.epsilon < np.inf:
+            raise ValueError(f"epsilon = {self.epsilon} is too small: 1/epsilon^2 overflows")
         if not 1.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma}")
 

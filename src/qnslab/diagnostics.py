@@ -165,3 +165,10 @@ def rate_fit(eps: list[float], vals: list[float]) -> RateFit:
         intercept=float(intercept),
         residual=float(np.sqrt(np.mean(resid ** 2))),
     )
+
+
+def rate_fits(eps: list[float], columns: dict[str, list[float]]) -> dict[str, RateFit]:
+    """rate_fit of each column of as many values as eps, >= 3, all finite and > 0; the
+    others are left out.  A ladder rate_fit refuses raises once one column is fittable."""
+    return {name: rate_fit(eps, vals) for name, vals in columns.items()
+            if len(vals) == len(eps) >= 3 and all(0.0 < v < np.inf for v in vals)}

@@ -206,8 +206,8 @@ def euler_solve(
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise EulerSolverError(f"t_end={t_end!r} is not a whole number of steps dt={dt!r}")
     g = v0.grid
-    # the divergence, the cutoff check and w_hat from one pair of spectra
-    (dx, dy), vx_h, vy_h = g.d, to_spectral(v0.x.values), to_spectral(v0.y.values)
+    # the divergence, the cutoff check and w_hat from one stacked forward of vx and vy
+    (dx, dy), (vx_h, vy_h) = g.d, to_spectral(np.stack((v0.x.values, v0.y.values)))
     div_norm = norm(ScalarField(g, _to_physical_into(dx * vx_h + dy * vy_h)), 2)
     v_norm = norm(v0, 2)
     if div_norm > 1e-10 * max(v_norm, 1e-30):

@@ -18,7 +18,7 @@ from .diagnostics import (
     EntropyReport,
     RateFit,
     density_deviation_norms,
-    rate_fit,
+    rate_fits,
     relative_entropy,
 )
 from .euler import EulerReference, pressure_recover, taylor_green
@@ -122,8 +122,8 @@ class RunConfig:
             raise ConfigError("dt_policy fixed needs a positive dt")
         if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
             raise ConfigError(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        if not (self.eta >= 0 and self.eta * self.eta < math.inf):
+            raise ConfigError(f"eta must be >= 0 with eta^2 finite, got {self.eta}")
         try:
             for eps in [self.epsilon, *(self.epsilon_ladder or ())]:
                 if eps is not None:
@@ -491,12 +491,13 @@ def run_sweep(cfg: RunConfig, synthetic: bool = False) -> SweepResult:
     """run_single per ladder entry, in order, into one row per rung:
     epsilon, its _terminal_values and its density ratio (NaN if it
     aborted), written to cfg.output_dir as sweep_summary.csv beside each
-    run's CSV and snapshot and rate-fitted by tracked column; passed is the verdict.
+    run's CSV and snapshot, its tracked columns fitted by diagnostics.rate_fits
+    as qnslab rate-fit fits them; passed is the verdict.
 
     synthetic=True bypasses the solver and injects the exact power law
     eps**rate, exercising the fit/report plumbing alone.  An aborted run
-    fails the sweep and leaves it without fits; the other runs still
-    complete and report.
+    fails the sweep and its NaN row leaves it without fits; the other runs
+    still complete and report.
     """
     if cfg.epsilon_ladder is None or len(cfg.epsilon_ladder) < 3:
         raise ConfigError("sweep needs an epsilon_ladder of length >= 3")
@@ -520,9 +521,7 @@ def run_sweep(cfg: RunConfig, synthetic: bool = False) -> SweepResult:
     (out / "sweep_summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
                                            newline="\n")
     columns = list(zip(*rows))
-    result = SweepResult(epsilons=ladder, runs=runs, rate_threshold=rate - RATE_SLOPE_MARGIN,
-                         density_ratios=list(columns[-1]), synthetic=synthetic)
-    if not result.failed:
-        result.fits = {q: rate_fit(ladder, vals)
-                       for q, vals in zip(TRACKED_QUANTITIES, columns[1:-1]) if min(vals) > 0}
-    return result
+    return SweepResult(epsilons=ladder, runs=runs,
+                       fits=rate_fits(ladder, dict(zip(TRACKED_QUANTITIES, columns[1:-1]))),
+                       rate_threshold=rate - RATE_SLOPE_MARGIN,
+                       density_ratios=list(columns[-1]), synthetic=synthetic)

@@ -133,17 +133,24 @@ def write_csv(rows, path, aborted: str | None = None) -> None:
 
 
 def read_csv_columns(path) -> tuple[list[str], dict[str, list[float]]]:
-    """Read a numeric CSV back into columns, skipping sentinel rows;
-    ValueError for an empty file or a non-numeric cell."""
+    """Read a numeric CSV back into columns, skipping blank lines and
+    sentinel rows; ValueError for an empty file, a column name the header
+    repeats, a row whose cell count is not the header's, or a non-numeric cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("empty file, no header row")
         cols: dict[str, list[float]] = {name: [] for name in header}
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"the header names column {repeated[0]!r} more than once")
         for row in reader:
             if not row or row[0] == "ABORTED":
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(row)} cells, "
+                                 f"the header {len(header)}")
             for name, cell in zip(header, row):
                 cols[name].append(float(cell))
     return header, cols

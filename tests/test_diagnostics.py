@@ -332,6 +332,24 @@ def test_rate_fit_rejections():
         rate_fit([0.2, 0.1, 0.05], [1.0, -1.0, 1.0])
 
 
+def test_rate_fits_leaves_out_what_rate_fit_cannot_take():
+    from qnslab.diagnostics import rate_fits
+
+    eps = [0.2, 0.1, 0.05]
+    good = [e ** 0.5 for e in eps]
+    columns = {"good": good, "nan": [1.0, np.nan, 1.0], "inf": [1.0, np.inf, 1.0],
+               "zero": [1.0, 0.0, 1.0], "negative": [1.0, -1.0, 1.0], "short": good[:2],
+               "long": good + [1.0]}
+    fits = rate_fits(eps, columns)
+    assert list(fits) == ["good"]
+    assert fits["good"] == rate_fit(eps, good)
+    assert rate_fits(eps[:2], {"two": good[:2]}) == {}
+    # a ladder rate_fit refuses raises once a column is fittable, not before
+    assert rate_fits(eps[::-1], {"nan": columns["nan"]}) == {}
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        rate_fits(eps[::-1], columns)
+
+
 def test_time_alignment_guard(grid64, rng):
     s, ref, ac = _exact_reference_state(grid64, rng)
     late = AcousticState(sigma=ac.sigma, psi=ac.psi, time=0.5, params=PARAMS)

@@ -1185,6 +1185,34 @@ def test_cli_rate_fit_skips_non_finite_columns(tmp_path, capsys):
     assert "nan" not in out
 
 
+
+@pytest.mark.parametrize(
+    "synthetic, overrides, n_fits",
+    [(True, {}, 4),
+     (False, {"initial_profile": "sine_density", "profile_amplitude": 0.5}, 4),
+     (False, {}, 0),  # at rest every tracked quantity stays 0
+     (False, {"initial_profile": "sine_density", "profile_amplitude": 0.5,
+              "dt_fixed": 1.0, "grid_n": 32, "t_end": 0.1}, 0)],  # refused at step one
+    ids=["synthetic", "sine-density", "rest", "aborted"],
+)
+def test_rate_fit_prints_the_slopes_of_the_sweep_verdict(tmp_path, capsys, synthetic, overrides,
+                                                         n_fits):
+    # run_sweep's fits and qnslab rate-fit on the summary it wrote take one rule
+    from qnslab.harness import TRACKED_QUANTITIES
+
+    cfg = RunConfig(**{"grid_n": 16, "epsilon_ladder": [0.2, 0.1, 0.05], "t_end": 0.02,
+                       "output_dir": str(tmp_path), **overrides})
+    result = run_sweep(cfg, synthetic=synthetic)
+    assert result.failed == ("dt_fixed" in overrides)
+    capsys.readouterr()
+    code = cli_main(["rate-fit", str(tmp_path / "sweep_summary.csv")])
+    printed = dict(re.findall(r"^  (\w+)\s*: slope = (\S+),", capsys.readouterr().out, re.M))
+    assert {q: printed[q] for q in TRACKED_QUANTITIES if q in printed} == {
+        q: f"{fit.slope:+.4f}" for q, fit in result.fits.items()}
+    assert len(result.fits) == n_fits
+    assert code == (0 if printed else 2)
+
+
 def test_import_path_has_no_scipy():
     import os
     import subprocess
@@ -1221,6 +1249,7 @@ def test_cli_battery_without_arguments_passes(capsys, battery):
 
 
 _SUMMARY_HEADER = "epsilon,rel_entropy\n"
+_TINY_RUN = "grid_n = 16\nt_end = 0.01\ninitial_profile = sine_density(0.1)\n"
 
 
 @pytest.mark.parametrize(
@@ -1245,11 +1274,23 @@ _SUMMARY_HEADER = "epsilon,rel_entropy\n"
         (["run", "--config", "{f}"], "epsilon_ladder = 0.2,0.1,0.05\n", 2,
          "config error: run needs a single epsilon (use sweep for a ladder)"),
         (["rate-fit", "{f}"], "eta,rel_entropy\n0.2,1\n0.1,2\n0.05,4\n", 2, "config error:"),
+        # 1/eps^2 overflows: the t = 0 report divided by eps * eps = 0
+        (["run", "--config", "{f}"], _TINY_RUN + "epsilon = 1e-300\n", 2, "config error:"),
+        (["sweep", "--config", "{f}"], _TINY_RUN + "epsilon_ladder = 0.2, 0.1, 1e-300\n", 2,
+         "config error:"),
+        # eta^2 overflows: the mollifier took -inf * 0 = nan at the mean mode
+        (["run", "--config", "{f}"], _TINY_RUN + "epsilon = 0.1\neta = 1e300\n", 2,
+         "config error:"),
+        # a ragged row and a repeated column name, once zipped past
+        (["rate-fit", "{f}"], "epsilon,a\n0.2,1\n0.1,2,5\n0.05,4\n", 4, "io error:"),
+        (["rate-fit", "{f}"], "epsilon,a,a\n0.2,1,1\n0.1,2,2\n0.05,4,4\n", 4, "io error:"),
     ],
     ids=["eps-ascending", "eps-repeated", "eps-zero", "eps-nan", "non-numeric-cell",
          "empty-csv", "bohm-grid-n", "bohm-seed", "bohm-fields", "run-not-utf8",
          "sweep-not-utf8", "bohm-grid-n-oversized", "run-grid-n-oversized", "run-no-config",
-         "run-ladder-only", "first-column-not-epsilon"],
+         "run-ladder-only", "first-column-not-epsilon", "run-eps-squared-underflows",
+         "sweep-eps-squared-underflows", "run-eta-squared-overflows", "csv-ragged-row",
+         "csv-repeated-column"],
 )
 def test_cli_bad_input_reaches_documented_exit_code(tmp_path, capsys, argv, files, code,
                                                      prefix):
