@@ -7,8 +7,10 @@ Usage: python3 scripts/same_answers.py PARENT_TREE CHANGE_TREE
 In each tree, in a subprocess with PYTHONPATH=<tree>/src, it runs the
 headline rate study (<tree>/scripts/rate_study.py, gamma = 2 and 3), one
 run of the benchmark's highres_n256 size (N = 256, eps = 0.05, two
-steps: an advective one of 0.00878, then the clamp to t_end) and the
-bohm-check, acoustic-test and euler-test batteries.  It
+steps: an advective one of 0.00878, then the clamp to t_end), a run of
+the same size seeded from_snapshot by that run's terminal .qnsf (its
+Euler reference is the projected snapshot velocity, held at every time),
+and the bohm-check, acoustic-test and euler-test batteries.  It
 prints, per CSV column, max |change - parent| / max |parent|, and says
 whether the CSV files, the .qnsf snapshots and the battery report lines
 are byte-identical.  It also runs the FAILURES, inputs that must fail,
@@ -33,6 +35,16 @@ gamma = 2
 epsilon = 0.05
 t_end = 0.0125
 initial_profile = sine_density(0.5)
+record_every = 1000
+"""
+
+# The same size again, chained: it starts from the highres run's last state.
+SNAPSHOT_CONFIG = """\
+grid_n = 256
+gamma = 2
+epsilon = 0.05
+t_end = 0.0125
+initial_profile = from_snapshot(highres_n256/diagnostics.qnsf)
 record_every = 1000
 """
 
@@ -72,6 +84,9 @@ def run_tree(tree: Path, out: Path) -> dict:
     job(str(tree / "scripts" / "rate_study.py"), "rate_study")
     (out / "highres.cfg").write_text(HIGHRES_CONFIG, encoding="utf-8")
     job("-m", "qnslab.cli", "run", "--config", "highres.cfg", "--output", "highres_n256")
+    (out / "from_snapshot.cfg").write_text(SNAPSHOT_CONFIG, encoding="utf-8")
+    job("-m", "qnslab.cli", "run", "--config", "from_snapshot.cfg", "--output",
+        "from_snapshot_n256")
     return {name: job("-m", "qnslab.cli", name) for name in BATTERIES}
 
 

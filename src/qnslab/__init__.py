@@ -43,6 +43,7 @@ from .harness import (
     Step,
     SweepResult,
     build_initial_data,
+    linear_target,
     parse_config,
     run_single,
     run_sweep,

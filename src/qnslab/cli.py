@@ -95,7 +95,7 @@ def _cmd_rate_fit(args) -> int:
         header, cols = read_csv_columns(args.csv)
     except (OSError, ValueError) as exc:
         raise IOError(f"cannot read {args.csv}: {exc}") from exc
-    if not header or "epsilon" not in header[0]:
+    if not header or header[0] != "epsilon":
         raise ConfigError(f"{args.csv}: first column must be epsilon, got {header[:1]}")
     try:
         fits = rate_fits(cols[header[0]], {name: cols[name] for name in header[1:]})

@@ -20,8 +20,8 @@ from .spectral import (
     vector_field,
 )
 
-# A report compares states at one time: the acoustic companion is evolved
-# to the state's time exactly, and every profile's reference is steady.
+# A report compares states at one time: the acoustic companion, and a
+# reference whose time is not None, must sit at the state's time.
 TIME_TOL = 1e-9
 
 
@@ -47,14 +47,10 @@ class RateFit:
 def _check_alignment(s: QnsState, ref: EulerReference, ac: AcousticState):
     if not (s.grid == ref.v.grid == ac.grid):
         raise ValueError("state, reference and acoustic state must share one grid")
-    if abs(s.time - ac.time) > TIME_TOL:
-        raise ValueError(
-            f"state and acoustic times differ: {s.time:.6g} vs {ac.time:.6g} (tol {TIME_TOL:g})"
-        )
-    if not ref.steady and abs(s.time - ref.time) > TIME_TOL:
-        raise ValueError(
-            f"state and reference times differ: {s.time:.6g} vs {ref.time:.6g} (tol {TIME_TOL:g})"
-        )
+    for name, t in (("acoustic", ac.time), ("reference", ref.time)):
+        if t is not None and abs(s.time - t) > TIME_TOL:
+            raise ValueError(f"state and {name} times differ: {s.time:.6g} vs {t:.6g} "
+                             f"(tol {TIME_TOL:g})")
 
 
 def relative_entropy(s: QnsState, ref: EulerReference, ac: AcousticState) -> EntropyReport:
@@ -64,8 +60,8 @@ def relative_entropy(s: QnsState, ref: EulerReference, ac: AcousticState) -> Ent
     ||sqrt(n)(u - v - grad Psi)||^2, ||(n - b)/eps||^2 and
     eps^2 ||grad(sqrt(n) - sqrt(b))||^2: the gradients of Psi and of
     sqrt(n) - sqrt(b), 2 forward / 4 inverse transforms.  The state, ac
-    and an unsteady ref must agree in time to TIME_TOL, and n and b must
-    be positive (VacuumError).
+    and a ref whose time is not None must agree in time to TIME_TOL, and
+    n and b must be positive (VacuumError).
 
     The internal part is the Bregman gap of the free energy, hence
     nonnegative; the whole functional vanishes iff the state sits

@@ -47,12 +47,11 @@ class EulerSolverError(RuntimeError):
 
 @dataclass
 class EulerReference:
-    """Divergence-free velocity and mean-free pressure at one instant."""
+    """Divergence-free velocity and mean-free pressure at time (None: at every time)."""
 
     v: VectorField
     pi: ScalarField
-    time: float = 0.0
-    steady: bool = False
+    time: float | None = 0.0
 
     def __post_init__(self):
         m = self.pi.mean()
@@ -72,7 +71,7 @@ def taylor_green(grid: Grid2D) -> EulerReference:
     # meshgrid expressions bit for bit
     v = vector_field(grid, np.outer(cos_c, sin_c), np.outer(sin_c, -cos_c))
     pi = ScalarField(grid, 0.25 * (cos_2c[None, :] + cos_2c[:, None]))
-    return EulerReference(v=v, pi=pi, time=0.0, steady=True)
+    return EulerReference(v=v, pi=pi, time=None)
 
 
 # Cached per grid size rather than stored on Grid2D, so grids that never

@@ -6,13 +6,13 @@ import math
 import numbers
 import re
 import time as _time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .acoustic import InitialData, acoustic_evolve, acoustic_init
+from .acoustic import AcousticState, InitialData, acoustic_evolve, acoustic_init
 from .constitutive import LimitParams, VacuumError
 from .diagnostics import (
     EntropyReport,
@@ -214,18 +214,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, EulerReference]:
-    """Initial (n1_0, u_0) for the named profile plus the matching Euler
-    reference: the solenoidal part of u_0, steady for every profile
-    (zero for rest; the stationary vortex otherwise; the projected
-    snapshot velocity for from_snapshot)."""
+    """Initial (n1_0, u_0) for the named profile plus its Euler reference,
+    the solenoidal part of u_0 held at every time (time None): zero for
+    rest, the stationary vortex, or the projected snapshot velocity."""
     zero = np.zeros((grid.n_points, grid.n_points))
     a = cfg.profile_amplitude
     if cfg.initial_profile == "rest":
         n1 = ScalarField(grid, zero)
         u0 = vector_field(grid, zero, zero)
-        ref = EulerReference(
-            v=vector_field(grid, zero, zero), pi=ScalarField(grid, zero), steady=True
-        )
+        ref = EulerReference(v=u0, pi=n1, time=None)  # zero, on the data's own zero fields
     elif cfg.initial_profile in ("sine_density", "tg_plus_gradient"):
         tg = taylor_green(grid)
         c = grid.coords
@@ -253,7 +250,7 @@ def build_initial_data(cfg: RunConfig, grid: Grid2D) -> tuple[InitialData, Euler
             raise ConfigError(f"snapshot is missing field {exc}") from exc
         try:
             p_part, _ = helmholtz_project(u0)
-            ref = EulerReference(v=p_part, pi=pressure_recover(p_part), steady=True)
+            ref = EulerReference(v=p_part, pi=pressure_recover(p_part), time=None)
         except SpectralError as exc:
             raise ConfigError(f"snapshot {cfg.snapshot_path}: no finite Euler reference") from exc
     else:
@@ -309,40 +306,44 @@ class Step:
     report: EntropyReport | None
 
 
-class RunSteps:
-    """The steps of one run from data, against its exact acoustic
-    companion and the Euler reference ref: the Step at t = 0, then one
-    per step to t_end, with a report at t = 0, every record_every steps
-    and at t_end.  Entry i of the ledger is the state after i steps:
-    each step appends the entry of the state it starts from, and the
-    last state, also after an abort, is recorded on its own if no step
-    did.  A numerical abort (in a step, a report or that record) ends
-    the iteration with its first reason in aborted.  Its steps are
-    yielded once, as by any iterator.  The run drops its reference to
-    data once the initial states are built from it."""
+def linear_target(ref: EulerReference, ac0: AcousticState):
+    """ref, and ac0 evolved exactly to t: ac0 itself at t = 0, not its round trip."""
+    return lambda t: (ref, ac0 if t == 0 else acoustic_evolve(ac0, t))
 
-    def __init__(self, cfg: RunConfig, eps: float, data: InitialData, ref: EulerReference):
+
+class RunSteps:
+    """The steps of one run from data against target(t), the (EulerReference,
+    AcousticState) pair at t (a linear_target, say): the Step at t = 0, then
+    one per step to t_end, with relative_entropy(state, *target(state.time))
+    at t = 0, every record_every steps and at t_end.  Entry i of the ledger
+    is the state after i steps: each step appends the entry of the state it
+    starts from, and the last state, also after an abort, is recorded on its
+    own if no step did.  A numerical abort (in a step, a report or that
+    record) ends the iteration with its first reason in aborted.  Its steps
+    are yielded once, as by any iterator.  The run drops its reference to
+    data once the initial state is built from it."""
+
+    def __init__(self, cfg: RunConfig, eps: float, data: InitialData, target: Callable):
         self.ledger = EnergyLedger()
         self.aborted: str | None = None
-        self._steps = self._run(cfg, eps, data, ref)
+        self._steps = self._run(cfg, eps, data, target)
 
     def __iter__(self) -> Iterator[Step]:
         return self._steps
 
-    def _run(self, cfg, eps, data, ref) -> Iterator[Step]:
+    def _run(self, cfg, eps, data, target) -> Iterator[Step]:
         ledger, state, steps = self.ledger, None, 0
         try:
             state = qns_init(cfg.params(eps), data)
-            ac0 = acoustic_init(data, state.params)
             del data  # nothing reads the initial data again
-            yield Step(state, 0.0, None, relative_entropy(state, ref, ac0))
+            yield Step(state, 0.0, None, relative_entropy(state, *target(state.time)))
             while state.time < cfg.t_end - 1e-12:
                 dt, limit = _next_dt(cfg, state, eps)
                 state = qns_step(state, dt, ledger)
                 steps += 1
                 report = None
                 if steps % cfg.record_every == 0 or state.time >= cfg.t_end - 1e-12:
-                    report = relative_entropy(state, ref, acoustic_evolve(ac0, state.time))
+                    report = relative_entropy(state, *target(state.time))
                 yield Step(state, dt, limit, report)
         except _ABORTS as exc:
             self.aborted = f"{type(exc).__name__}: {exc}"
@@ -354,17 +355,28 @@ class RunSteps:
 
 
 def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> RunResult:
-    """One run of cfg's initial profile: the fold over RunSteps that
-    keeps the reports, dt_max, the steps per dt limit and the last state.
-    Diagnostics go to csv_path when given, one row per report whose state
-    has its ledger entry, and an ABORTED sentinel row after a numerical
-    abort (the partial series is still flushed); a finished run also
-    writes its last state beside them as a .qnsf snapshot."""
+    """One run of cfg's initial profile against its linear_target: the fold
+    over RunSteps that keeps the reports, dt_max, the steps per dt limit and
+    the last state.  Diagnostics go to csv_path when given, one row per
+    report whose state has its ledger entry, and an ABORTED sentinel row
+    after a numerical abort (the partial series is still flushed); a
+    finished run also writes its last state beside them as a .qnsf snapshot."""
     eps = epsilon if epsilon is not None else cfg.epsilon
     if eps is None:
         raise ConfigError("run needs a single epsilon (use sweep for a ladder)")
     t0 = _time.perf_counter()
-    run = RunSteps(cfg, eps, *build_initial_data(cfg, Grid2D(cfg.grid_n)))
+    data, ref = build_initial_data(cfg, Grid2D(cfg.grid_n))
+    linear = None
+
+    def target(t):
+        # built at the first report, after qns_init, so that qns_init's aborts come first
+        # and its arrays are allocated first: the peak RSS of an N = 256 run depends on it
+        nonlocal data, linear
+        if linear is None:
+            linear, data = linear_target(ref, acoustic_init(data, cfg.params(eps))), None
+        return linear(t)
+
+    run = RunSteps(cfg, eps, data, target)
     dt_max = 0.0
     dt_limits = dict.fromkeys(DT_LIMITS, 0)
     reports = []  # (i, report of the state after i steps)

@@ -25,7 +25,7 @@ PARAMS = LimitParams(0.1, 2.0)
 def _zero_ref(grid):
     zero = np.zeros((grid.n_points, grid.n_points))
     return EulerReference(
-        v=vector_field(grid, zero, zero), pi=ScalarField(grid, zero), steady=True
+        v=vector_field(grid, zero, zero), pi=ScalarField(grid, zero), time=None
     )
 
 

@@ -14,9 +14,13 @@ from qnslab import (
     SnapshotError,
     Truncated,
     VersionMismatch,
+    acoustic_evolve,
+    acoustic_init,
+    linear_target,
     parse_config,
     read_csv_columns,
     read_snapshot,
+    relative_entropy,
     run_single,
     run_sweep,
     vector_field,
@@ -548,6 +552,9 @@ def test_cfl_abort_at_a_later_step_keeps_the_last_state_entry(tmp_path):
 _OVERFLOWS = {
     "tg-amplitude": dict(initial_profile="tg_plus_gradient", profile_amplitude=1e200),
     "gamma": dict(gamma=1e300, initial_profile="sine_density", profile_amplitude=0.5),
+    # qns_init passes and the acoustic companion overflows: run_single
+    # builds it at the run's first report, so the run ends in it
+    "companion": dict(initial_profile="tg_plus_gradient", profile_amplitude=1e306),
 }
 
 
@@ -757,21 +764,73 @@ def test_run_counts_the_limit_that_set_each_step(tmp_path):
 
 
 def _run_steps(cfg):
-    return RunSteps(cfg, cfg.epsilon, *build_initial_data(cfg, Grid2D(cfg.grid_n)))
+    data, ref = build_initial_data(cfg, Grid2D(cfg.grid_n))
+    return RunSteps(cfg, cfg.epsilon, data,
+                    linear_target(ref, acoustic_init(data, cfg.params())))
 
 
-def test_run_steps_takes_the_callers_initial_data():
-    # tg_plus_gradient(0) data plus the solenoidal w = delta (sin 3y,
-    # cos 2x), against the unperturbed vortex: Psi stays 0, so E(0) is
-    # the kinetic part (1/2) ||w||^2 = 2 pi^2 delta^2
+@pytest.mark.parametrize("kind", ["solenoidal", "gradient"])
+def test_run_steps_takes_the_callers_initial_data(kind):
+    # tg_plus_gradient(0) data plus delta w, against the unperturbed
+    # vortex and the companion of the unperturbed data, so E(0) is the
+    # kinetic part (1/2) ||delta w||^2.  The solenoidal w = (sin 3y,
+    # cos 2x) leaves Psi at 0: 2 pi^2 delta^2.  The gradient w =
+    # (2 cos 2x, 0) moves Psi off: 4 pi^2 delta^2, where the run's own
+    # companion would carry it and read E(0) = 0
     cfg = RunConfig(grid_n=32, epsilon=0.1, t_end=0.05, initial_profile="tg_plus_gradient")
     g, delta = Grid2D(cfg.grid_n), 0.01
     data, ref = build_initial_data(cfg, g)
-    u0 = vector_field(g, data.u_0.x.values + delta * np.sin(3 * g.y),
-                      data.u_0.y.values + delta * np.cos(2 * g.x))
-    first = next(iter(RunSteps(cfg, cfg.epsilon, InitialData(n1_0=data.n1_0, u_0=u0), ref)))
+    wx, wy, e0 = {"solenoidal": (np.sin(3 * g.y), np.cos(2 * g.x), 2 * np.pi ** 2),
+                  "gradient": (2 * np.cos(2 * g.x), 0.0, 4 * np.pi ** 2)}[kind]
+    u0 = vector_field(g, data.u_0.x.values + delta * wx, data.u_0.y.values + delta * wy)
+    perturbed = InitialData(n1_0=data.n1_0, u_0=u0)
+    target = linear_target(ref, acoustic_init(data, cfg.params()))
+    first = next(iter(RunSteps(cfg, cfg.epsilon, perturbed, target)))
     assert (first.state.time, first.dt, first.limit) == (0.0, 0.0, None)
-    assert first.report.rel_entropy == pytest.approx(2 * np.pi ** 2 * delta ** 2, rel=1e-12)
+    assert first.report.rel_entropy == pytest.approx(e0 * delta ** 2, rel=1e-12)
+    own = relative_entropy(first.state, ref, acoustic_init(perturbed, cfg.params()))
+    assert own.rel_entropy == pytest.approx(0.0 if kind == "gradient" else e0 * delta ** 2,
+                                            rel=1e-12, abs=1e-20)
+
+
+def test_run_single_builds_the_companion_after_the_initial_state(monkeypatch):
+    # qns_init first: its aborts come first (a sine_density(1e307) run
+    # ends in its VacuumError), and so do its arrays, on which the peak
+    # RSS of an N = 256 run depends
+    from qnslab import harness
+
+    calls = []
+
+    def traced(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
+
+    for name in ("qns_init", "acoustic_init"):
+        monkeypatch.setattr(harness, name, traced(name, getattr(harness, name)))
+    run_single(RunConfig(grid_n=16, epsilon=0.1, t_end=0.01, initial_profile="sine_density",
+                         profile_amplitude=0.1))
+    assert calls == ["qns_init", "acoustic_init"]
+    res = run_single(RunConfig(grid_n=16, epsilon=0.1, t_end=0.01,
+                               initial_profile="sine_density", profile_amplitude=1e307))
+    assert res.aborted.startswith("VacuumError: initial density perturbation too large")
+
+
+def test_linear_target_is_the_reference_and_the_evolved_companion():
+    cfg = RunConfig(grid_n=32, epsilon=0.1, initial_profile="sine_density",
+                    profile_amplitude=0.5)
+    data, ref = build_initial_data(cfg, Grid2D(cfg.grid_n))
+    ac0 = acoustic_init(data, cfg.params())
+    target = linear_target(ref, ac0)
+    assert ref.time is None
+    # at t = 0 the companion itself, not its round trip through the transforms
+    assert target(0.0)[0] is ref and target(0.0)[1] is ac0
+    ref_t, ac_t = target(0.3)
+    want = acoustic_evolve(ac0, 0.3)
+    assert ref_t is ref and ac_t.time == 0.3
+    assert np.array_equal(ac_t.sigma.values, want.sigma.values)
+    assert np.array_equal(ac_t.psi.values, want.psi.values)
 
 
 def test_run_steps_ends_an_abort_without_raising():
@@ -818,6 +877,21 @@ def test_one_run_loop_for_every_module():
                  and "qns_step" in (getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None))]
         assert bool(calls) == (path.name == "harness.py"), (path.name, calls)
+
+
+def test_run_steps_calls_no_acoustic_function():
+    # the loop measures against its target alone: no acoustic_* call in
+    # the RunSteps class body, so no target is wired into it again
+    import ast
+    import inspect
+
+    from qnslab import harness
+
+    tree = ast.parse(inspect.getsource(harness.RunSteps))
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert {"qns_init", "qns_step", "relative_entropy", "target"} <= called
+    assert not [name for name in called if name and name.startswith("acoustic")], called
 
 
 def test_auto_step_matches_a_dt_converged_run(tmp_path):
@@ -1274,6 +1348,7 @@ _TINY_RUN = "grid_n = 16\nt_end = 0.01\ninitial_profile = sine_density(0.1)\n"
         (["run", "--config", "{f}"], "epsilon_ladder = 0.2,0.1,0.05\n", 2,
          "config error: run needs a single epsilon (use sweep for a ladder)"),
         (["rate-fit", "{f}"], "eta,rel_entropy\n0.2,1\n0.1,2\n0.05,4\n", 2, "config error:"),
+        (["rate-fit", "{f}"], "not_epsilon,a\n0.2,1\n0.1,2\n0.05,4\n", 2, "config error:"),
         # 1/eps^2 overflows: the t = 0 report divided by eps * eps = 0
         (["run", "--config", "{f}"], _TINY_RUN + "epsilon = 1e-300\n", 2, "config error:"),
         (["sweep", "--config", "{f}"], _TINY_RUN + "epsilon_ladder = 0.2, 0.1, 1e-300\n", 2,
@@ -1288,7 +1363,8 @@ _TINY_RUN = "grid_n = 16\nt_end = 0.01\ninitial_profile = sine_density(0.1)\n"
     ids=["eps-ascending", "eps-repeated", "eps-zero", "eps-nan", "non-numeric-cell",
          "empty-csv", "bohm-grid-n", "bohm-seed", "bohm-fields", "run-not-utf8",
          "sweep-not-utf8", "bohm-grid-n-oversized", "run-grid-n-oversized", "run-no-config",
-         "run-ladder-only", "first-column-not-epsilon", "run-eps-squared-underflows",
+         "run-ladder-only", "first-column-not-epsilon", "first-column-names-epsilon-inside",
+         "run-eps-squared-underflows",
          "sweep-eps-squared-underflows", "run-eta-squared-overflows", "csv-ragged-row",
          "csv-repeated-column"],
 )
