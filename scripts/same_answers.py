@@ -11,21 +11,32 @@ steps: an advective one of 0.00878, then the clamp to t_end), a run of
 the same size seeded from_snapshot by that run's terminal .qnsf (its
 Euler reference is the projected snapshot velocity, held at every time),
 and the bohm-check, acoustic-test and euler-test batteries.  It
-prints, per CSV column, max |change - parent| / max |parent|, and says
-whether the CSV files, the .qnsf snapshots and the battery report lines
-are byte-identical.  It also runs the FAILURES, inputs that must fail,
-each in a directory of its own, and compares their exit codes, stderr
-and CSV bytes.  It exits 1 when a job fails, a CSV or a column is on one
-side only, a column's ratio is above TOL, or a failure differs, and 0
-otherwise.
+prints, per CSV column and per .qnsf field, max |change - parent| /
+max |parent|, each battery's verdicts (the ok / FAIL token of each
+report line and the final PASS / FAIL), and whether the CSV files, the
+.qnsf snapshots and the battery reports are byte-identical.  It also
+runs the FAILURES, inputs that must fail, each in a directory of its
+own, and compares their exit codes, stderr and CSV bytes.  It exits 1
+when a job fails, a CSV, a column, a snapshot or a snapshot field is on
+one side only, a field's shape differs, a ratio is above TOL, a
+battery's verdicts differ or a failure differs, and 0 otherwise: the
+numbers of a battery report may move.
+
+Snapshots are read by qnslab.qnsio of the tree this script is in.
 """
 
 import csv
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from qnslab.qnsio import SnapshotError, read_snapshot  # noqa: E402
 
 TOL = 1e-11
 
@@ -120,6 +131,10 @@ def read_columns(path: Path) -> dict:
     return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
 
 
+def _ratio(diff: float, scale: float) -> float:
+    return diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+
+
 def column_ratio(want: list, got: list) -> float:
     """max |got - want| / max |want| over a column; inf when a row count
     or a non-numeric cell differs."""
@@ -129,9 +144,75 @@ def column_ratio(want: list, got: list) -> float:
         a, b = [float(v) for v in want], [float(v) for v in got]
     except ValueError:
         return 0.0 if want == got else float("inf")
-    diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
-    scale = max((abs(x) for x in a), default=0.0)
-    return diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+    return _ratio(max((abs(x - y) for x, y in zip(a, b)), default=0.0),
+                  max((abs(x) for x in a), default=0.0))
+
+
+def snapshot_ratios(want: Path, got: Path) -> dict:
+    """Per field of either snapshot, by name, max |got - want| /
+    max |want|; inf for a field on one side only or of another shape."""
+    (_, a), (_, b) = read_snapshot(want), read_snapshot(got)
+    ratios = {}
+    for name in list(a) + [n for n in b if n not in a]:
+        if name in a and name in b and a[name].shape == b[name].shape:
+            ratios[name] = _ratio(float(np.abs(b[name] - a[name]).max()),
+                                  float(np.abs(a[name]).max()))
+        else:
+            ratios[name] = float("inf")
+    return ratios
+
+
+VERDICT = re.compile(r"\((ok|FAIL)\)$|: (PASS|FAIL)$")
+
+
+def verdicts(report: str) -> list:
+    """A battery report's verdicts: per line, its closing (ok) or (FAIL)
+    token, the PASS or FAIL of its final "name: PASS|FAIL" line, or ""
+    for a line that gives none."""
+    found = [VERDICT.search(line.rstrip()) for line in report.splitlines()]
+    return [match.group(1) or match.group(2) if match else "" for match in found]
+
+
+def compare_outputs(outs, stdouts) -> bool:
+    """Print how the change's outputs, in outs[1] with its battery
+    stdouts[1], differ from the parent's, outs[0] and stdouts[0]; True
+    when they give the same answers: every CSV column and .qnsf field
+    within TOL and every battery's verdicts equal."""
+    ok = True
+    for suffix in ("csv", "qnsf"):
+        files = [{p.relative_to(out): p for p in out.rglob(f"*.{suffix}")} for out in outs]
+        for rel in sorted(set(files[0]) | set(files[1])):
+            if rel not in files[0] or rel not in files[1]:
+                print(f"{rel}: only in the {'change' if rel in files[1] else 'parent'}")
+                ok = False
+                continue
+            if suffix == "csv":
+                want, got = read_columns(files[0][rel]), read_columns(files[1][rel])
+                ratios = {name: column_ratio(want[name], got[name])
+                          if name in want and name in got else float("inf")
+                          for name in list(want) + [c for c in got if c not in want]}
+            else:
+                try:
+                    ratios = snapshot_ratios(files[0][rel], files[1][rel])
+                except SnapshotError as exc:
+                    print(f"{rel}: unreadable: {exc}")
+                    ok = False
+                    continue
+            for name, ratio in ratios.items():
+                ok &= ratio <= TOL
+                print(f"{rel}  {name}: {ratio:.3e}{'' if ratio <= TOL else '  ABOVE TOL'}")
+        same = sorted(files[0]) == sorted(files[1]) and \
+            all(files[0][rel].read_bytes() == files[1][rel].read_bytes() for rel in files[0])
+        print(f".{suffix} files ({len(files[0])}): {'byte-identical' if same else 'DIFFER'}")
+    for name in BATTERIES:
+        want, got = stdouts[0][name], stdouts[1][name]
+        same = verdicts(want) == verdicts(got)
+        ok &= same
+        print(f"{name} verdicts: {'the same' if same else 'DIFFER'}, report lines "
+              f"{'byte-identical' if want == got else 'differ'}")
+    print(f"every column and field within {TOL:g} of its max |value|, every verdict the "
+          f"same: {'yes' if ok else 'NO'}")
+    return ok
 
 
 def main() -> int:
@@ -142,29 +223,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same_answers-") as tmp:
         outs = Path(tmp) / "parent", Path(tmp) / "change"
         stdouts = [run_tree(tree, out) for tree, out in zip((parent, change), outs)]
-        ok = True
-        csvs = [{p.relative_to(out): p for p in out.rglob("*.csv")} for out in outs]
-        for rel in sorted(set(csvs[0]) | set(csvs[1])):
-            if rel not in csvs[0] or rel not in csvs[1]:
-                print(f"{rel}: only in the {'change' if rel in csvs[1] else 'parent'}")
-                ok = False
-                continue
-            want, got = read_columns(csvs[0][rel]), read_columns(csvs[1][rel])
-            for name in list(want) + [c for c in got if c not in want]:
-                ratio = column_ratio(want[name], got[name]) if name in want and name in got \
-                    else float("inf")
-                ok &= ratio <= TOL
-                print(f"{rel}  {name}: {ratio:.3e}{'' if ratio <= TOL else '  ABOVE TOL'}")
-        for suffix in ("csv", "qnsf"):
-            files = [sorted(out.rglob(f"*.{suffix}")) for out in outs]
-            same = [p.relative_to(outs[0]) for p in files[0]] == \
-                [p.relative_to(outs[1]) for p in files[1]] and \
-                all(a.read_bytes() == b.read_bytes() for a, b in zip(*files))
-            print(f".{suffix} files ({len(files[0])}): {'byte-identical' if same else 'DIFFER'}")
-        for name in BATTERIES:
-            same = stdouts[0][name] == stdouts[1][name]
-            print(f"{name} report lines: {'byte-identical' if same else 'DIFFER'}")
-        print(f"every column within {TOL:g} of its max |value|: {'yes' if ok else 'NO'}")
+        ok = compare_outputs(outs, stdouts)
         failures = [run_failures(tree, out.with_name(f"{out.name}-failures"))
                     for tree, out in zip((parent, change), outs)]
         for name, diff in failure_differences(*failures).items():

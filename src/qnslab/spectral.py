@@ -385,7 +385,9 @@ def random_band_limited(
     grid: Grid2D, kmax: int, rng: np.random.Generator, amplitude: float = 1.0
 ) -> ScalarField:
     """Random real mean-free field supported on |kx|, |ky| <= kmax,
-    scaled to the requested sup amplitude."""
+    scaled to the requested sup amplitude.  Of rng it reads only
+    rng.standard_normal(shape), so a numpy Generator or the batteries'
+    checks.SeededNormal will do."""
     noise = rng.standard_normal((grid.n_points, grid.n_points))
     fhat = to_spectral(noise)
     keep = (np.abs(grid.kx) <= kmax) & (np.abs(grid.ky) <= kmax)

@@ -27,6 +27,7 @@ from qnslab import (
     write_csv,
     write_snapshot,
 )
+from qnslab.checks import SeededNormal, bohm_form_check
 from qnslab.cli import main as cli_main
 from qnslab.harness import build_initial_data
 from qnslab.qnsio import CSV_HEADER
@@ -1287,7 +1288,8 @@ def test_rate_fit_prints_the_slopes_of_the_sweep_verdict(tmp_path, capsys, synth
     assert code == (0 if printed else 2)
 
 
-def test_import_path_has_no_scipy():
+def _run_in_a_fresh_interpreter(code: str):
+    """Run code in a new interpreter on this tree's qnslab."""
     import os
     import subprocess
     import sys
@@ -1296,12 +1298,56 @@ def test_import_path_has_no_scipy():
     import qnslab
 
     src = str(Path(qnslab.__file__).resolve().parents[1])
-    code = ("import sys; import qnslab, qnslab.cli, qnslab.checks; "
-            "sys.exit('scipy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def test_import_path_has_no_scipy():
+    proc = _run_in_a_fresh_interpreter(
+        "import sys; import qnslab, qnslab.cli, qnslab.checks; "
+        "sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_batteries_run_without_numpy_random():
+    # importing numpy.random costs a battery process about 5 MB resident and 9 ms
+    proc = _run_in_a_fresh_interpreter(
+        "import sys; import qnslab, qnslab.cli, qnslab.checks as c; "
+        "c.bohm_form_check(n_fields=2, grid_n=16); c.acoustic_check(); "
+        "sys.exit('numpy.random' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_seeded_normal_repeats_its_seed():
+    a, b, c = SeededNormal(7), SeededNormal(7), SeededNormal(8)
+    first = a.standard_normal((16, 16))
+    assert np.array_equal(first, b.standard_normal((16, 16)))
+    assert not np.array_equal(first, c.standard_normal((16, 16)))
+    assert not np.array_equal(first, a.standard_normal((16, 16)))
+
+
+def test_seeded_normal_takes_any_shape():
+    assert SeededNormal(0).standard_normal((7,)).shape == (7,)
+    assert SeededNormal(0).standard_normal((3, 5)).shape == (3, 5)
+    assert np.isfinite(SeededNormal(1).standard_normal((3, 5))).all()
+
+
+def test_seeded_normal_draws_are_standard():
+    draws = SeededNormal(0).standard_normal((128, 128))
+    assert abs(draws.mean()) < 0.05
+    assert abs(draws.var() - 1.0) < 0.05
+
+
+def test_seeded_normal_refuses_a_negative_seed():
+    # random.Random would seed -1 as 1
+    with pytest.raises(ValueError, match="non-negative"):
+        SeededNormal(-1)
+
+
+def test_bohm_form_check_refuses_zero_fields():
+    with pytest.raises(ValueError, match="n_fields >= 1"):
+        bohm_form_check(n_fields=0)
 
 
 def test_cli_rate_fit_missing_file():
