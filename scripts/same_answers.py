@@ -13,14 +13,18 @@ Euler reference is the projected snapshot velocity, held at every time),
 and the bohm-check, acoustic-test and euler-test batteries.  It
 prints, per CSV column and per .qnsf field, max |change - parent| /
 max |parent|, each battery's verdicts (the ok / FAIL token of each
-report line and the final PASS / FAIL), and whether the CSV files, the
-.qnsf snapshots and the battery reports are byte-identical.  It also
-runs the FAILURES, inputs that must fail, each in a directory of its
-own, and compares their exit codes, stderr and CSV bytes.  It exits 1
-when a job fails, a CSV, a column, a snapshot or a snapshot field is on
-one side only, a field's shape differs, a ratio is above TOL, a
-battery's verdicts differ or a failure differs, and 0 otherwise: the
-numbers of a battery report may move.
+report line and the final PASS / FAIL), whether the rate study's
+answers are the same (per gamma and tracked quantity its printed slope
+and PASS / FAIL, each energy-inequality line's PASS / FAIL / ABORTED,
+the density band's PASS / FAIL and the gamma and overall verdicts; not
+its wall times), and whether the CSV files, the .qnsf snapshots and the
+reports are byte-identical.  It also runs the FAILURES, inputs that
+must fail, each in a directory of its own, and compares their exit
+codes, stderr and CSV bytes.  It exits 1 when a job fails, a CSV, a
+column, a snapshot or a snapshot field is on one side only, a field's
+shape differs, a ratio is above TOL, a battery's verdicts or the rate
+study's answers differ or a failure differs, and 0 otherwise: the other
+numbers of a report may move.
 
 Snapshots are read by qnslab.qnsio of the tree this script is in.
 """
@@ -80,7 +84,8 @@ def _env(tree: Path) -> dict:
 
 
 def run_tree(tree: Path, out: Path) -> dict:
-    """Run every job of tree into out; the battery stdouts, by name."""
+    """Run every job of tree into out; the stdouts of the rate study
+    and of each battery, by name."""
     env = _env(tree)
 
     def job(*args):
@@ -92,13 +97,14 @@ def run_tree(tree: Path, out: Path) -> dict:
         return done.stdout
 
     out.mkdir(parents=True)
-    job(str(tree / "scripts" / "rate_study.py"), "rate_study")
+    rate_study = job(str(tree / "scripts" / "rate_study.py"), "rate_study")
     (out / "highres.cfg").write_text(HIGHRES_CONFIG, encoding="utf-8")
     job("-m", "qnslab.cli", "run", "--config", "highres.cfg", "--output", "highres_n256")
     (out / "from_snapshot.cfg").write_text(SNAPSHOT_CONFIG, encoding="utf-8")
     job("-m", "qnslab.cli", "run", "--config", "from_snapshot.cfg", "--output",
         "from_snapshot_n256")
-    return {name: job("-m", "qnslab.cli", name) for name in BATTERIES}
+    return {"rate_study": rate_study, **{name: job("-m", "qnslab.cli", name)
+                                         for name in BATTERIES}}
 
 
 def run_failures(tree: Path, out: Path) -> dict:
@@ -173,11 +179,31 @@ def verdicts(report: str) -> list:
     return [match.group(1) or match.group(2) if match else "" for match in found]
 
 
+# The answers of a rate study report's lines: a tracked quantity's printed
+# slope and verdict (or its "no fit"), an energy-inequality line's epsilon
+# and verdict, the density band's verdict, and the gamma and overall verdicts.
+RATE_STUDY_ANSWERS = (
+    re.compile(r"^  (\w+) *: slope = (\S+) \(.*\) (PASS|FAIL)$"),
+    re.compile(r"^  (\w+) *: (no fit) \((FAIL)\)$"),
+    re.compile(r"^  energy inequality at eps = (\S+): (PASS|FAIL|ABORTED) "),
+    re.compile(r"^  (density band) .*: (PASS|FAIL) "),
+    re.compile(r"^(gamma = \S+|overall): (PASS|FAIL)$"),
+)
+
+
+def rate_study_answers(report: str) -> list:
+    """The answers of each rate study report line that gives any, in
+    order, as the groups of its RATE_STUDY_ANSWERS pattern."""
+    return [match.groups() for line in report.splitlines() for pattern in RATE_STUDY_ANSWERS
+            if (match := pattern.match(line))]
+
+
 def compare_outputs(outs, stdouts) -> bool:
-    """Print how the change's outputs, in outs[1] with its battery
-    stdouts[1], differ from the parent's, outs[0] and stdouts[0]; True
-    when they give the same answers: every CSV column and .qnsf field
-    within TOL and every battery's verdicts equal."""
+    """Print how the change's outputs, in outs[1] with its rate study
+    and battery stdouts[1], differ from the parent's, outs[0] and
+    stdouts[0]; True when they give the same answers: every CSV column
+    and .qnsf field within TOL, the rate study's answers and every
+    battery's verdicts equal."""
     ok = True
     for suffix in ("csv", "qnsf"):
         files = [{p.relative_to(out): p for p in out.rglob(f"*.{suffix}")} for out in outs]
@@ -204,14 +230,15 @@ def compare_outputs(outs, stdouts) -> bool:
         same = sorted(files[0]) == sorted(files[1]) and \
             all(files[0][rel].read_bytes() == files[1][rel].read_bytes() for rel in files[0])
         print(f".{suffix} files ({len(files[0])}): {'byte-identical' if same else 'DIFFER'}")
-    for name in BATTERIES:
+    for name in ("rate_study", *BATTERIES):
         want, got = stdouts[0][name], stdouts[1][name]
-        same = verdicts(want) == verdicts(got)
+        answers = rate_study_answers if name == "rate_study" else verdicts
+        same = answers(want) == answers(got)
         ok &= same
-        print(f"{name} verdicts: {'the same' if same else 'DIFFER'}, report lines "
+        print(f"{name} answers: {'the same' if same else 'DIFFER'}, report lines "
               f"{'byte-identical' if want == got else 'differ'}")
-    print(f"every column and field within {TOL:g} of its max |value|, every verdict the "
-          f"same: {'yes' if ok else 'NO'}")
+    print(f"every column and field within {TOL:g} of its max |value|, every slope and "
+          f"verdict the same: {'yes' if ok else 'NO'}")
     return ok
 
 

@@ -3,6 +3,7 @@ norms, and log-log rate fitting."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,30 +142,38 @@ def density_deviation_norms(s: QnsState) -> dict[str, float]:
 
 def rate_fit(eps: list[float], vals: list[float]) -> RateFit:
     """Least-squares line through (log eps, log val); the residual is
-    the RMS of the log-residuals."""
+    the RMS of the log-residuals.  The line is the closed form in Python
+    floats: a fit through a few points needs no LAPACK least-squares
+    solve, whose first call maps about 1 MB into the process."""
     eps = [float(e) for e in eps]
     vals = [float(v) for v in vals]
     if len(eps) != len(vals) or len(eps) < 3:
         raise ValueError(f"rate fit needs >= 3 matched points, got {len(eps)}/{len(vals)}")
-    if not all(0.0 < v < np.inf for v in eps + vals):
+    if not all(0.0 < v < math.inf for v in eps + vals):
         raise ValueError("rate fit requires finite positive epsilons and values")
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    lx = np.log(np.array(eps))
-    ly = np.log(np.array(vals))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
+    lx = [math.log(e) for e in eps]
+    ly = [math.log(v) for v in vals]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    sxx = math.fsum((x - mx) ** 2 for x in lx)
+    if sxx == 0.0:
+        raise ValueError("epsilons too close to fit: their logs are all equal")
+    slope = math.fsum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sxx
+    intercept = my - slope * mx
+    resid = [y - (slope * x + intercept) for x, y in zip(lx, ly)]
     return RateFit(
         epsilons=eps,
         values=vals,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=float(np.sqrt(np.mean(resid ** 2))),
+        slope=slope,
+        intercept=intercept,
+        residual=math.sqrt(math.fsum(r * r for r in resid) / len(resid)),
     )
 
 
 def rate_fits(eps: list[float], columns: dict[str, list[float]]) -> dict[str, RateFit]:
     """rate_fit of each column of as many values as eps, >= 3, all finite and > 0; the
-    others are left out.  A ladder rate_fit refuses raises once one column is fittable."""
+    others are left out.  A ladder that rate_fit refuses raises its ValueError only
+    when at least one column is fittable."""
     return {name: rate_fit(eps, vals) for name, vals in columns.items()
-            if len(vals) == len(eps) >= 3 and all(0.0 < v < np.inf for v in vals)}
+            if len(vals) == len(eps) >= 3 and all(0.0 < v < math.inf for v in vals)}

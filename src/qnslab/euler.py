@@ -266,8 +266,10 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
     d_t v by a central difference of two solver micro-steps, taken on
     the band vorticity, as euler_solve's set-up takes it, from one
     forward call of the velocity, and inverted in one more call of 2
-    transforms.
+    transforms.  Refuses a dt_probe that is not finite and >= 0.
     """
+    if not (math.isfinite(dt_probe) and dt_probe >= 0.0):
+        raise EulerSolverError(f"dt_probe must be finite and >= 0, got {dt_probe!r}")
     g = ref.v.grid
     ddx, ddy = g.band_d
     fxx, fxy, fyy = _flux_hats(ref.v)

@@ -364,9 +364,9 @@ def dealias_values(grid: Grid2D, values: np.ndarray) -> np.ndarray:
 def norm(f: ScalarField | VectorField, p: float = 2.0) -> float:
     """Discrete L^p norm by uniform quadrature.  A vector field's
     components combine as (||f_x||_p^p + ||f_y||_p^p)^(1/p), and p = inf
-    takes the larger sup-norm.
+    takes the larger sup-norm.  Refuses a p that is not >= 1, NaN included.
     """
-    if p < 1:
+    if not p >= 1:
         raise SpectralError(f"p must be >= 1, got {p}")
     pieces = [f.values] if isinstance(f, ScalarField) else [f.x.values, f.y.values]
     if np.isinf(p):

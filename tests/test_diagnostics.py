@@ -332,6 +332,32 @@ def test_rate_fit_rejections():
         rate_fit([0.2, 0.1, 0.05], [1.0, -1.0, 1.0])
 
 
+def test_rate_fit_matches_the_polyfit_oracle():
+    # np.polyfit, a LAPACK least-squares solve, is the reference for the closed form
+    rng = np.random.default_rng(28)
+    for trial in range(300):
+        rungs = 3 + trial % 6
+        if trial % 2:
+            eps = 0.2 * 0.5 ** np.arange(rungs)
+        else:
+            eps = 0.3 * np.cumprod(rng.uniform(0.2, 0.9, rungs))
+        vals = 1.7 * eps ** rng.uniform(-1.0, 5.0) * np.exp(0.05 * rng.standard_normal(rungs))
+        fit = rate_fit(list(eps), list(vals))
+        lx, ly = np.log(eps), np.log(vals)
+        slope, intercept = np.polyfit(lx, ly, 1)
+        residual = np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2))
+        assert abs(fit.slope - slope) <= 1e-12
+        assert abs(fit.intercept - intercept) <= 1e-12
+        assert abs(fit.residual - residual) <= 1e-12
+
+
+def test_rate_fit_refuses_epsilons_whose_logs_coincide():
+    # strictly decreasing, yet one log: no line to fit
+    eps = [1e300, np.nextafter(1e300, 0.0), np.nextafter(np.nextafter(1e300, 0.0), 0.0)]
+    with pytest.raises(ValueError, match="logs are all equal"):
+        rate_fit(eps, [1.0, 2.0, 3.0])
+
+
 def test_rate_fits_leaves_out_what_rate_fit_cannot_take():
     from qnslab.diagnostics import rate_fits
 

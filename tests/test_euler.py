@@ -349,6 +349,13 @@ def test_euler_solve_rejects_bad_step_data(grid32, t_end, dt, match):
         euler_solve(taylor_green(grid32).v, t_end=t_end, dt=dt)
 
 
+@pytest.mark.parametrize("dt_probe", [-0.01, float("nan"), float("inf")])
+def test_euler_residual_rejects_bad_dt_probe(grid32, dt_probe):
+    # a negative or NaN probe used to fall through to the steady residual
+    with pytest.raises(EulerSolverError, match="dt_probe must be finite and >= 0"):
+        euler_residual(taylor_green(grid32), dt_probe=dt_probe)
+
+
 def test_euler_solve_zero_time_returns_initial_state(grid32):
     tg = taylor_green(grid32)
     traj = euler_solve(tg.v, t_end=0.0, dt=1e-3)

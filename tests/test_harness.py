@@ -1319,6 +1319,23 @@ def test_batteries_run_without_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_rate_fits_run_without_lapack(tmp_path):
+    # the first LAPACK least-squares call maps about 1 MB into a rate study's process
+    summary = str(tmp_path / "sweep_summary.csv")
+    proc = _run_in_a_fresh_interpreter(
+        "import sys, numpy\n"
+        "def refuse(*args, **kwargs): raise AssertionError('LAPACK least squares called')\n"
+        "numpy.polyfit = numpy.linalg.lstsq = refuse\n"
+        "from qnslab import RunConfig, run_sweep\n"
+        "from qnslab.cli import main\n"
+        "cfg = RunConfig(grid_n=16, epsilon_ladder=[0.2, 0.1, 0.05], t_end=0.02,\n"
+        f"                output_dir={str(tmp_path)!r})\n"
+        "assert run_sweep(cfg, synthetic=True).passed\n"
+        f"sys.exit(main(['rate-fit', {summary!r}]))")
+    assert proc.returncode == 0, proc.stderr
+    assert "slope = +0.5000" in proc.stdout
+
+
 def test_seeded_normal_repeats_its_seed():
     a, b, c = SeededNormal(7), SeededNormal(7), SeededNormal(8)
     first = a.standard_normal((16, 16))

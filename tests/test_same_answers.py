@@ -1,7 +1,8 @@
 """scripts/same_answers.py, the same-answers check of a refactor: its
 per-column comparison, column_ratio, its comparison of whole outputs,
-compare_outputs, on planted CSVs, snapshots and battery reports, and its
-comparison of the inputs that must fail, failure_differences."""
+compare_outputs, on planted CSVs, snapshots, a rate study report and
+battery reports, and its comparison of the inputs that must fail,
+failure_differences."""
 
 import importlib.util
 import math
@@ -80,7 +81,21 @@ def test_each_failure_difference_is_named(same_answers, name, got, want):
     assert all(not diff for other, diff in diffs.items() if other != name)
 
 
+_RATE_STUDY = """\
+gamma = 2 (per-run diagnostics in rate_study/gamma_2/):
+  sweep over epsilon ladder [0.2, 0.1, 0.05]
+  rel_entropy : slope = +0.7974 (threshold 0.4000, residual 1.76e-01) PASS
+  thm_vel     : no fit (FAIL)
+  energy inequality at eps = 0.2: PASS (max E+D-E0 = 6.60e-03; 0.04 s; steps by dt limit: \
+advective 2, bohm 6, viscous 0, acoustic 0, t_end 1, fixed 0)
+  energy inequality at eps = 0.1: ABORTED (max E+D-E0 = 9.01e-03; 0.03 s; steps by dt limit: \
+advective 7, bohm 0, viscous 0, acoustic 0, t_end 1, fixed 0)
+  density band ||n-1||_Llambda/eps within x10: PASS (ratios 1.851, 2.648, 2.861)
+gamma = 2: FAIL
+overall: FAIL
+"""
 _REPORTS = {
+    "rate_study": _RATE_STUDY,
     "bohm-check": "bohm-check:\n  field  0: min n = 0.706, rel sup error = 2.383e-09\n"
                   "worst relative sup error over 1 fields: 2.383e-09 (tol 1e-08)\n"
                   "bohm-check: PASS\n",
@@ -129,6 +144,31 @@ def test_a_changed_battery_verdict_differs(same_answers, tmp_path, battery, old,
     flipped = dict(_REPORTS, **{battery: _REPORTS[battery].replace(old, new, 1)})
     assert flipped[battery] != _REPORTS[battery]
     assert not _compare(same_answers, tmp_path, change_reports=flipped)
+
+
+@pytest.mark.parametrize("old, new, same",
+                         [("slope = +0.7974", "slope = +0.7975", False),
+                          ("0.04 s;", "0.05 s;", True),
+                          ("no fit (FAIL)", "slope = +0.1000 (threshold 0.4000, residual "
+                                            "1.76e-01) FAIL", False),
+                          ("0.2: PASS", "0.2: FAIL", False),
+                          ("0.1: ABORTED", "0.1: PASS", False),
+                          ("x10: PASS", "x10: FAIL", False),
+                          ("overall: FAIL", "overall: PASS", False)],
+                         ids=["moved-slope", "moved-wall-time", "fit-appears",
+                              "energy-verdict", "aborted-run", "density-band", "overall"])
+def test_the_rate_study_compares_slopes_and_verdicts_not_wall_times(same_answers, tmp_path,
+                                                                     old, new, same):
+    moved = dict(_REPORTS, rate_study=_RATE_STUDY.replace(old, new, 1))
+    assert moved["rate_study"] != _RATE_STUDY
+    assert _compare(same_answers, tmp_path, change_reports=moved) == same
+
+
+def test_rate_study_answers_read_slopes_and_verdicts(same_answers):
+    assert same_answers.rate_study_answers(_RATE_STUDY) == [
+        ("rel_entropy", "+0.7974", "PASS"), ("thm_vel", "no fit", "FAIL"),
+        ("0.2", "PASS"), ("0.1", "ABORTED"), ("density band", "PASS"),
+        ("gamma = 2", "FAIL"), ("overall", "FAIL")]
 
 
 def test_verdicts_read_each_line_and_the_final_line(same_answers):

@@ -243,8 +243,9 @@ def test_norm_vector(grid64):
 
 def test_norm_rejects_bad_p(grid64):
     f = ScalarField(grid64, np.ones((64, 64)))
-    with pytest.raises(SpectralError):
-        norm(f, 0.5)
+    for p in (0.5, float("nan")):
+        with pytest.raises(SpectralError):
+            norm(f, p)
 
 
 def test_dealias_keeps_band_limited(grid64, rng):
