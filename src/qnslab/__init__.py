@@ -23,7 +23,7 @@ from .diagnostics import (
     EntropyReport,
     RateFit,
     corollary_lhs,
-    density_deviation_norms,
+    density_deviation_norm,
     rate_fit,
     relative_entropy,
 )

@@ -1,5 +1,5 @@
-"""Relative entropy, convergence-theorem norms, density-deviation
-norms, and log-log rate fitting."""
+"""Relative entropy, convergence-theorem norms, the density-deviation
+norm, and log-log rate fitting."""
 
 from __future__ import annotations
 
@@ -38,8 +38,6 @@ class EntropyReport:
 
 @dataclass
 class RateFit:
-    epsilons: list[float]
-    values: list[float]
     slope: float
     intercept: float
     residual: float
@@ -126,18 +124,9 @@ def corollary_lhs(s: QnsState, ref: EulerReference) -> tuple[float, float, float
     return (first, second, third)
 
 
-def density_deviation_norms(s: QnsState) -> dict[str, float]:
-    """spectral.norm of n - 1: in L^2 where |n-1| < 1, in L^gamma where
-    |n-1| >= 1 (ties go to this large part), and in full in L^gamma and L^lambda."""
-    g = s.grid
-    dev = s.n.values - 1.0
-    small = np.abs(dev) < 1.0
-    return {
-        "small_part_L2": norm(ScalarField(g, np.where(small, dev, 0.0)), 2),
-        "large_part_Lgamma": norm(ScalarField(g, np.where(small, 0.0, dev)), s.params.gamma),
-        "full_Lgamma": norm(ScalarField(g, dev), s.params.gamma),
-        "full_Llambda": norm(ScalarField(g, dev), s.params.lam),
-    }
+def density_deviation_norm(s: QnsState) -> float:
+    """||n - 1||_{L^lambda}, lambda = min{2, gamma}, by spectral.norm."""
+    return norm(ScalarField(s.grid, s.n.values - 1.0), s.params.lam)
 
 
 def rate_fit(eps: list[float], vals: list[float]) -> RateFit:
@@ -163,8 +152,6 @@ def rate_fit(eps: list[float], vals: list[float]) -> RateFit:
     intercept = my - slope * mx
     resid = [y - (slope * x + intercept) for x, y in zip(lx, ly)]
     return RateFit(
-        epsilons=eps,
-        values=vals,
         slope=slope,
         intercept=intercept,
         residual=math.sqrt(math.fsum(r * r for r in resid) / len(resid)),

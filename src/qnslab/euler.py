@@ -22,7 +22,6 @@ nonlinearity in the same flux form, from one stacked band forward of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -182,21 +181,15 @@ def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float,
     return np.add(w, acc, out=out), vmax, w_inf
 
 
-def euler_solve(
-    v0: VectorField, t_end: float, dt: float, record_every: int = 10
-) -> list[EulerReference]:
-    """Evolve the vorticity transport equation with dealiased RK4.
+def euler_solve(v0: VectorField, t_end: float, dt: float) -> EulerReference:
+    """Evolve the vorticity transport equation with dealiased RK4 to t_end.
 
-    Returns the trajectory (initial state, every record_every-th step,
-    final step), each entry with the pressure recovered from the
-    velocity.  Refuses a record_every that is not an integer >= 1, a dt
-    that is not finite and positive, a t_end
+    Returns the reference at t_end, with the pressure recovered from the
+    velocity.  Refuses a dt that is not finite and positive, a t_end
     that is not finite and >= 0 or not a whole number of steps (within
     1e-9 relative), and CFL-violating steps; aborts if the vorticity
     sup-norm grows tenfold (blow-up guard).
     """
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
-        raise EulerSolverError(f"record_every must be an integer >= 1, got {record_every!r}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise EulerSolverError(f"dt must be finite and > 0, got {dt!r}")
     if not (math.isfinite(t_end) and t_end >= 0.0):
@@ -218,34 +211,25 @@ def euler_solve(
     (ddx, ddy), c = g.band_d, g.band_c
     w_hat = ddx * vy_h[:, :c] - ddy * vx_h[:, :c]
 
-    def snapshot(w_hat, t):
-        v = vector_field(g, *_to_physical_into(_multipliers(g)[0] * w_hat))
-        return EulerReference(v=v, pi=pressure_recover(v), time=t)
-
-    def accept(step, w_hat, w_inf):
-        """The blow-up guard, then the snapshot if one is due, of the
-        state after step."""
-        t = step * dt
+    def guard(step, w_inf):
+        """The blow-up guard, of the state after step."""
         if w_inf > 10.0 * w_inf0:
             raise EulerSolverError(
-                f"vorticity blow-up guard tripped at t={t:.6g}: "
+                f"vorticity blow-up guard tripped at t={step * dt:.6g}: "
                 f"max|w| grew from {w_inf0:.3e} to {w_inf:.3e}"
             )
-        if step % record_every == 0 or step == n_steps:
-            traj.append(snapshot(w_hat, t))
 
-    traj = [snapshot(w_hat, 0.0)]
     # Each step's stage 1 measures max|w| of its input, so the state
-    # after step k passes the guard (and is recorded) in step k + 1,
-    # before that step's CFL check; the last state after the loop.  The
-    # step writes into the spare spectrum, and the two swap roles.
+    # after step k passes the guard in step k + 1, before that step's
+    # CFL check; the last state after the loop.  The step writes into
+    # the spare spectrum, and the two swap roles.
     work, spare = _Work(g), np.empty_like(w_hat)
     for step in range(1, n_steps + 1):
         w_next, vmax, w_inf = _rk4_vorticity_step(g, w_hat, dt, work, out=spare)
         if step == 1:
             w_inf0 = max(w_inf, 1e-30)
         else:
-            accept(step - 1, w_hat, w_inf)
+            guard(step - 1, w_inf)
         if vmax > 0 and dt > 0.5 * g.spacing / vmax:
             raise EulerSolverError(
                 f"CFL violation at t={(step - 1) * dt:.6g}: dt={dt:g} exceeds "
@@ -253,8 +237,9 @@ def euler_solve(
             )
         w_hat, spare = w_next, w_hat
     if n_steps:
-        accept(n_steps, w_hat, np.abs(to_physical(w_hat)).max())
-    return traj
+        guard(n_steps, np.abs(to_physical(w_hat)).max())
+    v = vector_field(g, *_to_physical_into(_multipliers(g)[0] * w_hat))
+    return EulerReference(v=v, pi=pressure_recover(v), time=n_steps * dt)
 
 
 def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:

@@ -17,7 +17,7 @@ from .constitutive import LimitParams, VacuumError
 from .diagnostics import (
     EntropyReport,
     RateFit,
-    density_deviation_norms,
+    density_deviation_norm,
     rate_fits,
     relative_entropy,
 )
@@ -55,6 +55,9 @@ DENSITY_BAND_FACTOR = 10.0
 # both sit below 1e-4 (4.8e-5).  A 0.75 eps cap reaches 8.7e-2 (gamma = 3,
 # eps = 0.05).
 ACOUSTIC_RESOLVE = 0.5
+
+# A run ends within T_END_TOL of t_end: a t_end at or below it takes no step.
+T_END_TOL = 1e-12
 
 # What can set a step: one of the cfl_bounds, the acoustic cap, the clamp
 # to t_end, or the fixed policy.
@@ -102,8 +105,9 @@ class RunConfig:
             check_grid_size(self.grid_n, "grid_n")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if self.t_end <= T_END_TOL:
+            raise ConfigError(f"t_end must be positive, got {self.t_end}" if self.t_end <= 0
+                              else f"t_end must exceed {T_END_TOL:g}, got {self.t_end}")
         if self.initial_profile not in INITIAL_PROFILES:
             raise _unknown_profile(self.initial_profile)
         if (self.snapshot_path is not None) != (self.initial_profile == "from_snapshot"):
@@ -180,7 +184,6 @@ _CONFIG_KEYS = {
     "seed": (_field("seed", _parse_int), "an integer"),
     "record_every": (_field("record_every", _parse_int), "an integer"),
 }
-_KNOWN_KEYS = set(_CONFIG_KEYS)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -264,7 +267,7 @@ class RunResult:
     reports: list[EntropyReport]
     ledger: EnergyLedger
     dt_max: float
-    terminal_density_norms: dict[str, float] | None = None
+    terminal_density_norm: float | None = None
     aborted: str | None = None
     wall_seconds: float = 0.0
     # steps taken per limit that set their dt (keys: DT_LIMITS)
@@ -337,12 +340,12 @@ class RunSteps:
             state = qns_init(cfg.params(eps), data)
             del data  # nothing reads the initial data again
             yield Step(state, 0.0, None, relative_entropy(state, *target(state.time)))
-            while state.time < cfg.t_end - 1e-12:
+            while state.time < cfg.t_end - T_END_TOL:
                 dt, limit = _next_dt(cfg, state, eps)
                 state = qns_step(state, dt, ledger)
                 steps += 1
                 report = None
-                if steps % cfg.record_every == 0 or state.time >= cfg.t_end - 1e-12:
+                if steps % cfg.record_every == 0 or state.time >= cfg.t_end - T_END_TOL:
                     report = relative_entropy(state, *target(state.time))
                 yield Step(state, dt, limit, report)
         except _ABORTS as exc:
@@ -412,7 +415,7 @@ def run_single(cfg: RunConfig, epsilon: float | None = None, csv_path=None) -> R
         reports=[r for _, r in reports],
         ledger=run.ledger,
         dt_max=dt_max,
-        terminal_density_norms=None if run.aborted else density_deviation_norms(step.state),
+        terminal_density_norm=None if run.aborted else density_deviation_norm(step.state),
         aborted=run.aborted,
         wall_seconds=_time.perf_counter() - t0,
         dt_limits=dt_limits,
@@ -524,7 +527,7 @@ def run_sweep(cfg: RunConfig, synthetic: bool = False) -> SweepResult:
         runs = [run_single(cfg, epsilon=eps, csv_path=out / f"run_eps_{eps:g}.csv")
                 for eps in ladder]
         rows = [(eps, *_terminal_values(res).values(), float("nan") if res.aborted
-                 else res.terminal_density_norms["full_Llambda"] / eps)
+                 else res.terminal_density_norm / eps)
                 for eps, res in zip(ladder, runs)]
 
     out.mkdir(parents=True, exist_ok=True)

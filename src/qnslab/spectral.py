@@ -56,7 +56,10 @@ def check_grid_size(n_points, what: str = "grid size") -> int:
     run, RUN_FIELDS N x N float64 fields, fits in physical memory, where
     os.sysconf reports it, so an oversized grid is refused before
     anything is allocated."""
-    n = int(n_points)
+    try:
+        n = int(n_points)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf: no integer, refused below
+        n = 0
     if n != n_points or n < 8 or n % 2 != 0:
         raise SpectralError(f"{what} must be an even integer >= 8, got {n_points}")
     try:

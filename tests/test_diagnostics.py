@@ -10,7 +10,7 @@ from qnslab import (
     QnsState,
     ScalarField,
     corollary_lhs,
-    density_deviation_norms,
+    density_deviation_norm,
     gradient,
     rate_fit,
     random_band_limited,
@@ -272,36 +272,25 @@ def test_corollary_density_and_gradient_entries(grid64):
 
 
 def test_density_deviation_norms(grid64):
-    ones = QnsState(
-        n=ScalarField(grid64, np.ones_like(grid64.x)),
-        m=vector_field(grid64, np.zeros_like(grid64.x), np.zeros_like(grid64.x)),
-        time=0.0,
-        params=PARAMS,
-    )
-    out = density_deviation_norms(ones)
-    assert all(v == 0.0 for v in out.values())
+    # ||n - 1|| in L^lambda, lambda = min{2, gamma}: 0 at n = 1, the closed
+    # form eps pi sqrt(2) of eps sin x in L^2 at gamma = 2, and the
+    # quadrature sum in L^gamma below gamma = 2 and in L^2 above it
+    def state(n, params=PARAMS):
+        zero = np.zeros_like(grid64.x)
+        return QnsState(n=ScalarField(grid64, n), m=vector_field(grid64, zero, zero),
+                        time=0.0, params=params)
 
+    assert density_deviation_norm(state(np.ones_like(grid64.x))) == 0.0
     eps = PARAMS.epsilon
-    s = QnsState(
-        n=ScalarField(grid64, 1.0 + eps * np.sin(grid64.x)),
-        m=vector_field(grid64, np.zeros_like(grid64.x), np.zeros_like(grid64.x)),
-        time=0.0,
-        params=PARAMS,
-    )
-    out = density_deviation_norms(s)
-    assert out["large_part_Lgamma"] == 0.0
-    assert out["small_part_L2"] == pytest.approx(eps * np.pi * np.sqrt(2), rel=1e-12)
-    assert out["full_Llambda"] == pytest.approx(out["small_part_L2"], rel=1e-12)
+    got = density_deviation_norm(state(1.0 + eps * np.sin(grid64.x)))
+    assert got == pytest.approx(eps * np.pi * np.sqrt(2), rel=1e-12)
 
-    big = QnsState(
-        n=ScalarField(grid64, 1.0 + 2.0 * np.abs(np.sin(grid64.x))),  # deviations >= 1 exist
-        m=vector_field(grid64, np.zeros_like(grid64.x), np.zeros_like(grid64.x)),
-        time=0.0,
-        params=PARAMS,
-    )
-    out_big = density_deviation_norms(big)
-    assert out_big["large_part_Lgamma"] > 0
-    assert out_big["full_Lgamma"] >= out_big["large_part_Lgamma"]
+    dev = 0.5 * np.abs(np.sin(grid64.x)) * np.cos(grid64.y)
+    h2 = grid64.spacing ** 2
+    for gamma, lam in ((1.5, 1.5), (3.0, 2.0)):
+        want = (h2 * (np.abs(dev) ** lam).sum()) ** (1.0 / lam)
+        got = density_deviation_norm(state(1.0 + dev, LimitParams(0.1, gamma)))
+        assert got == pytest.approx(want, rel=1e-12), gamma
 
 
 def test_rate_fit_exact_power_laws():

@@ -51,18 +51,18 @@ def test_euler_residual_zero_state(grid64):
 
 def test_euler_solve_zero_stays_zero(grid64):
     zero = vector_field(grid64, np.zeros_like(grid64.x), np.zeros_like(grid64.x))
-    traj = euler_solve(zero, t_end=0.05, dt=0.01)
-    assert np.abs(traj[-1].v.x.values).max() == 0.0
+    ref = euler_solve(zero, t_end=0.05, dt=0.01)
+    assert np.abs(ref.v.x.values).max() == 0.0
 
 
 def test_euler_solve_taylor_green_short_stationarity(grid64):
     tg = taylor_green(grid64)
-    traj = euler_solve(tg.v, t_end=0.2, dt=2e-3, record_every=100)
+    ref = euler_solve(tg.v, t_end=0.2, dt=2e-3)
     drift = norm(
         vector_field(
             grid64,
-            traj[-1].v.x.values - tg.v.x.values,
-            traj[-1].v.y.values - tg.v.y.values,
+            ref.v.x.values - tg.v.x.values,
+            ref.v.y.values - tg.v.y.values,
         ),
         2,
     )
@@ -78,10 +78,10 @@ def test_euler_solve_conserves_energy_and_enstrophy(grid64, rng):
         random_band_limited(grid64, 4, rng, 1.0).values,
     )
     v0, _ = helmholtz_project(w)
-    traj = euler_solve(v0, t_end=0.3, dt=2e-3, record_every=50)
     e0 = 0.5 * norm(v0, 2) ** 2
     z0 = 0.5 * norm(curl(v0), 2) ** 2
-    for ref in traj[1:]:
+    for t_end in (0.1, 0.2, 0.3):
+        ref = euler_solve(v0, t_end=t_end, dt=2e-3)
         e = 0.5 * norm(ref.v, 2) ** 2
         z = 0.5 * norm(curl(ref.v), 2) ** 2
         assert abs(e - e0) / e0 < 1e-8
@@ -118,8 +118,8 @@ def test_euler_residual_of_solver_output(grid64, rng):
         random_band_limited(grid64, 3, rng, 1.0).values,
     )
     v0, _ = helmholtz_project(w)
-    traj = euler_solve(v0, t_end=0.1, dt=1e-3, record_every=100)
-    assert euler_residual(traj[-1], dt_probe=1e-4) < 1e-6
+    ref = euler_solve(v0, t_end=0.1, dt=1e-3)
+    assert euler_residual(ref, dt_probe=1e-4) < 1e-6
 
 
 def _residual_four_calls(ref, dt_probe):
@@ -270,8 +270,9 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
         return wrapped
 
     v0 = _random_solenoidal(grid32, rng, kmax=4)
-    # the set-up with its t = 0 snapshot: one stacked forward of vx and vy,
-    # the divergence's inverse, the snapshot's velocity and its pressure
+    # the set-up and the reference at t_end = 0: one stacked forward of vx
+    # and vy, the divergence's inverse, the reference's velocity and its
+    # pressure
     counts.update(fwd=0, inv=0, calls=0)
     euler_solve(v0, t_end=0.0, dt=1e-3)
     assert (counts["fwd"], counts["inv"], counts["calls"]) == (5, 4, 5), counts
@@ -292,13 +293,14 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
     euler._rk4_vorticity_step(grid32, w_hat, 1e-3)
     assert (counts["fwd"], counts["inv"], counts["calls"]) == (8, 9, 8), counts
 
-    # per solver step: the difference of two runs with the same snapshots
+    # per solver step: the difference of two runs, each with its one
+    # reference at t_end
     monkeypatch.setattr(euler, "_rk4_vorticity_step",
                         counting(euler._rk4_vorticity_step, "rk4"))
     totals = []
     for n_steps in (3, 5):
         counts.update(fwd=0, inv=0, calls=0, rk4=0)
-        euler_solve(v0, t_end=n_steps * 1e-3, dt=1e-3, record_every=10 ** 6)
+        euler_solve(v0, t_end=n_steps * 1e-3, dt=1e-3)
         assert counts["rk4"] == n_steps
         totals.append((counts["fwd"], counts["inv"], counts["calls"]))
     fwd, inv, calls = ((b - a) / 2 for a, b in zip(*totals))
@@ -329,8 +331,7 @@ def test_euler_blow_up_guard(grid32, monkeypatch, step, factor, trips):
                            match=rf"blow-up guard tripped at t={step * 1e-3:g}:"):
             euler_solve(tg.v, t_end=5e-3, dt=1e-3)
     else:
-        traj = euler_solve(tg.v, t_end=5e-3, dt=1e-3)
-        assert traj[-1].time == pytest.approx(5e-3)
+        assert euler_solve(tg.v, t_end=5e-3, dt=1e-3).time == pytest.approx(5e-3)
 
 
 @pytest.mark.parametrize("t_end, dt, match", [
@@ -358,8 +359,7 @@ def test_euler_residual_rejects_bad_dt_probe(grid32, dt_probe):
 
 def test_euler_solve_zero_time_returns_initial_state(grid32):
     tg = taylor_green(grid32)
-    traj = euler_solve(tg.v, t_end=0.0, dt=1e-3)
-    assert len(traj) == 1 and traj[0].time == 0.0
+    assert euler_solve(tg.v, t_end=0.0, dt=1e-3).time == 0.0
 
 
 def test_euler_step_buffers_are_private(grid32, rng):
@@ -380,16 +380,16 @@ def test_euler_step_buffers_are_private(grid32, rng):
     assert first[2] == np.abs(to_physical(w_hat[:, :32 // 3 + 1])).max()
 
     v0_before = (v0.x.values.copy(), v0.y.values.copy())
-    traj = euler_solve(v0, t_end=4e-2, dt=1e-2, record_every=1)
+    refs = [euler_solve(v0, t_end=k * 1e-2, dt=1e-2) for k in range(1, 5)]
     assert np.array_equal(v0.x.values, v0_before[0]) and np.array_equal(v0.y.values, v0_before[1])
-    # entry k is the state after k lone steps, bit for bit, from the
-    # w_hat euler_solve takes from the velocity spectra
+    # a k-step solve ends on the state after k lone steps, bit for bit,
+    # from the w_hat euler_solve takes from the velocity spectra
     w = 1j * (grid32.kgx * to_spectral(v0.y.values) - grid32.kgy * to_spectral(v0.x.values))
-    for k, ref in enumerate(traj[1:], 1):
+    for k, ref in enumerate(refs, 1):
         w = euler._rk4_vorticity_step(grid32, w, 1e-2)[0]
         vx_h = euler._multipliers(grid32)[0][0] * w
         assert ref.time == k * 1e-2 and np.array_equal(ref.v.x.values, to_physical(vx_h))
-    arrays = [a for ref in traj for a in (ref.v.x.values, ref.v.y.values, ref.pi.values)]
+    arrays = [a for ref in refs for a in (ref.v.x.values, ref.v.y.values, ref.pi.values)]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -409,26 +409,17 @@ def test_euler_step_y_passes_run_on_the_band(grid64, rng, fft_shapes):
     assert len(shapes) == 8 and {s[-1] for s in shapes} == {22}, shapes
 
 
-@pytest.mark.parametrize("record_every", [0, -1, 2.5])
-def test_euler_solve_rejects_bad_record_every(grid32, fft_counts, record_every):
-    tg = taylor_green(grid32)
-    fft_counts.update(fwd=0, inv=0, calls=0)
-    with pytest.raises(EulerSolverError, match="record_every must be an integer >= 1"):
-        euler_solve(tg.v, t_end=5e-3, dt=1e-3, record_every=record_every)
-    assert fft_counts == {"fwd": 0, "inv": 0, "calls": 0}
-
-
 def test_euler_solve_setup_takes_one_spectral_pass(grid64, fft_counts):
     # the divergence, the cutoff check and w_hat: 2 forward transforms in
-    # one stacked call and 1 inverse one; the t = 0 snapshot adds the
-    # velocity's 2 inverse in one call and the pressure's 3 forward / 1
-    # inverse in 2
+    # one stacked call and 1 inverse one; the reference at t_end = 0 adds
+    # the velocity's 2 inverse in one call and the pressure's 3 forward /
+    # 1 inverse in 2
     tg = taylor_green(grid64)
     fft_counts.update(fwd=0, inv=0, calls=0)
-    traj = euler_solve(tg.v, t_end=0.0, dt=1e-3)
+    ref = euler_solve(tg.v, t_end=0.0, dt=1e-3)
     assert (fft_counts["fwd"], fft_counts["inv"]) == (5, 4), fft_counts
     assert fft_counts["calls"] == 5, fft_counts
-    assert np.abs(traj[0].v.x.values - tg.v.x.values).max() < 1e-14
+    assert np.abs(ref.v.x.values - tg.v.x.values).max() < 1e-14
 
 
 def test_pressure_recover_allocates_no_unused_scratch(grid64, traced_fields):

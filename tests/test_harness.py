@@ -11,12 +11,14 @@ from qnslab import (
     InitialData,
     RunConfig,
     RunSteps,
+    ScalarField,
     SnapshotError,
     Truncated,
     VersionMismatch,
     acoustic_evolve,
     acoustic_init,
     linear_target,
+    norm,
     parse_config,
     read_csv_columns,
     read_snapshot,
@@ -143,6 +145,8 @@ _PROFILE_FORMS = "rest, sine_density(a), tg_plus_gradient(a) or from_snapshot(pa
          "line 2: expected 'key = value', got 'grid_n 32  # no sign'"),
         ("epsilon = 0.1\nt_end = 0\n", "t_end must be positive, got 0.0"),
         ("epsilon = 0.1\nt_end = -0.5\n", "t_end must be positive, got -0.5"),
+        # at or below the run loop's end tolerance a run would take no step
+        ("epsilon = 0.1\nt_end = 5e-13\n", "t_end must exceed 1e-12, got 5e-13"),
         ("epsilon = 0.1\ninitial_profile = sine_density(abc)\n",
          f"line 2: initial_profile expects {_PROFILE_FORMS}, got 'sine_density(abc)'"),
         ("epsilon = 0.1\ninitial_profile = whirl(2)\n",
@@ -153,7 +157,8 @@ _PROFILE_FORMS = "rest, sine_density(a), tg_plus_gradient(a) or from_snapshot(pa
         ("seed = 1.5\nmach = 3\n", "line 1: seed expects an integer, got '1.5'"),
     ],
     ids=["unknown-key", "duplicate-key", "no-equals", "t_end-zero", "t_end-negative",
-         "bad-amplitude", "unknown-profile", "bad-fixed-dt", "fixed-dt-zero", "first-fault"],
+         "t_end-below-tolerance", "bad-amplitude", "unknown-profile", "bad-fixed-dt",
+         "fixed-dt-zero", "first-fault"],
 )
 def test_parse_config_refuses_each_fault_with_its_message(text, message):
     with pytest.raises(ConfigError) as err:
@@ -176,7 +181,7 @@ def test_every_config_key_sets_a_field_and_is_documented():
     from dataclasses import fields
     from pathlib import Path
 
-    from qnslab.harness import _KNOWN_KEYS
+    from qnslab.harness import _CONFIG_KEYS
 
     keys = {"grid_n": "32", "gamma": "3", "epsilon": "0.1", "epsilon_ladder": "0.2,0.1,0.05",
             "t_end": "0.25", "dt_policy": "fixed(1e-3)", "eta": "0.5", "output_dir": "out",
@@ -185,14 +190,14 @@ def test_every_config_key_sets_a_field_and_is_documented():
     changed = set()
     for profile in ("sine_density(0.5)", "from_snapshot(init.qnsf)"):
         cfg_keys = dict(keys, initial_profile=profile)
-        assert set(cfg_keys) == _KNOWN_KEYS
+        assert set(cfg_keys) == set(_CONFIG_KEYS)
         cfg = parse_config("".join(f"{k} = {v}\n" for k, v in cfg_keys.items()))
         changed |= {name for name, value in defaults.items() if getattr(cfg, name) != value}
     assert changed == set(defaults)
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("Config files are", 1)[1].split("```")[1]
-    for key in _KNOWN_KEYS:
+    for key in _CONFIG_KEYS:
         assert re.search(rf"\b{key}\s*=", block), key
 
 
@@ -495,8 +500,10 @@ def _step_and_record_entries(cfg, steps=None):
     return ledger.entries
 
 
-@pytest.mark.parametrize("gamma, t_end", [(2.0, 0.12), (3.0, 0.12), (2.0, 1e-13)],
-                         ids=["gamma2", "gamma3", "no_step"])
+# RunConfig refuses a t_end at or below the run loop's end tolerance 1e-12,
+# where a run took no step; t_end = 2e-12 takes one step
+@pytest.mark.parametrize("gamma, t_end", [(2.0, 0.12), (3.0, 0.12), (2.0, 2e-12)],
+                         ids=["gamma2", "gamma3", "one_tiny_step"])
 def test_run_ledger_matches_a_step_and_record_loop(tmp_path, gamma, t_end):
     cfg = RunConfig(grid_n=32, gamma=gamma, epsilon=0.1, t_end=t_end,
                     initial_profile="sine_density", profile_amplitude=0.5,
@@ -504,6 +511,8 @@ def test_run_ledger_matches_a_step_and_record_loop(tmp_path, gamma, t_end):
     res = run_single(cfg)
     assert res.aborted is None
     assert res.ledger.entries == _step_and_record_entries(cfg)
+    if t_end == 2e-12:
+        assert len(res.ledger.entries) == 2
 
 
 def _assert_aborted_after(res, csv_path, kind, want_entries):
@@ -1052,6 +1061,23 @@ def test_sweep_with_aborted_runs_is_failed_but_reports(tmp_path, capsys):
     assert "no fittable columns" in captured.err
 
 
+@pytest.mark.parametrize("gamma, lam", [(1.5, 1.5), (3.0, 2.0)], ids=["gamma-1.5", "gamma-3"])
+def test_sweep_density_ratio_is_the_snapshot_norm(tmp_path, gamma, lam):
+    # the density_ratio cell of each rung is ||n - 1||_{L^lambda}/eps of its
+    # last state, lambda = min{2, gamma}: the L^lambda norm of the n1_0 =
+    # (n - 1)/eps its snapshot holds
+    cfg = RunConfig(grid_n=16, gamma=gamma, epsilon_ladder=[0.2, 0.1, 0.05], t_end=0.02,
+                    initial_profile="sine_density", profile_amplitude=0.5,
+                    output_dir=str(tmp_path))
+    assert not run_sweep(cfg).failed
+    _, columns = read_csv_columns(tmp_path / "sweep_summary.csv")
+    grid = Grid2D(16)
+    for eps, ratio in zip(cfg.epsilon_ladder, columns["density_ratio"], strict=True):
+        _, fields = read_snapshot(tmp_path / f"run_eps_{eps:g}.qnsf")
+        want = norm(ScalarField(grid, fields["n1_0"]), lam)
+        assert ratio == pytest.approx(want, rel=1e-12, abs=0.0), eps
+
+
 def test_density_band_fails_on_non_finite_ratio():
     from qnslab.harness import SweepResult
 
@@ -1408,6 +1434,10 @@ _TINY_RUN = "grid_n = 16\nt_end = 0.01\ninitial_profile = sine_density(0.1)\n"
         (["bohm-check", "--grid-n", str(2**20)], None, 2, "config error:"),
         (["run", "--config", "{f}"], f"epsilon = 0.1\ngrid_n = {2**20}\n", 2, "config error:"),
         (["run"], None, 2, "config error: missing --config"),
+        # it took no step and printed "run complete: t = 0"
+        (["run", "--config", "{f}"],
+         "grid_n = 16\nepsilon = 0.1\nt_end = 5e-13\ninitial_profile = sine_density(0.5)\n", 2,
+         "config error: t_end must exceed 1e-12, got 5e-13"),
         (["run", "--config", "{f}"], "epsilon_ladder = 0.2,0.1,0.05\n", 2,
          "config error: run needs a single epsilon (use sweep for a ladder)"),
         (["rate-fit", "{f}"], "eta,rel_entropy\n0.2,1\n0.1,2\n0.05,4\n", 2, "config error:"),
@@ -1426,6 +1456,7 @@ _TINY_RUN = "grid_n = 16\nt_end = 0.01\ninitial_profile = sine_density(0.1)\n"
     ids=["eps-ascending", "eps-repeated", "eps-zero", "eps-nan", "non-numeric-cell",
          "empty-csv", "bohm-grid-n", "bohm-seed", "bohm-fields", "run-not-utf8",
          "sweep-not-utf8", "bohm-grid-n-oversized", "run-grid-n-oversized", "run-no-config",
+         "run-t_end-below-tolerance",
          "run-ladder-only", "first-column-not-epsilon", "first-column-names-epsilon-inside",
          "run-eps-squared-underflows",
          "sweep-eps-squared-underflows", "run-eta-squared-overflows", "csv-ragged-row",
@@ -1445,6 +1476,13 @@ def test_cli_bad_input_reaches_documented_exit_code(tmp_path, capsys, argv, file
     assert "PASS" not in captured.out
     if files is not None and argv[0] == "rate-fit":
         assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("grid_n", [float("inf"), float("nan"), None], ids=str)
+def test_run_config_refuses_a_grid_n_that_is_no_integer(grid_n):
+    # int() refuses each: they ended in OverflowError, ValueError and TypeError
+    with pytest.raises(ConfigError, match=f"grid_n must be an even integer >= 8, got {grid_n}$"):
+        RunConfig(grid_n=grid_n, epsilon=0.1)
 
 
 def test_grid_that_a_run_cannot_fit_is_a_config_error(monkeypatch, capsys):

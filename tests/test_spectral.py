@@ -33,6 +33,10 @@ def test_grid_rejects_odd_and_small():
         Grid2D(7)
     with pytest.raises(SpectralError):
         Grid2D(6)
+    # values int() refuses, which ended in OverflowError, ValueError and TypeError
+    for bad in (float("inf"), float("nan"), None):
+        with pytest.raises(SpectralError, match=f"must be an even integer >= 8, got {bad}$"):
+            Grid2D(bad)
 
 
 @pytest.mark.parametrize(
