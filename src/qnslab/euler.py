@@ -14,9 +14,11 @@ N = 64), as in qns.qns_step, so every fft along y runs on those
 columns.  No kept mode of a product aliases, so the flux form equals
 the convective one v.grad w up to round-off.  euler_solve allocates the
 working arrays once.  README's numerical notes give the step times.
+An EulerReference is its velocity: the pressure Pi, fixed by v through
+-lap Pi = div div(v x v), is computed where it is read.
 pressure_recover and euler_residual take the velocity equation's
 nonlinearity in the same flux form, from one stacked band forward of
-(vx^2, vx vy, vy^2).
+(vx^2, vx vy, vy^2), and share one pressure expression.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .spectral import (
     ScalarField,
     VectorField,
     _to_physical_into,
-    gradient,
     norm,
     to_physical,
     to_spectral,
@@ -46,31 +47,20 @@ class EulerSolverError(RuntimeError):
 
 @dataclass
 class EulerReference:
-    """Divergence-free velocity and mean-free pressure at time (None: at every time)."""
+    """Divergence-free velocity at time (None: at every time)."""
 
     v: VectorField
-    pi: ScalarField
     time: float | None = 0.0
-
-    def __post_init__(self):
-        m = self.pi.mean()
-        if m != 0.0:
-            self.pi = ScalarField(self.pi.grid, self.pi.values - m)
 
 
 def taylor_green(grid: Grid2D) -> EulerReference:
-    """Steady vortex v = (sin x cos y, -cos x sin y), Pi = (cos 2x + cos 2y)/4.
-
-    Substituting into (v.grad)v = -grad Pi gives (sin 2x, sin 2y)/2 on
-    the left, fixing the pressure sign.
-    """
+    """Steady vortex v = (sin x cos y, -cos x sin y)."""
     c = grid.coords
-    sin_c, cos_c, cos_2c = np.sin(c), np.cos(c), np.cos(2 * c)
+    sin_c, cos_c = np.sin(c), np.cos(c)
     # outer products of 1-D trig tables: [iy, ix] entries equal the
     # meshgrid expressions bit for bit
     v = vector_field(grid, np.outer(cos_c, sin_c), np.outer(sin_c, -cos_c))
-    pi = ScalarField(grid, 0.25 * (cos_2c[None, :] + cos_2c[:, None]))
-    return EulerReference(v=v, pi=pi, time=None)
+    return EulerReference(v=v, time=None)
 
 
 # Cached per grid size rather than stored on Grid2D, so grids that never
@@ -139,15 +129,17 @@ def _flux_hats(v: VectorField) -> np.ndarray:
                        out=np.empty((3, g.n_points, g.band_c), complex))
 
 
-def pressure_recover(v: VectorField) -> ScalarField:
-    """Mean-free Pi with -lap Pi = d_i d_j (v_i v_j), which is
-    div((v.grad)v) for solenoidal v, dealiased: the flux stack and one
-    inverse on the band, 3 forward / 1 inverse transforms."""
-    g = v.grid
+def _pressure_hat(g: Grid2D, fxx, fxy, fyy) -> np.ndarray:
+    """Band spectrum of the mean-free Pi with -lap Pi = d_i d_j (v_i v_j),
+    which is div((v.grad)v) for solenoidal v, from the flux stack."""
     ddx, ddy = g.band_d
-    fxx, fxy, fyy = _flux_hats(v)
-    pi_hat = (ddx * ddx * fxx + 2.0 * ddx * ddy * fxy + ddy * ddy * fyy) * g.inv_kg2[:, :g.band_c]
-    return ScalarField(g, _to_physical_into(pi_hat))
+    return (ddx * ddx * fxx + 2.0 * ddx * ddy * fxy + ddy * ddy * fyy) * g.inv_kg2[:, :g.band_c]
+
+
+def pressure_recover(v: VectorField) -> ScalarField:
+    """The mean-free pressure of v, dealiased: the flux stack and one
+    inverse on the band, 3 forward / 1 inverse transforms."""
+    return ScalarField(v.grid, _to_physical_into(_pressure_hat(v.grid, *_flux_hats(v))))
 
 
 def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float,
@@ -184,11 +176,10 @@ def _rk4_vorticity_step(grid: Grid2D, w_hat: np.ndarray, dt: float,
 def euler_solve(v0: VectorField, t_end: float, dt: float) -> EulerReference:
     """Evolve the vorticity transport equation with dealiased RK4 to t_end.
 
-    Returns the reference at t_end, with the pressure recovered from the
-    velocity.  Refuses a dt that is not finite and positive, a t_end
-    that is not finite and >= 0 or not a whole number of steps (within
-    1e-9 relative), and CFL-violating steps; aborts if the vorticity
-    sup-norm grows tenfold (blow-up guard).
+    Returns the reference at t_end.  Refuses a dt that is not finite and
+    positive, a t_end that is not finite and >= 0 or not a whole number
+    of steps (within 1e-9 relative), and CFL-violating steps; aborts if
+    the vorticity sup-norm grows tenfold (blow-up guard).
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise EulerSolverError(f"dt must be finite and > 0, got {dt!r}")
@@ -239,13 +230,14 @@ def euler_solve(v0: VectorField, t_end: float, dt: float) -> EulerReference:
     if n_steps:
         guard(n_steps, np.abs(to_physical(w_hat)).max())
     v = vector_field(g, *_to_physical_into(_multipliers(g)[0] * w_hat))
-    return EulerReference(v=v, pi=pressure_recover(v), time=n_steps * dt)
+    return EulerReference(v=v, time=n_steps * dt)
 
 
 def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
-    """L2 norm of d_t v + (v.grad)v + grad Pi, the advection in the
-    divergence form d_j(v_i v_j), dealiased, which equals (v.grad)v for
-    solenoidal v: the flux stack and one inverse call of 2 transforms.
+    """L2 norm of d_t v + (v.grad)v + grad Pi = d_t v + P div(v x v), the
+    advection in the divergence form d_j(v_i v_j), dealiased, which
+    equals (v.grad)v for solenoidal v, and Pi the pressure of v: the flux
+    stack and one inverse call of 2 transforms.
 
     dt_probe = 0 treats the reference as steady; dt_probe > 0 estimates
     d_t v by a central difference of two solver micro-steps, taken on
@@ -258,10 +250,9 @@ def euler_residual(ref: EulerReference, dt_probe: float = 0.0) -> float:
     g = ref.v.grid
     ddx, ddy = g.band_d
     fxx, fxy, fyy = _flux_hats(ref.v)
-    res = _to_physical_into(np.stack((ddx * fxx + ddy * fxy, ddx * fxy + ddy * fyy)))
-    gp = gradient(ref.pi)
-    res[0] += gp.x.values
-    res[1] += gp.y.values
+    pi_hat = _pressure_hat(g, fxx, fxy, fyy)
+    res = _to_physical_into(np.stack((ddx * (fxx + pi_hat) + ddy * fxy,
+                                      ddx * fxy + ddy * (fyy + pi_hat))))
     if dt_probe > 0.0:
         vx_h, vy_h = to_spectral(np.stack((ref.v.x.values, ref.v.y.values)),
                                  out=np.empty((2, g.n_points, g.band_c), complex))

@@ -447,9 +447,6 @@ def _check_state(n_vals, mx, my, t):
 class EnergyEntry:
     t: float
     e_total: float
-    e_kinetic: float
-    e_internal: float
-    e_quantum: float
     d_cumulative: float = 0.0
 
 
@@ -474,8 +471,7 @@ class _StageEnergy:
         np.multiply(sx, sx, out=a)
         a += np.multiply(sy, sy, out=b)
         quantum = 2.0 * eps * eps * integrate(ScalarField(g, a))
-        self.entry = EnergyEntry(t=s.time, e_total=kin + internal + quantum, e_kinetic=kin,
-                                 e_internal=internal, e_quantum=quantum)
+        self.entry = EnergyEntry(t=s.time, e_total=kin + internal + quantum)
         np.multiply(dxx, dxx, out=a)
         np.multiply(dyy, dyy, out=b)
 

@@ -40,7 +40,7 @@ TWO_PI = 2.0 * np.pi
 TABLE_MAX_N = 96
 
 # A bound on a run's peak in N x N float64 fields: a run of the
-# benchmark's highres_n256 size (N = 256) peaks at 31.3 traced fields
+# benchmark's highres_n256 size (N = 256) peaks at 30.3 traced fields
 # (tracemalloc) in its first step, of which Grid2D holds 1.1.  It was
 # set at 40 when that peak was 36.8, and a lower bound would admit
 # larger grids than it does.

@@ -30,9 +30,12 @@ def test_taylor_green_kinetic_norm(grid64):
 
 
 def test_pressure_recover_matches_steady_pressure(grid64):
-    tg = taylor_green(grid64)
-    pi = pressure_recover(tg.v)
-    assert np.abs(pi.values - tg.pi.values).max() < 1e-10
+    # the vortex's pressure in closed form, Pi = (cos 2x + cos 2y)/4:
+    # substituting into (v.grad)v = -grad Pi gives (sin 2x, sin 2y)/2 on
+    # the left, fixing its sign
+    pi = pressure_recover(taylor_green(grid64).v)
+    want = 0.25 * (np.cos(2 * grid64.x) + np.cos(2 * grid64.y))
+    assert np.abs(pi.values - want).max() < 1e-10
     assert abs(pi.mean()) < 1e-14
 
 
@@ -45,7 +48,7 @@ def test_pressure_recover_trivial_fields(grid64):
 
 def test_euler_residual_zero_state(grid64):
     zero = vector_field(grid64, np.zeros_like(grid64.x), np.zeros_like(grid64.x))
-    ref = EulerReference(v=zero, pi=ScalarField(grid64, np.zeros_like(grid64.x)), time=None)
+    ref = EulerReference(v=zero, time=None)
     assert euler_residual(ref) == 0.0
 
 
@@ -132,7 +135,7 @@ def _residual_four_calls(ref, dt_probe):
     ddx, ddy = g.band_d
     fxx, fxy, fyy = euler._flux_hats(ref.v)
     res_x, res_y = _to_physical_into(np.stack((ddx * fxx + ddy * fxy, ddx * fxy + ddy * fyy)))
-    gp = gradient(ref.pi)
+    gp = gradient(pressure_recover(ref.v))
     res_x += gp.x.values
     res_y += gp.y.values
     w_hat = to_spectral(curl(ref.v).values)
@@ -149,9 +152,13 @@ def test_euler_residual_probe_inverts_its_difference_once(grid64, rng, monkeypat
     from qnslab import euler
 
     v = taylor_green(grid64).v if flow == "taylor_green" else _random_solenoidal(grid64, rng, 4)
-    # without its pressure the residual is O(1); with it, the residual is
-    # round-off, and the four-call form's round-off over 2 dt_probe sets it
-    ref = EulerReference(v=v, pi=ScalarField(grid64, np.zeros((64, 64))))
+    # an Euler velocity's residual is round-off, and the four-call form's
+    # round-off over 2 dt_probe would set it; the curl-free part
+    # 0.5 grad(sin x + sin y), which the vorticity probe does not see,
+    # keeps it O(1), so the two forms agree on more than round-off
+    a_cos = 0.5 * np.cos(grid64.coords)
+    ref = EulerReference(v=vector_field(grid64, v.x.values + a_cos[None, :],
+                                        v.y.values + a_cos[:, None]))
     want = _residual_four_calls(ref, 1e-3)
     assert want > 0.1
     assert euler_residual(ref, dt_probe=1e-3) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -159,9 +166,9 @@ def test_euler_residual_probe_inverts_its_difference_once(grid64, rng, monkeypat
         tg = taylor_green(grid64)
         assert euler_residual(tg, dt_probe=1e-4) <= 2.0 * euler_residual(tg)
 
-    # before the first micro-step, the flux stack, its inverse, grad Pi
-    # and the band vorticity from one forward call of the velocity: 6 / 4
-    # in 5 calls (7 / 5 in 7 through curl); after the second micro-step,
+    # before the first micro-step, the flux stack, its inverse with grad Pi
+    # and the band vorticity from one forward call of the velocity: 5 / 2
+    # in 3 calls (6 / 3 in 5 through curl); after the second micro-step,
     # the velocity difference: 2 inverse transforms in 1 call (4 in 4
     # with one call per component)
     step = euler._rk4_vorticity_step
@@ -176,7 +183,7 @@ def test_euler_residual_probe_inverts_its_difference_once(grid64, rng, monkeypat
     monkeypatch.setattr(euler, "_rk4_vorticity_step", step_then_reset)
     fft_counts.update(fwd=0, inv=0, calls=0)
     euler_residual(ref, dt_probe=1e-3)
-    assert before[0] == {"fwd": 6, "inv": 4, "calls": 5}, before
+    assert before[0] == {"fwd": 5, "inv": 2, "calls": 3}, before
     assert fft_counts == {"fwd": 0, "inv": 2, "calls": 1}, fft_counts
 
 
@@ -271,11 +278,10 @@ def test_euler_fft_budget_per_step(grid32, rng, monkeypatch, fft_counts):
 
     v0 = _random_solenoidal(grid32, rng, kmax=4)
     # the set-up and the reference at t_end = 0: one stacked forward of vx
-    # and vy, the divergence's inverse, the reference's velocity and its
-    # pressure
+    # and vy, the divergence's inverse and the reference's velocity
     counts.update(fwd=0, inv=0, calls=0)
     euler_solve(v0, t_end=0.0, dt=1e-3)
-    assert (counts["fwd"], counts["inv"], counts["calls"]) == (5, 4, 5), counts
+    assert (counts["fwd"], counts["inv"], counts["calls"]) == (2, 3, 3), counts
     # the momentum flux stack is one forward call of 3 planes; the
     # pressure adds one inverse on the band
     counts.update(fwd=0, inv=0, calls=0)
@@ -389,7 +395,7 @@ def test_euler_step_buffers_are_private(grid32, rng):
         w = euler._rk4_vorticity_step(grid32, w, 1e-2)[0]
         vx_h = euler._multipliers(grid32)[0][0] * w
         assert ref.time == k * 1e-2 and np.array_equal(ref.v.x.values, to_physical(vx_h))
-    arrays = [a for ref in refs for a in (ref.v.x.values, ref.v.y.values, ref.pi.values)]
+    arrays = [a for ref in refs for a in (ref.v.x.values, ref.v.y.values)]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -412,13 +418,12 @@ def test_euler_step_y_passes_run_on_the_band(grid64, rng, fft_shapes):
 def test_euler_solve_setup_takes_one_spectral_pass(grid64, fft_counts):
     # the divergence, the cutoff check and w_hat: 2 forward transforms in
     # one stacked call and 1 inverse one; the reference at t_end = 0 adds
-    # the velocity's 2 inverse in one call and the pressure's 3 forward /
-    # 1 inverse in 2
+    # the velocity's 2 inverse in one call, and no pressure
     tg = taylor_green(grid64)
     fft_counts.update(fwd=0, inv=0, calls=0)
     ref = euler_solve(tg.v, t_end=0.0, dt=1e-3)
-    assert (fft_counts["fwd"], fft_counts["inv"]) == (5, 4), fft_counts
-    assert fft_counts["calls"] == 5, fft_counts
+    assert (fft_counts["fwd"], fft_counts["inv"]) == (2, 3), fft_counts
+    assert fft_counts["calls"] == 3, fft_counts
     assert np.abs(ref.v.x.values - tg.v.x.values).max() < 1e-14
 
 

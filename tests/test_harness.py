@@ -264,11 +264,9 @@ def test_profile_fields_equal_meshgrid_expressions(profile, grid_n):
     cfg = RunConfig(grid_n=grid_n, epsilon=0.1, initial_profile=profile, profile_amplitude=a)
     data, ref = build_initial_data(cfg, grid)
     vx, vy = np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)
-    pi = 0.25 * (np.cos(2 * x) + np.cos(2 * y))
     want = {
         "tg_vx": vx,
         "tg_vy": vy,
-        "tg_pi": pi - pi.mean(),  # EulerReference makes Pi mean-free
         "n1_0": a * np.sin(x) if profile == "sine_density" else np.zeros_like(x),
         "u0_x": vx + a * np.cos(x),
         "u0_y": vy + a * np.cos(y),
@@ -276,7 +274,6 @@ def test_profile_fields_equal_meshgrid_expressions(profile, grid_n):
     got = {
         "tg_vx": ref.v.x.values,
         "tg_vy": ref.v.y.values,
-        "tg_pi": ref.pi.values,
         "n1_0": data.n1_0.values,
         "u0_x": data.u_0.x.values,
         "u0_y": data.u_0.y.values,
@@ -470,6 +467,26 @@ def test_run_single_from_snapshot_profile(tmp_path, grid32, rng):
     assert res.aborted is None
 
 
+def test_no_run_solves_for_a_pressure(tmp_path, monkeypatch):
+    # a reference is its velocity: neither a run from a profile nor one
+    # from that run's snapshot forms the flux stack a pressure comes from
+    from qnslab import euler
+
+    def refuse(v):
+        raise AssertionError("a run solved for a pressure")
+
+    monkeypatch.setattr(euler, "_flux_hats", refuse)
+    first = RunConfig(grid_n=16, epsilon=0.1, t_end=0.02,
+                      initial_profile="sine_density", profile_amplitude=0.3,
+                      output_dir=str(tmp_path))
+    assert run_single(first, csv_path=tmp_path / "first.csv").aborted is None
+    chained = RunConfig(grid_n=16, epsilon=0.1, t_end=0.02,
+                        initial_profile="from_snapshot",
+                        snapshot_path=str(tmp_path / "first.qnsf"),
+                        output_dir=str(tmp_path))
+    assert run_single(chained).aborted is None
+
+
 def test_run_single_abort_flushes_sentinel_csv(tmp_path):
     # a fixed step far above the stability bound is refused on step one;
     # the partial series is flushed with the sentinel row appended
@@ -655,9 +672,9 @@ def test_run_memory_peak_n256(traced_fields):
     assert fields <= 1.2
     assert not {"x", "y", "k2"} & set(vars(grid))
     # a run of the benchmark's highres_n256 size drops its initial data
-    # once its states are built, and at eta = 0 never reads x, y or k2:
-    # measured 31.3 fields (31.5 as a process's first run), the peak of
-    # its first step; 36.8 holding both
+    # once its states are built, at eta = 0 never reads x, y or k2, and
+    # its reference holds no pressure: measured 30.3 fields, the peak of
+    # its first step; 31.3 with the pressure, 36.8 holding the data too
     from qnslab import qns
 
     cfg = RunConfig(grid_n=256, gamma=2.0, epsilon=0.05, t_end=0.0125,
@@ -665,7 +682,7 @@ def test_run_memory_peak_n256(traced_fields):
     qns._linear_flow.cache_clear()  # the flow is built inside the measured run
     res, fields = traced_fields(lambda: run_single(cfg))
     assert res.aborted is None and res.reports[-1].t == cfg.t_end
-    assert fields <= 33.0
+    assert fields <= 32.0
 
 
 def test_cli_numerical_abort_exit_code(tmp_path):

@@ -250,8 +250,8 @@ def test_total_energy_examples(grid64):
         params=PARAMS,
     )
     e = total_energy(s)
+    # at n = 1 the internal and quantum energies vanish: e_total is kinetic
     assert e.e_total == pytest.approx(np.pi ** 2, rel=1e-12)
-    assert e.e_kinetic == pytest.approx(np.pi ** 2, rel=1e-12)
 
     const = QnsState(
         n=ScalarField(grid64, np.full_like(grid64.x, 1.1)),
